@@ -15,6 +15,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,6 +65,11 @@ void on_signal(int) {
 // sending results back in request order (responses pipeline behind slower
 // requests, but ordering keeps the protocol trivial for clients).
 void serve_connection(int fd, serve::SolverService& service) {
+  // Send each reply at once rather than holding it until the client ACKs
+  // the previous one (Nagle), as the rank links of src/net already do.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+
   std::mutex mutex;
   std::condition_variable cv;
   std::deque<std::future<serve::SolveResult>> pending;

@@ -63,6 +63,11 @@ class MgMpi {
   // caller's to collect from its world.
   Result run_rank(msg::Comm& comm, int nit, bool warmup = true) const;
 
+  // Rank `rank`'s slab of the right-hand side as set-up builds it: its
+  // nx / ranks owned planes plus one halo plane on each side, each plane
+  // (nx+2)^2 values in the layout of fill_rhs.
+  std::vector<double> rhs_slab(int rank) const;
+
  private:
   MgSpec spec_;
   int ranks_;

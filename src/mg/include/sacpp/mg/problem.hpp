@@ -3,9 +3,20 @@
 //
 // The right-hand side v is zero except for +1 at the positions of the ten
 // largest and -1 at the positions of the ten smallest values of an nx^3
-// field of NAS pseudo-random deviates, laid out exactly as NPB generates it
-// (innermost index fastest, one vranlc row per (i2, i3) with multiplicative
-// sequence jumps between rows and planes).
+// field of NAS pseudo-random deviates, laid out exactly as NPB generates it:
+// innermost index fastest, so element (i3, i2, i1) is deviate number
+// (i3 * nx + i2) * nx + i1 of one contiguous stream (NPB's per-row and
+// per-plane sequence jumps equal the counts consumed).
+//
+// zran3 never stores that field.  One streaming pass steps the integer
+// generator (nasrand::lcg46_step) and keeps the ten largest and ten smallest
+// deviates seen so far, an equal later value never displacing an earlier
+// one (scan-order ties).  Each charge is then written at every periodic
+// image of its position: the interior point and every ghost cell that NPB's
+// comm3 border exchange would copy it to, so no border pass runs.  Any
+// range of planes along the outermost axis can be filled on its own, which
+// is how each MgMpi rank builds just its slab.  The result is bit-identical
+// to sorting the stored field and exchanging the borders.
 //
 // All extended grids are cubes of extent nx+2: one artificial periodic
 // boundary layer on each side (paper Fig. 5).  Index convention inside
@@ -18,24 +29,26 @@
 
 namespace sacpp::mg {
 
-// The nx^3 interior field of pseudo-random deviates in NPB order
-// (row-major with the last index fastest, i.e. element (i3, i2, i1) of NPB
-// at flat position (i3 * nx + i2) * nx + i1).
-std::vector<double> random_field(extent_t nx);
-
 // Charge positions: 0-based *interior* coordinates (each in [0, nx)).
 struct Charges {
   std::vector<IndexVec> plus;   // ten largest deviates -> +1
   std::vector<IndexVec> minus;  // ten smallest deviates -> -1
 };
 
-// The ten largest / ten smallest positions of `field` (size nx^3).  Ties are
-// broken by scan order; the NPB generator never produces ties.
-Charges find_charges(const std::vector<double>& field, extent_t nx);
+// The charges of the nx^3 field, from one pass over its deviate stream in
+// constant memory: plus by decreasing, minus by increasing deviate, ties in
+// scan order.  When nx^3 < 20 both lists hold all nx^3 points, and -1 wins.
+Charges zran3_charges(extent_t nx);
 
-// Fill the extended (nx+2)^3 right-hand side: zero everywhere, +-1 at the
-// charge positions (shifted by the ghost layer), ghost layers made
-// periodic.  `v_ext` must have size (nx+2)^3.
+// Planes [first, first + count) of the extended (nx+2)^3 right-hand side,
+// along the outermost axis (planes 0 and nx+1 are ghosts): zero everywhere,
+// +-1 at every periodic image of each charge.  `planes` must have size
+// count * (nx+2)^2.
+void fill_rhs_planes(std::span<double> planes, extent_t nx, extent_t first,
+                     extent_t count);
+
+// The whole extended right-hand side: fill_rhs_planes over all nx+2 planes.
+// `v_ext` must have size (nx+2)^3.
 void fill_rhs(std::span<double> v_ext, extent_t nx);
 
 // Apply periodic boundary conditions to an extended cube in place: each

@@ -149,17 +149,24 @@ MgResult measure(Variant variant, const MgSpec& spec, const RunOptions& opts,
   return res;
 }
 
-MgResult run_sac(const MgSpec& spec, const RunOptions& opts) {
-  const extent_t n = spec.nx + 2;
-  const Shape shp = cube_shape(3, n);
+// The benchmark right-hand side as an array: the extended cube, or its
+// interior when `lo` is 1 (the ghost-free grids of mg_sac_direct).  The raw
+// cube is freed on return, before the solve allocates anything.
+sac::Array<double> rhs_array(extent_t nx, extent_t lo) {
+  const extent_t n = nx + 2;
   std::vector<double> v_raw(static_cast<std::size_t>(n * n * n));
-  fill_rhs(std::span<double>(v_raw), spec.nx);
-
-  const sac::Array<double> v = sac::with_genarray<double>(
-      shp, sac::gen_all(), sac::rank3_body([&](extent_t i, extent_t j,
-                                               extent_t k) {
-        return v_raw[static_cast<std::size_t>((i * n + j) * n + k)];
+  fill_rhs(std::span<double>(v_raw), nx);
+  return sac::with_genarray<double>(
+      cube_shape(3, n - 2 * lo),
+      sac::rank3_body([&](extent_t i, extent_t j, extent_t k) {
+        return v_raw[static_cast<std::size_t>(
+            ((i + lo) * n + (j + lo)) * n + (k + lo))];
       }));
+}
+
+MgResult run_sac(const MgSpec& spec, const RunOptions& opts) {
+  const Shape shp = cube_shape(3, spec.nx + 2);
+  const sac::Array<double> v = rhs_array(spec.nx, 0);
 
   MgSac solver(spec);
   sac::Array<double> u;
@@ -199,18 +206,9 @@ MgResult run_ref(const MgSpec& spec, const RunOptions& opts) {
 }
 
 MgResult run_sac_direct(const MgSpec& spec, const RunOptions& opts) {
-  const extent_t nx = spec.nx;
-  const extent_t n = nx + 2;
-  std::vector<double> v_raw(static_cast<std::size_t>(n * n * n));
-  fill_rhs(std::span<double>(v_raw), nx);
-
   // Ghost-free RHS: the interior of the extended benchmark input.
-  const Shape shp = cube_shape(3, nx);
-  const sac::Array<double> v = sac::with_genarray<double>(
-      shp, sac::rank3_body([&](extent_t i, extent_t j, extent_t k) {
-        return v_raw[static_cast<std::size_t>(
-            ((i + 1) * n + (j + 1)) * n + (k + 1))];
-      }));
+  const Shape shp = cube_shape(3, spec.nx);
+  const sac::Array<double> v = rhs_array(spec.nx, 1);
 
   MgSacDirect solver(spec);
   sac::Array<double> u;

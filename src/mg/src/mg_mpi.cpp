@@ -48,6 +48,15 @@ struct Slab {
   void zero() { std::fill(data.begin(), data.end(), 0.0); }
 };
 
+// Rank `rank`'s share of the top-level right-hand side: its owned planes
+// plus one halo plane on each side, straight from the streaming generator.
+// Every rank scans the deterministic deviate stream and writes only its own
+// planes; NPB distributes the generator instead — same data, no traffic.
+void fill_rhs_slab(std::span<double> slab, extent_t nx, int ranks, int rank) {
+  const extent_t m = nx / ranks;
+  fill_rhs_planes(slab, nx, rank * m, m + 2);
+}
+
 // Per-rank solver state and kernels.
 class RankSolver {
  public:
@@ -77,21 +86,7 @@ class RankSolver {
   // -- setup -------------------------------------------------------------
 
   void setup_rhs() {
-    // Every rank generates the (deterministic) global RHS and keeps its
-    // slab; NPB distributes the generator instead — same data, no traffic.
-    const extent_t nx = spec_.nx;
-    const extent_t n = nx + 2;
-    std::vector<double> full(static_cast<std::size_t>(n * n * n));
-    fill_rhs(full, nx);
-    const extent_t lo = global_base(v_);
-    // interior planes + halos straight from the full array (the global
-    // extended array already carries the periodic ghost planes):
-    for (extent_t l = 0; l <= v_.m + 1; ++l) {
-      extent_t g = lo + l;  // global extended plane index of local plane l
-      std::memcpy(v_.plane(l), full.data() + static_cast<std::size_t>(g) *
-                                                 v_.plane_elems(),
-                  v_.plane_elems() * sizeof(double));
-    }
+    fill_rhs_slab(v_.data, spec_.nx, ranks_, comm_.rank());
   }
 
   void zero_solution() {
@@ -504,6 +499,15 @@ MgMpi::MgMpi(const MgSpec& spec, int ranks, bool overlap_halo)
   SACPP_REQUIRE(is_power_of_two(ranks), "rank count must be a power of two");
   SACPP_REQUIRE(2 * static_cast<extent_t>(ranks) <= spec.nx,
                 "need at least two grid planes per rank at the top level");
+}
+
+std::vector<double> MgMpi::rhs_slab(int rank) const {
+  SACPP_REQUIRE(rank >= 0 && rank < ranks_, "rank outside the world");
+  const extent_t n = spec_.nx + 2;
+  const extent_t m = spec_.nx / ranks_;
+  std::vector<double> slab(static_cast<std::size_t>((m + 2) * n * n));
+  fill_rhs_slab(slab, spec_.nx, ranks_, rank);
+  return slab;
 }
 
 MgMpi::Result MgMpi::run_rank(msg::Comm& comm, int nit, bool warmup) const {

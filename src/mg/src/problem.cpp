@@ -2,94 +2,126 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
+#include <functional>
 
 #include "sacpp/common/error.hpp"
 #include "sacpp/nasrand/nasrand.hpp"
 
 namespace sacpp::mg {
 
-std::vector<double> random_field(extent_t nx) {
-  SACPP_REQUIRE(nx >= 1, "random_field needs nx >= 1");
-  using namespace sacpp::nasrand;
-  std::vector<double> field(static_cast<std::size_t>(nx * nx * nx));
+namespace {
 
-  // NPB zran3 structure: one vranlc call per (i2, i3) row of nx deviates,
-  // with the row start seed jumped by a^nx per row and a^(nx*nx) per plane.
-  // Because the jumps equal the consumed counts, the field is one contiguous
-  // deviate sequence; we keep the jump structure anyway so the unit tests
-  // can validate ipow46 against sequential generation.
-  const double a1 = ipow46(kDefaultMultiplier, nx);        // one row
-  const double a2 = ipow46(kDefaultMultiplier, nx * nx);   // one plane
-  double x0 = kDefaultSeed;
-  for (extent_t i3 = 0; i3 < nx; ++i3) {
-    double x1 = x0;
-    for (extent_t i2 = 0; i2 < nx; ++i2) {
-      double xx = x1;
-      double* row = field.data() + (i3 * nx + i2) * nx;
-      vranlc(&xx, kDefaultMultiplier,
-             std::span<double>(row, static_cast<std::size_t>(nx)));
-      randlc(&x1, a1);
+constexpr extent_t kCharges = 10;  // per sign: NPB's mm
+
+// The `want` (at most kCharges) best deviates of the stream so far, best
+// first, with their scan positions.  `Better` is strict, so an equal later
+// deviate never displaces an earlier one.  `open` is a bar every deviate
+// passes (the generator never yields 0 or 2^46), in force until `want` are
+// kept; from then on the bar is the worst kept value, so the scan loop
+// tests each deviate against one number.
+template <typename Better>
+class Selector {
+ public:
+  Selector(std::size_t want, std::uint64_t open) : want_(want), bar_(open) {}
+
+  bool admits(std::uint64_t x) const { return Better{}(x, bar_); }
+
+  // Insert an admitted deviate, dropping the worst one when full.
+  void insert(std::uint64_t x, extent_t pos) {
+    std::size_t i = n_ < want_ ? n_++ : n_ - 1;
+    for (; i > 0 && Better{}(x, vals_[i - 1]); --i) {
+      vals_[i] = vals_[i - 1];
+      pos_[i] = pos_[i - 1];
     }
-    randlc(&x0, a2);
+    vals_[i] = x;
+    pos_[i] = pos;
+    if (n_ == want_) bar_ = vals_[n_ - 1];
   }
-  return field;
+
+  // The kept positions, best first, as (i3, i2, i1) interior coordinates.
+  std::vector<IndexVec> positions(extent_t nx) const {
+    const Shape cube = cube_shape(3, nx);
+    std::vector<IndexVec> out;
+    for (std::size_t i = 0; i < n_; ++i) {
+      out.push_back(cube.delinearize(pos_[i]));
+    }
+    return out;
+  }
+
+ private:
+  std::size_t want_;
+  std::uint64_t bar_;
+  std::size_t n_ = 0;
+  std::uint64_t vals_[kCharges] = {};
+  extent_t pos_[kCharges] = {};
+};
+
+// The extended positions that hold interior coordinate c on one axis: c + 1,
+// and the ghost layers comm3 copies it to (layer n - 2 goes to ghost 0,
+// layer 1 to ghost n - 1; both when nx == 1).
+struct Images {
+  extent_t at[3] = {};
+  int n = 0;
+};
+
+Images images(extent_t c, extent_t nx) {
+  Images im;
+  im.at[im.n++] = c + 1;
+  if (c == nx - 1) im.at[im.n++] = 0;
+  if (c == 0) im.at[im.n++] = nx + 1;
+  return im;
 }
 
-Charges find_charges(const std::vector<double>& field, extent_t nx) {
-  SACPP_REQUIRE(field.size() == static_cast<std::size_t>(nx * nx * nx),
-                "field size does not match nx^3");
-  const std::size_t want =
-      std::min<std::size_t>(10, field.size());  // NPB uses mm = 10
+}  // namespace
 
-  std::vector<std::size_t> order(field.size());
-  std::iota(order.begin(), order.end(), 0);
+Charges zran3_charges(extent_t nx) {
+  SACPP_REQUIRE(nx >= 1, "zran3 needs nx >= 1");
+  const extent_t total = nx * nx * nx;
+  const auto want =
+      static_cast<std::size_t>(std::min<extent_t>(kCharges, total));
+  Selector<std::greater<>> plus(want, 0);
+  Selector<std::less<>> minus(want, nasrand::kMask46 + 1);
+  const auto a = static_cast<std::uint64_t>(nasrand::kDefaultMultiplier);
+  auto x = static_cast<std::uint64_t>(nasrand::kDefaultSeed);
+  for (extent_t pos = 0; pos < total; ++pos) {
+    x = nasrand::lcg46_step(x, a);
+    if (plus.admits(x)) [[unlikely]] plus.insert(x, pos);
+    if (minus.admits(x)) [[unlikely]] minus.insert(x, pos);
+  }
+  return Charges{plus.positions(nx), minus.positions(nx)};
+}
 
-  auto pos_of = [nx](std::size_t flat) {
-    IndexVec iv(3);
-    iv[2] = static_cast<extent_t>(flat) % nx;          // i1 (fastest)
-    iv[1] = (static_cast<extent_t>(flat) / nx) % nx;   // i2
-    iv[0] = static_cast<extent_t>(flat) / (nx * nx);   // i3
-    return iv;
+void fill_rhs_planes(std::span<double> planes, extent_t nx, extent_t first,
+                     extent_t count) {
+  const extent_t n = nx + 2;
+  SACPP_REQUIRE(first >= 0 && count >= 0 && first + count <= n,
+                "RHS plane range outside the extended cube");
+  SACPP_REQUIRE(planes.size() == static_cast<std::size_t>(count * n * n),
+                "RHS plane buffer size mismatch");
+  std::fill(planes.begin(), planes.end(), 0.0);
+
+  const Charges ch = zran3_charges(nx);
+  auto place = [&](const IndexVec& c, double value) {
+    const Images is = images(c[0], nx), js = images(c[1], nx),
+                 ks = images(c[2], nx);
+    for (int a = 0; a < is.n; ++a) {
+      const extent_t i = is.at[a] - first;
+      if (i < 0 || i >= count) continue;
+      for (int b = 0; b < js.n; ++b) {
+        for (int d = 0; d < ks.n; ++d) {
+          planes[static_cast<std::size_t>((i * n + js.at[b]) * n +
+                                          ks.at[d])] = value;
+        }
+      }
+    }
   };
-
-  Charges ch;
-
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(want),
-                    order.end(), [&](std::size_t x, std::size_t y) {
-                      if (field[x] != field[y]) return field[x] > field[y];
-                      return x < y;  // scan-order tie break
-                    });
-  for (std::size_t i = 0; i < want; ++i) ch.plus.push_back(pos_of(order[i]));
-
-  std::iota(order.begin(), order.end(), 0);
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(want),
-                    order.end(), [&](std::size_t x, std::size_t y) {
-                      if (field[x] != field[y]) return field[x] < field[y];
-                      return x < y;
-                    });
-  for (std::size_t i = 0; i < want; ++i) ch.minus.push_back(pos_of(order[i]));
-
-  return ch;
+  for (const auto& p : ch.plus) place(p, +1.0);
+  for (const auto& m : ch.minus) place(m, -1.0);
 }
 
 void fill_rhs(std::span<double> v_ext, extent_t nx) {
-  const extent_t n = nx + 2;
-  SACPP_REQUIRE(v_ext.size() == static_cast<std::size_t>(n * n * n),
-                "extended RHS buffer size mismatch");
-  std::fill(v_ext.begin(), v_ext.end(), 0.0);
-
-  const Charges ch = find_charges(random_field(nx), nx);
-  auto at = [&](const IndexVec& interior) -> double& {
-    // shift by the ghost layer
-    const extent_t i = interior[0] + 1, j = interior[1] + 1,
-                   k = interior[2] + 1;
-    return v_ext[static_cast<std::size_t>((i * n + j) * n + k)];
-  };
-  for (const auto& p : ch.plus) at(p) = +1.0;
-  for (const auto& m : ch.minus) at(m) = -1.0;
-
-  periodic_border_3d(v_ext, n);
+  fill_rhs_planes(v_ext, nx, 0, nx + 2);
 }
 
 void periodic_border_3d(std::span<double> a, extent_t n) {

@@ -9,9 +9,9 @@
 // implementation (randlc/vranlc in the NPB Fortran sources) performs the
 // 46-bit modular product in double precision by splitting operands into
 // 23-bit halves; we reproduce that algorithm bit-exactly so the MG input
-// field matches the benchmark definition, and additionally provide an exact
-// 128-bit integer implementation used by the tests to validate the
-// floating-point one.
+// field matches the benchmark definition.  lcg46_step is the same step on an
+// integer state, which MG's streaming charge scan uses, and randlc_exact an
+// independent 128-bit implementation the tests validate both against.
 //
 // References: Bailey et al., "The NAS Parallel Benchmarks", RNR-94-007.
 
@@ -40,6 +40,17 @@ double ipow46(double a, std::int64_t exponent);
 // Exact reference implementation on 128-bit integers (tests only; the
 // benchmarks use the double-precision port above).
 std::uint64_t randlc_exact(std::uint64_t* x, std::uint64_t a);
+
+inline constexpr std::uint64_t kMask46 = (std::uint64_t{1} << 46) - 1;
+
+// One generator step on an integer state: a * x mod 2^46 for a, x < 2^46,
+// bit-identical to randlc on the same values (the deviate is x * 2^-46).
+// The unsigned 64-bit product wraps mod 2^64, and because 2^46 divides 2^64
+// its low 46 bits are those of the exact 92-bit product, so one multiply
+// and one mask replace randlc's split into 23-bit halves.
+constexpr std::uint64_t lcg46_step(std::uint64_t x, std::uint64_t a) {
+  return (x * a) & kMask46;
+}
 
 // Convenience stateful wrapper around randlc with sequence jumping.
 class NasRandom {

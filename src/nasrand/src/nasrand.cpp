@@ -82,10 +82,9 @@ double ipow46(double a, std::int64_t exponent) {
 }
 
 std::uint64_t randlc_exact(std::uint64_t* x, std::uint64_t a) {
-  constexpr std::uint64_t mask46 = (1ULL << 46) - 1;
   const unsigned __int128 prod =
       static_cast<unsigned __int128>(*x) * static_cast<unsigned __int128>(a);
-  *x = static_cast<std::uint64_t>(prod) & mask46;
+  *x = static_cast<std::uint64_t>(prod) & kMask46;
   return *x;
 }
 

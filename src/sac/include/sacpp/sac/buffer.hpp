@@ -107,15 +107,15 @@ class Buffer {
     // Allocation goes through the size-class BufferPool when enabled
     // (SacConfig::pool; docs/memory.md) — the V-cycle's recurring shapes are
     // then served from recycled blocks instead of std::aligned_alloc.  The
-    // pool flag is re-read at release time: blocks are ordinary aligned
-    // allocations either way, so toggling mid-lifetime is safe.
-    explicit Control(std::size_t n) : count(n) {
+    // block goes back the way it came, whatever the flag says at release,
+    // so toggling mid-lifetime keeps the pool's live count exact.
+    explicit Control(std::size_t n) : count(n), pooled(active_config().pool) {
       const std::size_t bytes = pool_block_bytes(n * sizeof(T));
       if (obs::enabled()) [[unlikely]] {
         obs::observe(obs::Hist::kAllocBytes, n * sizeof(T));
       }
       void* raw = nullptr;
-      if (active_config().pool) {
+      if (pooled) {
         // The pool maintains the stats().pool_hits/misses gauges itself.
         raw = BufferPool::instance().allocate(bytes);
       } else {
@@ -126,7 +126,7 @@ class Buffer {
       check_detail::note_buffer_alloc();
     }
     ~Control() {
-      if (active_config().pool) {
+      if (pooled) {
         BufferPool::instance().deallocate(elems,
                                           pool_block_bytes(count * sizeof(T)));
       } else {
@@ -137,6 +137,7 @@ class Buffer {
     T* elems = nullptr;
     std::size_t count = 0;
     std::uint32_t refs = 1;
+    bool pooled = false;
   };
 
   // Ownership mutations funnel through these two so checked mode can screen

@@ -21,16 +21,23 @@
 //  * epoch-based trim — depot blocks are stamped with the epoch of their
 //    release; trim() advances the epoch and frees blocks that sat unused
 //    for two full epochs, bounding retained memory without a size heuristic.
-//    An automatic trim runs every kPoolAutoTrimInterval releases.
+//    An automatic trim runs every kPoolAutoTrimInterval releases;
+//  * quiescent release of big blocks — blocks of at least 8 MB (the fine
+//    grids of classes A and up) skip the magazines and are cached only
+//    while some big block is live; releasing the last live one frees every
+//    cached big block, so reuse stays inside one solve and nothing big is
+//    retained under whatever the process runs next.
 //
 // Blocks are ordinary std::aligned_alloc allocations of exactly
-// pool_block_bytes(payload) bytes, so the pool can be toggled at any time
-// (SacConfig::pool / SACPP_POOL): a block allocated with the pool off may be
-// released into the pool and vice versa.
+// pool_block_bytes(payload) bytes.  A block must go back the way it came —
+// into the pool when the pool allocated it, to std::free otherwise — so
+// the live count of big blocks stays exact; Buffer and PlaneScratch
+// remember which, so SacConfig::pool / SACPP_POOL may flip at any time.
 //
 // Checked mode (SacConfig::check): releasing a block that is already sitting
-// in a magazine or depot free list records a kPoolDoubleRelease event for
-// the sacpp_check diagnostics instead of corrupting the free list.
+// in a magazine or depot free list, or a big block that is cached or was
+// freed at quiescence, records a kPoolDoubleRelease event for the
+// sacpp_check diagnostics instead of corrupting the free list.
 
 #include <cstddef>
 #include <cstdint>
@@ -63,6 +70,7 @@ class BufferPool {
     std::uint64_t returns = 0;    // blocks released into the pool
     std::uint64_t trimmed = 0;    // blocks freed by epoch trim
     std::uint64_t drained = 0;    // blocks freed by drain()
+    std::uint64_t big_freed = 0;  // big blocks freed at quiescence
   };
 
   // The process-global pool.  Never destroyed (it may outlive every static
@@ -73,22 +81,25 @@ class BufferPool {
   // Allocate a cache-line aligned block of exactly `bytes` bytes, which must
   // be a pool_block_bytes() value.  Serves from the calling thread's
   // magazine, then from the depot (refilling the magazine), then from
+  // std::aligned_alloc; big blocks from the big-block cache, then
   // std::aligned_alloc.  Returns nullptr only when the system allocator
   // fails.  `from_cache` (optional) reports whether this was a pool hit.
   void* allocate(std::size_t bytes, bool* from_cache = nullptr);
 
-  // Release a block previously obtained with `bytes = pool_block_bytes(..)`
-  // into the pool (magazine first, depot on overflow).  In checked mode a
-  // block already sitting on a free list is reported and dropped.
+  // Release a block this pool allocated with `bytes = pool_block_bytes(..)`
+  // (magazine first, depot on overflow; a big block is cached, or freed
+  // with every cached big block when it was the last live one).  In checked
+  // mode a block already released is reported and dropped.
   void deallocate(void* p, std::size_t bytes) noexcept;
 
   // Advance the epoch and free every depot block that has sat unused for
-  // two full epochs.
+  // two full epochs (big blocks are not aged; quiescence frees them).
   void trim();
 
-  // Free every cached block: the calling thread's magazine and the whole
-  // depot.  Other threads' magazines are untouched (they flush to the depot
-  // when their thread exits).  Tests and memory-pressure handlers use this.
+  // Free every cached block: the calling thread's magazine, the whole
+  // depot and the big-block cache.  Other threads' magazines are untouched
+  // (they flush to the depot when their thread exits).  Tests and
+  // memory-pressure handlers use this.
   void drain();
 
   // Flush the calling thread's magazine into the depot (making its blocks
@@ -97,7 +108,10 @@ class BufferPool {
 
   Totals totals() const;
   std::uint64_t epoch() const;
+  // Bytes cached for reuse: depot free lists and big blocks.
   std::size_t depot_cached_bytes() const;
+  // Big blocks allocated through the pool and not yet released.
+  std::size_t live_big_blocks() const;
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;

@@ -148,9 +148,11 @@ void collect_stats(obs::MetricSink& sink) {
   const BufferPool::Totals t = BufferPool::instance().totals();
   sink.counter("sacpp_pool_trimmed_total", static_cast<double>(t.trimmed),
                "blocks freed by epoch trim");
+  sink.counter("sacpp_pool_big_freed_total", static_cast<double>(t.big_freed),
+               "big blocks freed when the last live big block was released");
   sink.gauge("sacpp_pool_depot_cached_bytes",
              static_cast<double>(BufferPool::instance().depot_cached_bytes()),
-             "bytes currently cached in the depot free lists");
+             "bytes currently cached in the depot and the big-block cache");
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sacpp/common/lockorder.hpp"
@@ -49,20 +51,27 @@ struct Shard {
 // through to the depot for the excess classes.
 constexpr int kMagazineSlots = 24;
 constexpr int kMagazineDepth = 8;
-// Blocks at or above this size keep only a shallow cache (the top-of-V-cycle
-// grids are hundreds of MB for class A; two spares suffice since at most a
-// couple are live between release and reuse).
-constexpr std::size_t kBigBlockBytes = std::size_t{8} << 20;
-constexpr int kBigBlockDepth = 2;
 
-int depth_limit(std::size_t bytes) noexcept {
-  return bytes >= kBigBlockBytes ? kBigBlockDepth : kMagazineDepth;
-}
+// Blocks at or above this size (the top-of-V-cycle grids: 137 MB each at
+// class A) skip the magazines and are cached only while some big block is
+// live; releasing the last live one frees them all (BigBlocks below).
+constexpr std::size_t kBigBlockBytes = std::size_t{8} << 20;
 
 struct MagazineSlot {
   std::size_t bytes = 0;
   int n = 0;
   void* blocks[kMagazineDepth];
+};
+
+// Big-block cache.  One lock covers the live count and the cached blocks,
+// so a release that finds itself last frees exactly what is cached, and no
+// block can slip into the cache after that.  Reuse therefore stays inside
+// one solve's lifetime: between solves no big block is retained.
+struct BigBlocks {
+  mutable TrackedMutex mutex{"sac.pool.big"};
+  std::size_t live = 0;  // allocated through the pool, not yet released
+  std::vector<std::pair<std::size_t, void*>> cached;  // (bytes, block)
+  std::size_t cached_bytes = 0;
 };
 
 }  // namespace
@@ -74,9 +83,11 @@ struct BufferPool::Impl {
   // (stats().pool_*): one relaxed RMW per event, shared with the per-run
   // counters instead of duplicated here.
   Shard shards[kShards];
+  BigBlocks big;
   std::atomic<std::uint64_t> epoch{1};
   std::atomic<std::uint64_t> trimmed{0};
   std::atomic<std::uint64_t> drained{0};
+  std::atomic<std::uint64_t> big_freed{0};
 
   // Push to the depot; takes the shard lock.  May throw bad_alloc from the
   // free-list map; callers own the fallback (std::free the block).
@@ -103,6 +114,56 @@ struct BufferPool::Impl {
     }
     if (list.empty()) s.lists.erase(it);
     return n;
+  }
+
+  // Serve a big block from the cache, else from the system; counts it live.
+  void* big_acquire(std::size_t bytes, bool* hit) {
+    std::lock_guard<TrackedMutex> lock(big.mutex);
+    void* p = nullptr;
+    for (auto it = big.cached.rbegin(); it != big.cached.rend(); ++it) {
+      if (it->first == bytes) {
+        p = it->second;
+        big.cached.erase(std::next(it).base());
+        big.cached_bytes -= bytes;
+        break;
+      }
+    }
+    *hit = p != nullptr;
+    if (p == nullptr) p = std::aligned_alloc(kBufferAlignment, bytes);
+    if (p != nullptr) ++big.live;
+    return p;
+  }
+
+  // Return a live big block: cache it while others are live, else free it
+  // and everything cached.  With `screen` (checked mode) a block already
+  // cached is left alone and reported by returning false.
+  bool big_release(void* p, std::size_t bytes, bool screen) noexcept {
+    std::vector<std::pair<std::size_t, void*>> idle;
+    {
+      std::lock_guard<TrackedMutex> lock(big.mutex);
+      if (screen) {
+        // Cached, or released while no big block is live: freed already.
+        if (big.live == 0) return false;
+        for (const auto& entry : big.cached) {
+          if (entry.second == p) return false;
+        }
+      }
+      if (--big.live > 0) {
+        try {
+          big.cached.emplace_back(bytes, p);
+          big.cached_bytes += bytes;
+        } catch (...) {
+          std::free(p);  // cache growth failed: give the block back
+        }
+        return true;
+      }
+      idle.swap(big.cached);
+      big.cached_bytes = 0;
+    }
+    for (const auto& entry : idle) std::free(entry.second);
+    std::free(p);
+    big_freed.fetch_add(idle.size() + 1, std::memory_order_relaxed);
+    return true;
   }
 
   bool depot_contains(void* p, std::size_t bytes) const {
@@ -194,6 +255,14 @@ void* BufferPool::allocate(std::size_t bytes, bool* from_cache) {
 }
 
 void* BufferPool::allocate_impl(std::size_t bytes, bool* from_cache) {
+  if (bytes >= kBigBlockBytes) {
+    bool hit = false;
+    void* p = impl_->big_acquire(bytes, &hit);
+    (hit ? stats().pool_hits : stats().pool_misses) += 1;
+    if (from_cache != nullptr) *from_cache = hit;
+    return p;
+  }
+
   Magazine* mag = magazine();
   if (mag != nullptr) {
     if (MagazineSlot* slot = mag->find(bytes); slot != nullptr && slot->n > 0) {
@@ -206,13 +275,13 @@ void* BufferPool::allocate_impl(std::size_t bytes, bool* from_cache) {
   // Magazine empty for this class: refill a batch from the depot so the next
   // few allocations of the same shape stay lock-free.
   void* batch[kMagazineDepth];
-  const int want = mag != nullptr ? depth_limit(bytes) / 2 + 1 : 1;
+  const int want = mag != nullptr ? kMagazineDepth / 2 + 1 : 1;
   const int got = impl_->depot_pop(bytes, batch, want);
   if (got > 0) {
     if (mag != nullptr && got > 1) {
       MagazineSlot* slot = mag->find_or_claim(bytes);
       for (int i = 1; i < got; ++i) {
-        if (slot != nullptr && slot->n < depth_limit(bytes)) {
+        if (slot != nullptr && slot->n < kMagazineDepth) {
           slot->blocks[slot->n++] = batch[i];
         } else {
           impl_->depot_push(batch[i], bytes);
@@ -239,6 +308,17 @@ void BufferPool::deallocate(void* p, std::size_t bytes) noexcept {
 }
 
 void BufferPool::deallocate_impl(void* p, std::size_t bytes) noexcept {
+  if (bytes >= kBigBlockBytes) {
+    if (impl_->big_release(p, bytes, active_config().check)) {
+      stats().pool_returns += 1;
+    } else {
+      check_detail::record_buffer_event(
+          check_detail::BufferEventKind::kPoolDoubleRelease,
+          static_cast<std::uint32_t>(bytes));
+    }
+    return;
+  }
+
   Magazine* mag = magazine();
 
   if (active_config().check) [[unlikely]] {
@@ -267,11 +347,10 @@ void BufferPool::deallocate_impl(void* p, std::size_t bytes) noexcept {
   bool cached = false;
   if (mag != nullptr) {
     if (MagazineSlot* slot = mag->find_or_claim(bytes)) {
-      const int limit = depth_limit(bytes);
-      if (slot->n == limit) {
+      if (slot->n == kMagazineDepth) {
         // Overflow: spill the older half to the depot, keeping the most
         // recently released (cache-warm) blocks local.
-        const int spill = limit / 2;
+        const int spill = kMagazineDepth / 2;
         try {
           for (int i = 0; i < spill; ++i) {
             impl_->depot_push(slot->blocks[i], bytes);
@@ -341,6 +420,13 @@ void BufferPool::drain() {
     s.lists.clear();
     s.cached_bytes = 0;
   }
+  {
+    std::lock_guard<TrackedMutex> lock(impl_->big.mutex);
+    for (const auto& entry : impl_->big.cached) std::free(entry.second);
+    freed += impl_->big.cached.size();
+    impl_->big.cached.clear();
+    impl_->big.cached_bytes = 0;
+  }
   impl_->drained.fetch_add(freed, std::memory_order_relaxed);
 }
 
@@ -367,6 +453,7 @@ BufferPool::Totals BufferPool::totals() const {
   t.returns = stats().pool_returns.load();
   t.trimmed = impl_->trimmed.load(std::memory_order_relaxed);
   t.drained = impl_->drained.load(std::memory_order_relaxed);
+  t.big_freed = impl_->big_freed.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -380,7 +467,13 @@ std::size_t BufferPool::depot_cached_bytes() const {
     std::lock_guard<TrackedMutex> lock(s.mutex);
     total += s.cached_bytes;
   }
-  return total;
+  std::lock_guard<TrackedMutex> lock(impl_->big.mutex);
+  return total + impl_->big.cached_bytes;
+}
+
+std::size_t BufferPool::live_big_blocks() const {
+  std::lock_guard<TrackedMutex> lock(impl_->big.mutex);
+  return impl_->big.live;
 }
 
 }  // namespace sacpp::sac

@@ -86,8 +86,11 @@ class AdmissionQueue {
 
   // Called (outside no locks the observer can see) for every job this queue
   // settles itself — sheds, rejections, evictions — so the service's SLO
-  // watchdog sees the requests that never reach an executor.  Same
-  // constraints as the advisor: cheap, no calls back into the queue.
+  // watchdog sees the requests that never reach an executor.  Advisory
+  // sheds (kShedOverload) are the one exception: they follow from the
+  // watchdog's own advice, and feeding them back into its shed ratio would
+  // latch the advice on.  Same constraints as the advisor: cheap, no calls
+  // back into the queue.
   using SettleObserver = std::function<void(Priority, SolveStatus)>;
   void set_settle_observer(SettleObserver observer);
 
@@ -122,9 +125,10 @@ class AdmissionQueue {
  private:
   std::size_t depth_locked() const;
   // Settles the promise, records/retains the job's trace when it carries
-  // one (a shed is always an anomaly worth a post-mortem), and notifies the
-  // settle observer.
-  void settle(QueuedJob&& job, SolveStatus status, const std::string& why);
+  // one (a shed is always an anomaly worth a post-mortem), and, when
+  // `observed`, notifies the settle observer.
+  void settle(QueuedJob&& job, SolveStatus status, const std::string& why,
+              bool observed = true);
 
   const std::size_t capacity_;
   // Tracked for the lock-order analyzer (docs/static_analysis.md); _any cv

@@ -12,7 +12,8 @@
 //
 //   * burn rate per lane  — windowed p99 / the lane's p99 budget (> 1 means
 //     the error budget is burning faster than the SLO allows);
-//   * shed ratio          — sheds / submissions in the window;
+//   * shed ratio          — sheds / submissions in the window, not counting
+//                           the queue's advisory sheds (its own advice);
 //   * queue saturation    — last observed depth / capacity.
 //
 // overloaded() is a single relaxed atomic load (recomputed on every

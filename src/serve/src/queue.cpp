@@ -28,7 +28,7 @@ std::size_t AdmissionQueue::depth_locked() const {
 }
 
 void AdmissionQueue::settle(QueuedJob&& job, SolveStatus status,
-                            const std::string& why) {
+                            const std::string& why, bool observed) {
   SolveResult res;
   res.id = job.request.id;
   res.status = status;
@@ -71,7 +71,9 @@ void AdmissionQueue::settle(QueuedJob&& job, SolveStatus status,
     meta.flags = job.request.trace_flags;
     obs::retain_trace(meta);
   }
-  if (settle_observer_) settle_observer_(job.request.priority, status);
+  if (observed && settle_observer_) {
+    settle_observer_(job.request.priority, status);
+  }
   job.promise.set_value(std::move(res));
 }
 
@@ -99,10 +101,14 @@ AdmissionQueue::Admit AdmissionQueue::push(QueuedJob&& job) {
         overload_advisor_()) {
       // SLO feedback: under overload an incoming LOW job would only age out
       // in a lane that is not draining in budget — shed it at the door so
-      // the caller can back off immediately.
+      // the caller can back off immediately.  The observer does not see
+      // this shed: counted in the watchdog's shed ratio, the advice would
+      // keep itself raised for as long as low-priority traffic exceeds
+      // max_shed_ratio.
       counters_.shed_overload += 1;
       settle(std::move(job), SolveStatus::kShedCapacity,
-             "shed at admission: SLO watchdog reports overload");
+             "shed at admission: SLO watchdog reports overload",
+             /*observed=*/false);
       return Admit::kShedOverload;
     }
     if (depth_locked() >= capacity_) {

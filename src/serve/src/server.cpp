@@ -118,8 +118,8 @@ SolverService::SolverService(const ServeConfig& cfg)
 
   // SLO feedback loop: the queue consults the watchdog's relaxed overload
   // flag on the push path, and reports every job it settles itself (sheds,
-  // rejections, evictions) so the shed ratio covers requests no executor
-  // ever saw.
+  // rejections, evictions; not the advisory sheds) so the shed ratio covers
+  // requests no executor ever saw.
   queue_.set_overload_advisor([this] { return watchdog_.overloaded(); });
   queue_.set_settle_observer([this](Priority lane, SolveStatus status) {
     watchdog_.observe(lane, status, -1);

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "sacpp/mg/mg_mpi.hpp"
 #include "sacpp/mg/mg_ref.hpp"
+#include "sacpp/mg/problem.hpp"
 
 namespace sacpp::mg {
 namespace {
@@ -47,6 +49,29 @@ TEST_P(MpiRanks, ClassSVerificationValue) {
   MgMpi mpi(spec, ranks);
   const MgMpi::Result res = mpi.run(spec.nit, /*warmup=*/false);
   EXPECT_NEAR(res.final_norm, 0.530770700573e-04, 1e-13) << "ranks=" << ranks;
+}
+
+// Each rank builds only its slab of the right-hand side; halos included,
+// the slabs must be the matching planes of the whole extended cube.
+TEST_P(MpiRanks, ClassSRhsSlabsEqualPlanesOfTheFullRhs) {
+  const int ranks = GetParam();
+  const MgSpec spec = MgSpec::for_class(MgClass::S);
+  const extent_t n = spec.nx + 2;
+  const extent_t m = spec.nx / ranks;
+  std::vector<double> full(static_cast<std::size_t>(n * n * n));
+  fill_rhs(full, spec.nx);
+
+  const MgMpi mpi(spec, ranks);
+  const auto plane = static_cast<std::size_t>(n * n);
+  for (int rank = 0; rank < ranks; ++rank) {
+    const std::vector<double> slab = mpi.rhs_slab(rank);
+    ASSERT_EQ(slab.size(), static_cast<std::size_t>(m + 2) * plane);
+    const auto begin = full.begin() + static_cast<long>(
+                                          static_cast<std::size_t>(rank * m) *
+                                          plane);
+    EXPECT_TRUE(std::equal(slab.begin(), slab.end(), begin))
+        << "rank " << rank << " of " << ranks;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, MpiRanks, ::testing::Values(1, 2, 4));

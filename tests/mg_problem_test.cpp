@@ -1,11 +1,14 @@
 // MG input generation (zran3 charges) and grid utilities: periodic border,
-// interior norms.
+// interior norms.  The streaming generator is checked against the oracle
+// it replaced: the stored nx^3 deviate field, sorted for its charges, then
+// the charges placed and the borders exchanged.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 #include <set>
 
 #include "sacpp/mg/problem.hpp"
@@ -13,6 +16,84 @@
 
 namespace sacpp::mg {
 namespace {
+
+// -- oracle ------------------------------------------------------------------
+
+// The nx^3 interior field of deviates in NPB order, built the way NPB's
+// zran3 does: one vranlc row per (i2, i3), the row start jumped by a^nx per
+// row and a^(nx*nx) per plane.
+std::vector<double> random_field(extent_t nx) {
+  using namespace sacpp::nasrand;
+  std::vector<double> field(static_cast<std::size_t>(nx * nx * nx));
+  const double a1 = ipow46(kDefaultMultiplier, nx);       // one row
+  const double a2 = ipow46(kDefaultMultiplier, nx * nx);  // one plane
+  double x0 = kDefaultSeed;
+  for (extent_t i3 = 0; i3 < nx; ++i3) {
+    double x1 = x0;
+    for (extent_t i2 = 0; i2 < nx; ++i2) {
+      double xx = x1;
+      double* row = field.data() + (i3 * nx + i2) * nx;
+      vranlc(&xx, kDefaultMultiplier,
+             std::span<double>(row, static_cast<std::size_t>(nx)));
+      randlc(&x1, a1);
+    }
+    randlc(&x0, a2);
+  }
+  return field;
+}
+
+// The ten largest / ten smallest positions of `field` by sorting, ties in
+// scan order.
+Charges find_charges(const std::vector<double>& field, extent_t nx) {
+  const std::size_t want = std::min<std::size_t>(10, field.size());
+  std::vector<std::size_t> order(field.size());
+  auto pos_of = [nx](std::size_t flat) {
+    IndexVec iv(3);
+    iv[2] = static_cast<extent_t>(flat) % nx;
+    iv[1] = (static_cast<extent_t>(flat) / nx) % nx;
+    iv[0] = static_cast<extent_t>(flat) / (nx * nx);
+    return iv;
+  };
+  auto select = [&](auto better) {
+    std::iota(order.begin(), order.end(), 0);
+    std::partial_sort(order.begin(), order.begin() + static_cast<long>(want),
+                      order.end(), [&](std::size_t x, std::size_t y) {
+                        if (field[x] != field[y]) {
+                          return better(field[x], field[y]);
+                        }
+                        return x < y;
+                      });
+    std::vector<IndexVec> out;
+    for (std::size_t i = 0; i < want; ++i) out.push_back(pos_of(order[i]));
+    return out;
+  };
+  Charges ch;
+  ch.plus = select(std::greater<>{});
+  ch.minus = select(std::less<>{});
+  return ch;
+}
+
+// The extended right-hand side the way it was built before zran3 streamed:
+// charges into a zero cube, then the comm3 border exchange.
+std::vector<double> oracle_rhs(extent_t nx) {
+  const extent_t n = nx + 2;
+  std::vector<double> v(static_cast<std::size_t>(n * n * n), 0.0);
+  const Charges ch = find_charges(random_field(nx), nx);
+  auto at = [&](const IndexVec& c) -> double& {
+    return v[static_cast<std::size_t>(((c[0] + 1) * n + c[1] + 1) * n + c[2] +
+                                      1)];
+  };
+  for (const auto& p : ch.plus) at(p) = +1.0;
+  for (const auto& m : ch.minus) at(m) = -1.0;
+  periodic_border_3d(v, n);
+  return v;
+}
+
+std::vector<std::array<extent_t, 3>> triples(const std::vector<IndexVec>& ps) {
+  std::vector<std::array<extent_t, 3>> out;
+  for (const IndexVec& p : ps) out.push_back({p[0], p[1], p[2]});
+  return out;
+}
 
 TEST(RandomField, MatchesContiguousSequence) {
   // The row/plane jump structure must equal one contiguous deviate stream.
@@ -173,6 +254,73 @@ TEST(InteriorNorm, ZeroField) {
 TEST(FillRhs, WrongBufferSizeThrows) {
   std::vector<double> v(10);
   EXPECT_THROW(fill_rhs(v, 8), ContractError);
+}
+
+// -- streaming zran3 ---------------------------------------------------------
+
+class StreamedCharges : public ::testing::TestWithParam<extent_t> {};
+
+TEST_P(StreamedCharges, EqualSortedField) {
+  const extent_t nx = GetParam();
+  const Charges streamed = zran3_charges(nx);
+  const Charges sorted = find_charges(random_field(nx), nx);
+  EXPECT_EQ(triples(streamed.plus), triples(sorted.plus));
+  EXPECT_EQ(triples(streamed.minus), triples(sorted.minus));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, StreamedCharges,
+                         ::testing::Values<extent_t>(1, 2, 4, 8, 32, 64));
+
+// Classes A and B share the 256^3 field; its charges, computed once with
+// an independent integer implementation of the generator.
+TEST(Zran3Charges, ClassAbPositionsArePinned) {
+  const Charges ch = zran3_charges(256);
+  const std::vector<std::array<extent_t, 3>> plus = {
+      {38, 207, 52}, {12, 170, 241}, {196, 16, 201}, {207, 81, 200},
+      {205, 121, 113}, {246, 5, 210}, {232, 192, 43}, {162, 244, 174},
+      {173, 116, 3}, {165, 118, 55}};
+  const std::vector<std::array<extent_t, 3>> minus = {
+      {238, 40, 221}, {34, 160, 152}, {253, 182, 80}, {155, 168, 248},
+      {201, 5, 197}, {203, 61, 90}, {30, 203, 15}, {57, 154, 99},
+      {110, 136, 100}, {96, 152, 209}};
+  EXPECT_EQ(triples(ch.plus), plus);
+  EXPECT_EQ(triples(ch.minus), minus);
+}
+
+TEST(FillRhs, EqualsChargesPlusBorderExchange) {
+  for (const extent_t nx : {1, 2, 4, 8, 32}) {
+    const extent_t n = nx + 2;
+    std::vector<double> v(static_cast<std::size_t>(n * n * n), 7.0);
+    fill_rhs(v, nx);
+    EXPECT_EQ(v, oracle_rhs(nx)) << "nx " << nx;
+  }
+}
+
+TEST(FillRhs, EveryPlaneRangeEqualsTheSamePlanesOfTheCube) {
+  const extent_t nx = 8;
+  const extent_t n = nx + 2;
+  const std::vector<double> full = oracle_rhs(nx);
+  const auto plane = static_cast<std::size_t>(n * n);
+  for (extent_t first = 0; first <= n; ++first) {
+    for (extent_t count = 0; first + count <= n; ++count) {
+      std::vector<double> planes(static_cast<std::size_t>(count) * plane,
+                                 7.0);
+      fill_rhs_planes(planes, nx, first, count);
+      const auto begin = full.begin() + static_cast<long>(
+                                            static_cast<std::size_t>(first) *
+                                            plane);
+      ASSERT_TRUE(std::equal(planes.begin(), planes.end(), begin))
+          << "planes [" << first << ", " << first + count << ")";
+    }
+  }
+}
+
+TEST(FillRhs, PlaneRangeOutsideTheCubeThrows) {
+  const extent_t n = 10;
+  std::vector<double> planes(static_cast<std::size_t>(2 * n * n));
+  EXPECT_THROW(fill_rhs_planes(planes, 8, 9, 2), ContractError);
+  EXPECT_THROW(fill_rhs_planes(planes, 8, -1, 2), ContractError);
+  EXPECT_THROW(fill_rhs_planes(planes, 8, 0, 3), ContractError);
 }
 
 }  // namespace

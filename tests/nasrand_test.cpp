@@ -1,6 +1,7 @@
-// The NAS pseudo-random generator: the double-precision randlc port is
-// validated against an exact 128-bit integer implementation, and the
-// sequence-jumping (ipow46) against step-by-step generation.
+// The NAS pseudo-random generator: the double-precision randlc port and the
+// integer lcg46_step are validated against an exact 128-bit integer
+// implementation, and the sequence-jumping (ipow46) against step-by-step
+// generation.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,49 @@ TEST(Randlc, MatchesExactIntegerImplementation) {
     ASSERT_EQ(static_cast<std::uint64_t>(x), e) << "diverged at step " << i;
     ASSERT_DOUBLE_EQ(r, static_cast<double>(e) / kTwoPow46);
   }
+}
+
+TEST(Lcg46Step, EqualsRandlcAndExactForAMillionSteps) {
+  const auto a = static_cast<std::uint64_t>(kDefaultMultiplier);
+  auto x = static_cast<std::uint64_t>(kDefaultSeed);
+  std::uint64_t xe = x;
+  double xd = kDefaultSeed;
+  for (int i = 0; i < 1'000'000; ++i) {
+    x = lcg46_step(x, a);
+    const double r = randlc(&xd, kDefaultMultiplier);
+    ASSERT_EQ(x, randlc_exact(&xe, a)) << "diverged at step " << i;
+    ASSERT_EQ(static_cast<double>(x), xd) << "diverged at step " << i;
+    ASSERT_EQ(static_cast<double>(x) / kTwoPow46, r);
+  }
+}
+
+// Stepping with a jump multiplier a^k from ipow46 lands where k single
+// steps do, for the integer step, randlc and the exact product alike.
+TEST(Lcg46Step, JumpsEqualStepwiseAdvance) {
+  const auto a = static_cast<std::uint64_t>(kDefaultMultiplier);
+  const auto seed = static_cast<std::uint64_t>(kDefaultSeed);
+  std::uint64_t stepped = seed;
+  std::int64_t done = 0;
+  for (const std::int64_t k : {1, 2, 3, 64, 4097, 65536, 262144, 1 << 20}) {
+    for (; done < k; ++done) stepped = lcg46_step(stepped, a);
+    const double ak = ipow46(kDefaultMultiplier, k);
+    const auto aki = static_cast<std::uint64_t>(ak);
+    EXPECT_EQ(lcg46_step(seed, aki), stepped) << "k = " << k;
+    std::uint64_t xe = seed;
+    EXPECT_EQ(randlc_exact(&xe, aki), stepped) << "k = " << k;
+    double xd = kDefaultSeed;
+    randlc(&xd, ak);
+    EXPECT_EQ(static_cast<std::uint64_t>(xd), stepped) << "k = " << k;
+  }
+}
+
+TEST(Lcg46Step, WrapsOnlyAbove46Bits) {
+  // Largest operands: the 92-bit product overflows 64 bits, the low 46
+  // bits must still match the exact product.
+  std::uint64_t x = kMask46;
+  const std::uint64_t a = kMask46 - 2;
+  const std::uint64_t expect = randlc_exact(&x, a);
+  EXPECT_EQ(lcg46_step(kMask46, a), expect);
 }
 
 TEST(Randlc, DeviatesAreInOpenUnitInterval) {

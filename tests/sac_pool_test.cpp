@@ -4,8 +4,9 @@
 // the tests here are adversarial about the failure modes that matter for an
 // allocator: two live allocations aliasing the same block, misaligned
 // blocks, counters that drift from reality, cached memory that trim/drain
-// fail to release, and cross-thread recycling races (the multi-threaded
-// tests are run under TSan in CI).
+// fail to release or that big blocks keep after the last one goes, and
+// cross-thread recycling races (the multi-threaded tests are run under TSan
+// in CI).
 
 #include <gtest/gtest.h>
 
@@ -14,11 +15,13 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "sacpp/sac/buffer.hpp"
+#include "sacpp/sac/check_events.hpp"
 #include "sacpp/sac/config.hpp"
 #include "sacpp/sac/pool.hpp"
 #include "sacpp/sac/stats.hpp"
@@ -332,6 +335,213 @@ TEST(BufferPool, BlocksMigrateBetweenThreads) {
   producer.join();
   consumer.join();
   EXPECT_FALSE(bad.load());
+}
+
+// The magazine geometry small blocks have always had: eight blocks per
+// size class, the older half spilled to the depot on overflow, and a refill
+// of half a magazine plus one from the depot.  Runs on a fresh thread, whose
+// magazine has every size-class slot free.
+TEST(BufferPool, SmallBlocksKeepTheMagazineDepth) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  const std::size_t bytes = pool_block_bytes(4096);
+  std::thread([&pool, bytes] {
+    std::vector<void*> blocks;
+    for (int i = 0; i < 9; ++i) blocks.push_back(pool.allocate(bytes));
+    for (void* p : blocks) pool.deallocate(p, bytes);
+    EXPECT_EQ(pool.depot_cached_bytes(), 4 * bytes)
+        << "the ninth release spills the four oldest blocks";
+
+    blocks.clear();
+    for (int i = 0; i < 5; ++i) blocks.push_back(pool.allocate(bytes));
+    EXPECT_EQ(pool.depot_cached_bytes(), 4 * bytes)
+        << "five blocks stayed in the magazine";
+    bool hit = false;
+    blocks.push_back(pool.allocate(bytes, &hit));
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(pool.depot_cached_bytes(), 0u)
+        << "the refill takes up to five depot blocks";
+    for (void* p : blocks) pool.deallocate(p, bytes);
+  }).join();
+  pool.drain();
+}
+
+// Blocks of at least 8 MB (kBigBlockBytes in pool.cpp) are big.
+constexpr std::size_t kBig = std::size_t{8} << 20;
+
+TEST(BufferPool, BigBlockReleasedWhileAnotherIsLiveComesBackAsHit) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  ASSERT_EQ(pool.live_big_blocks(), 0u);
+  void* keep = pool.allocate(kBig);
+  void* p = pool.allocate(kBig);
+  ASSERT_NE(keep, nullptr);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(pool.live_big_blocks(), 2u);
+  pool.deallocate(p, kBig);
+  EXPECT_EQ(pool.live_big_blocks(), 1u);
+  EXPECT_EQ(pool.depot_cached_bytes(), kBig);
+
+  bool hit = false;
+  void* q = pool.allocate(kBig, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(pool.depot_cached_bytes(), 0u);
+  // Another size class is not served by a cached block.
+  pool.deallocate(q, kBig);
+  void* r = pool.allocate(kBig + kBufferAlignment, &hit);
+  EXPECT_FALSE(hit);
+  pool.deallocate(r, kBig + kBufferAlignment);
+  pool.deallocate(keep, kBig);
+  EXPECT_EQ(pool.live_big_blocks(), 0u);
+}
+
+TEST(BufferPool, ReleasingTheLastLiveBigBlockFreesEveryCachedOne) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  const BufferPool::Totals before = pool.totals();
+  void* a = pool.allocate(kBig);
+  void* b = pool.allocate(kBig + kBufferAlignment);
+  void* c = pool.allocate(2 * kBig);
+  pool.deallocate(b, kBig + kBufferAlignment);
+  pool.deallocate(c, 2 * kBig);
+  EXPECT_EQ(pool.depot_cached_bytes(), 3 * kBig + kBufferAlignment);
+  EXPECT_EQ(pool.totals().big_freed, before.big_freed);
+
+  pool.deallocate(a, kBig);
+  EXPECT_EQ(pool.live_big_blocks(), 0u);
+  EXPECT_EQ(pool.depot_cached_bytes(), 0u);
+  const BufferPool::Totals after = pool.totals();
+  EXPECT_EQ(after.big_freed - before.big_freed, 3u);
+  EXPECT_EQ(after.returns - before.returns, 3u);
+
+  // The next solve starts cold.
+  bool hit = true;
+  void* d = pool.allocate(kBig, &hit);
+  EXPECT_FALSE(hit);
+  pool.deallocate(d, kBig);
+}
+
+TEST(BufferPool, CheckedModeReportsBigBlockDoubleRelease) {
+  SacConfig cfg = config();
+  cfg.check = true;
+  ScopedConfig guard(cfg);
+  check_detail::clear_check_events();
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+
+  void* keep = pool.allocate(kBig);
+  void* p = pool.allocate(kBig);
+  pool.deallocate(p, kBig);
+  pool.deallocate(p, kBig);  // deliberate: p is cached
+  EXPECT_EQ(pool.live_big_blocks(), 1u) << "a repeat is not a release";
+  EXPECT_EQ(pool.depot_cached_bytes(), kBig) << "p is cached once";
+  pool.deallocate(keep, kBig);
+  pool.deallocate(keep, kBig);  // deliberate: freed at quiescence already
+  EXPECT_EQ(pool.live_big_blocks(), 0u);
+
+  int reports = 0;
+  for (const check_detail::BufferEvent& e :
+       check_detail::snapshot_buffer_events()) {
+    if (e.kind == check_detail::BufferEventKind::kPoolDoubleRelease) {
+      EXPECT_EQ(e.refs, kBig) << "the event names the size class";
+      ++reports;
+    }
+  }
+  EXPECT_EQ(reports, 2);
+  check_detail::clear_check_events();
+}
+
+// A buffer returns its block the way it was allocated, whatever the pool
+// flag says at release, so the big live count never goes stale.
+TEST(BufferPool, TogglingThePoolNeverLeavesAStaleBigLiveCount) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  SacConfig on = config();
+  on.pool = true;
+  SacConfig off = config();
+  off.pool = false;
+  const std::size_t count = kBig / sizeof(double);
+  for (const bool pooled_first : {true, false}) {
+    std::optional<Buffer<double>> buf;
+    {
+      ScopedConfig guard(pooled_first ? on : off);
+      buf.emplace(count);
+    }
+    EXPECT_EQ(pool.live_big_blocks(), pooled_first ? 1u : 0u);
+    {
+      ScopedConfig guard(pooled_first ? off : on);
+      buf.reset();
+    }
+    EXPECT_EQ(pool.live_big_blocks(), 0u) << "pooled first: " << pooled_first;
+    EXPECT_EQ(pool.depot_cached_bytes(), 0u);
+  }
+
+  // With the count exact, a big block released while nothing else is live
+  // is freed rather than cached.
+  ScopedConfig guard(on);
+  { const Buffer<double> alone(count); }
+  EXPECT_EQ(pool.live_big_blocks(), 0u);
+  EXPECT_EQ(pool.depot_cached_bytes(), 0u);
+}
+
+// Big blocks taken and released by several threads at once (gang workers
+// release blocks their job allocated): however the releases interleave, no
+// live block is handed out twice, and once every thread has released its
+// last one nothing big is cached.  Only the first and last cache line of
+// each block are stamped, to keep the run short under TSan.
+TEST(BufferPool, ConcurrentBigBlocksStayPrivateAndAllGoAtQuiescence) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  constexpr int kThreads = 4;
+  constexpr int kIters = 200;
+  std::atomic<bool> failed{false};
+
+  auto ends = [](void* p, std::size_t bytes) {
+    auto* c = static_cast<unsigned char*>(p);
+    return std::pair{c, c + bytes - kBufferAlignment};
+  };
+  auto worker = [&](int tid) {
+    std::mt19937 rng(0xB16B10Cu + static_cast<unsigned>(tid));
+    std::vector<std::pair<void*, std::size_t>> mine;
+    const auto my_stamp = static_cast<unsigned char>(0x60 + tid);
+    for (int i = 0; i < kIters && !failed.load(std::memory_order_relaxed);
+         ++i) {
+      if (mine.size() < 2 && rng() % 2 == 0) {
+        const std::size_t bytes = kBig + (rng() % 3) * kBufferAlignment;
+        void* p = pool.allocate(bytes);
+        if (p == nullptr) {
+          failed.store(true);
+          return;
+        }
+        const auto [head, tail] = ends(p, bytes);
+        stamp(head, kBufferAlignment, my_stamp);
+        stamp(tail, kBufferAlignment, my_stamp);
+        mine.emplace_back(p, bytes);
+      } else if (!mine.empty()) {
+        const std::size_t idx = rng() % mine.size();
+        auto [p, bytes] = mine[idx];
+        const auto [head, tail] = ends(p, bytes);
+        if (!stamp_intact(head, kBufferAlignment, my_stamp) ||
+            !stamp_intact(tail, kBufferAlignment, my_stamp)) {
+          failed.store(true);  // another thread wrote into our live block
+          return;
+        }
+        pool.deallocate(p, bytes);
+        mine[idx] = mine.back();
+        mine.pop_back();
+      }
+    }
+    for (auto [p, bytes] : mine) pool.deallocate(p, bytes);
+  };
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load()) << "a live big block was handed out twice";
+  EXPECT_EQ(pool.live_big_blocks(), 0u);
+  EXPECT_EQ(pool.depot_cached_bytes(), 0u);
 }
 
 }  // namespace

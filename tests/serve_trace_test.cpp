@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "sacpp/check/schedule.hpp"
@@ -344,6 +346,60 @@ TEST(OverloadAdvisor, ServiceFeedsWatchdogBackIntoAdmission) {
   EXPECT_EQ(res.status, SolveStatus::kShedCapacity);
   EXPECT_NE(res.error.find("overload"), std::string::npos) << res.error;
   EXPECT_GE(service.snapshot().counters.queue.shed_overload, 1u);
+}
+
+// The queue's advisory sheds stay out of the shed ratio that raises the
+// advice.  Counted there, low-priority traffic above max_shed_ratio would
+// hold the advice up after the saturation that tripped it has drained, for
+// as long as the traffic lasts.
+TEST(OverloadAdvisor, AdviceClearsWithinOneWindowAfterSaturationDrains) {
+  SloConfig cfg;
+  cfg.max_shed_ratio = 0.10;
+  cfg.max_queue_saturation = 0.90;
+  cfg.window_ns = 200'000'000;  // 200 ms
+  SloWatchdog dog(cfg);
+  constexpr std::size_t kCapacity = 20;
+  AdmissionQueue queue(kCapacity);
+  // Wired as SolverService wires them.
+  queue.set_overload_advisor([&dog] { return dog.overloaded(); });
+  queue.set_settle_observer([&dog](Priority lane, SolveStatus status) {
+    dog.observe(lane, status, -1);
+  });
+
+  std::uint64_t id = 0;
+  // One arrival, every fifth at low priority (20%, twice the bound); true
+  // when admitted.
+  auto arrive = [&] {
+    const Priority p = id % 5 == 4 ? Priority::kLow : Priority::kNormal;
+    return queue.push(make_job(id++, p)) == AdmissionQueue::Admit::kAccepted;
+  };
+  // One job finished by an executor, in budget.
+  auto complete = [&] {
+    QueuedJob job;
+    if (!queue.pop_best(1, obs::now_ns(), &job)) return;
+    dog.observe(job.request.priority, SolveStatus::kOk, 1'000'000);
+    dog.observe_queue(queue.depth(), kCapacity);
+  };
+
+  // A backlog of 19 of 20 trips the advice by saturation, and holds it
+  // while executors merely keep pace; low arrivals are shed at the door.
+  while (queue.depth() < 19) queue.push(make_job(id++, Priority::kNormal));
+  dog.observe_queue(queue.depth(), kCapacity);
+  ASSERT_TRUE(dog.overloaded());
+  for (int i = 0; i < 100; ++i) {
+    if (arrive()) complete();
+  }
+  EXPECT_TRUE(dog.overloaded());
+  EXPECT_EQ(queue.counters().shed_overload, 20u);
+
+  // Executors catch up and the backlog drains; traffic goes on.
+  while (queue.depth() > 0) complete();
+  const std::int64_t deadline = obs::now_ns() + cfg.window_ns;
+  while (dog.overloaded() && obs::now_ns() < deadline) {
+    if (arrive()) complete();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(dog.overloaded()) << "shed ratio " << dog.shed_ratio();
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include "sacpp/common/cli.hpp"
 #include "sacpp/common/table.hpp"
 #include "sacpp/mg/driver.hpp"
+#include "sacpp/mg/mg_omp.hpp"
 #include "sacpp/obs/export.hpp"
 #include "sacpp/obs/flight.hpp"
 #include "sacpp/obs/obs.hpp"
@@ -117,7 +118,8 @@ int main(int argc, char** argv) {
                      " (default: config / SACPP_BACKEND)");
   cli.add_flag("obs", "record telemetry and print the end-of-run summary");
   cli.add_option("threads", "",
-                 "run multithreaded with N workers (0 = hardware)");
+                 "run multithreaded with N workers (0 = hardware); "
+                 "also the OpenMP team of --impl omp (default 1)");
   cli.add_option("trace-out", "",
                  "write a Chrome trace-event JSON (Perfetto-loadable)");
   cli.add_option("metrics-out", "",
@@ -182,10 +184,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string threads_arg = cli.get("threads");
+  const int threads = threads_arg.empty() ? 1 : std::stoi(threads_arg);
   if (!threads_arg.empty()) {
     sac::config().mt_enabled = true;
-    sac::config().mt_threads = std::stoi(threads_arg);
+    sac::config().mt_threads = threads;
   }
+  // The OpenMP variant's team follows --threads too, and is one thread
+  // without it, like every other variant.
+  MgOmp::omp_threads(threads);
   const std::string trace_out = cli.get("trace-out");
   const std::string metrics_out = cli.get("metrics-out");
   const bool obs_summary = cli.get_flag("obs");
@@ -260,6 +266,9 @@ int main(int argc, char** argv) {
     std::printf(" Buffer pool         = on (%llu hits, %llu misses)\n",
                 static_cast<unsigned long long>(st.pool_hits),
                 static_cast<unsigned long long>(st.pool_misses));
+  }
+  if (variant == Variant::kOpenMp) {
+    std::printf(" OpenMP threads      = %d\n", MgOmp::omp_team_size());
   }
   if (variant == Variant::kSac || variant == Variant::kSacDirect) {
     std::printf(" Stencil mode        = %s\n",

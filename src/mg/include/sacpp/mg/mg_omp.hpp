@@ -10,7 +10,8 @@
 // indexing.
 //
 // Compiled without OpenMP the pragmas vanish and the code runs serially;
-// `omp_threads(t)` sets the team size when OpenMP is available.
+// `omp_threads(t)` sets the team size when OpenMP is available (0 = one
+// thread per core).
 
 #include <span>
 #include <vector>
@@ -25,8 +26,10 @@ class MgOmp {
 
   const MgSpec& spec() const { return spec_; }
 
-  // Team size for the OpenMP parallel regions (ignored without OpenMP).
+  // Team size for the OpenMP parallel regions, 0 for one per core (ignored
+  // without OpenMP); omp_team_size() is the size the next region gets.
   static void omp_threads(int t);
+  static int omp_team_size();
   static bool openmp_available();
 
   void set_rhs(std::span<const double> v_ext);

@@ -31,9 +31,17 @@ MgOmp::MgOmp(const MgSpec& spec) : spec_(spec), lt_(spec.levels()) {
 
 void MgOmp::omp_threads(int t) {
 #ifdef _OPENMP
-  omp_set_num_threads(t);
+  omp_set_num_threads(t > 0 ? t : omp_get_num_procs());
 #else
   (void)t;
+#endif
+}
+
+int MgOmp::omp_team_size() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
 #endif
 }
 

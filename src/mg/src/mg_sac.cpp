@@ -54,6 +54,10 @@ struct AddSmoothBody {
 
 }  // namespace
 
+// One shift partition per ghost face: the iv[d] == 0 face receives interior
+// layer n-2 (the array at iv + (n-2)·e_d) and the iv[d] == n-1 face layer 1
+// (at iv - (n-2)·e_d).  Later axes read the ghosts earlier ones wrote, which
+// fills edges and corners.
 Array<double> MgSac::setup_periodic_border(Array<double> a) {
   const std::size_t rank = a.rank();
   const Shape shp = a.shape();
@@ -62,28 +66,19 @@ Array<double> MgSac::setup_periodic_border(Array<double> a) {
   for (std::size_t d = 0; d < rank; ++d) {
     const extent_t n = shp.extent(d);
     SACPP_REQUIRE(n >= 3, "periodic border needs extent >= 3");
+    IndexVec shift = uniform_vec(rank, 0);
 
-    IndexVec low_lo = uniform_vec(rank, 0);
     IndexVec low_up(shp.extents().begin(), shp.extents().end());
-    low_up[d] = 1;  // the iv[d] == 0 ghost face
-    parts.push_back(sac::ReadingPartition<double>{
-        gen_range(std::move(low_lo), std::move(low_up)),
-        [d, n, shp](const IndexVec& iv, const double* p) {
-          IndexVec src(iv.begin(), iv.end());
-          src[d] = n - 2;
-          return p[shp.linearize(src)];
-        }});
+    low_up[d] = 1;
+    shift[d] = n - 2;
+    parts.push_back(sac::shift_partition<double>(
+        gen_range(uniform_vec(rank, 0), std::move(low_up)), shift));
 
     IndexVec high_lo = uniform_vec(rank, 0);
-    high_lo[d] = n - 1;  // the iv[d] == n-1 ghost face
-    IndexVec high_up(shp.extents().begin(), shp.extents().end());
-    parts.push_back(sac::ReadingPartition<double>{
-        gen_range(std::move(high_lo), std::move(high_up)),
-        [d, shp](const IndexVec& iv, const double* p) {
-          IndexVec src(iv.begin(), iv.end());
-          src[d] = 1;
-          return p[shp.linearize(src)];
-        }});
+    high_lo[d] = n - 1;
+    shift[d] = -(n - 2);
+    parts.push_back(sac::shift_partition<double>(
+        gen_range(std::move(high_lo), shp.extents()), std::move(shift)));
   }
   return with_modarray_reading(std::move(a), parts);
 }

@@ -23,10 +23,13 @@ namespace sacpp::sac {
 // Constructors (paper Fig. 10: genarray)
 // ---------------------------------------------------------------------------
 
-// genarray(shp, val): constant array of shape shp.
+// genarray(shp, val): constant array of shape shp.  The body takes unpacked
+// rank-3 indices as well as an index vector, so rank 3 runs on the
+// specialised loop nest.
 template <typename T>
 Array<T> genarray_const(const Shape& shp, T val) {
-  return with_genarray<T>(shp, gen_all(), [val](const IndexVec&) { return val; });
+  return with_genarray<T>(shp, gen_all(),
+                          [val](const auto&...) { return val; });
 }
 
 // iota(n): the vector [0, 1, ..., n-1].

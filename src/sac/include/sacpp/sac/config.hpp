@@ -116,8 +116,8 @@ struct SacConfig {
   // allocations from the size-class BufferPool instead of calling
   // std::aligned_alloc/std::free each time — the paper's Sec. 5/6
   // memory-management overhead on the small grids at the bottom of the
-  // V-cycle.  Toggleable at any time (pool blocks are ordinary aligned
-  // allocations).  SACPP_POOL=0 disables it at startup.
+  // V-cycle.  Toggleable at any time (every buffer returns its block the
+  // way it was allocated).  SACPP_POOL=0 disables it at startup.
   bool pool = true;
 
   // Stencil evaluation strategy used when a call site does not pick one

@@ -28,11 +28,14 @@
 //    cached big block, so reuse stays inside one solve and nothing big is
 //    retained under whatever the process runs next.
 //
-// Blocks are ordinary std::aligned_alloc allocations of exactly
-// pool_block_bytes(payload) bytes.  A block must go back the way it came —
-// into the pool when the pool allocated it, to std::free otherwise — so
-// the live count of big blocks stays exact; Buffer and PlaneScratch
-// remember which, so SacConfig::pool / SACPP_POOL may flip at any time.
+// Blocks hold exactly pool_block_bytes(payload) bytes.  Small blocks are
+// std::aligned_alloc allocations; each big block is its own anonymous
+// mapping (mmap/munmap), so its pages leave the process when it is freed
+// instead of staying in the malloc heap (docs/memory.md).  A block must go
+// back the way it came — into the pool when the pool allocated it, to
+// std::free otherwise — so the live count of big blocks stays exact; Buffer
+// and PlaneScratch remember which, so SacConfig::pool / SACPP_POOL may flip
+// at any time.
 //
 // Checked mode (SacConfig::check): releasing a block that is already sitting
 // in a magazine or depot free list, or a big block that is cached or was
@@ -81,9 +84,9 @@ class BufferPool {
   // Allocate a cache-line aligned block of exactly `bytes` bytes, which must
   // be a pool_block_bytes() value.  Serves from the calling thread's
   // magazine, then from the depot (refilling the magazine), then from
-  // std::aligned_alloc; big blocks from the big-block cache, then
-  // std::aligned_alloc.  Returns nullptr only when the system allocator
-  // fails.  `from_cache` (optional) reports whether this was a pool hit.
+  // std::aligned_alloc; big blocks from the big-block cache, then a fresh
+  // mapping.  Returns nullptr only when the system allocator fails.
+  // `from_cache` (optional) reports whether this was a pool hit.
   void* allocate(std::size_t bytes, bool* from_cache = nullptr);
 
   // Release a block this pool allocated with `bytes = pool_block_bytes(..)`

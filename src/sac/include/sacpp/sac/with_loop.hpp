@@ -22,6 +22,7 @@
 // the index-vector-elimination fast path.
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -502,18 +503,80 @@ Array<T> with_genarray_parts(const Shape& shp,
   return with_modarray_parts(std::move(out), parts);
 }
 
-// Multi-partition modarray whose bodies read the array being modified
-// (through the data pointer handed to the body).  Partitions execute in
-// order, each seeing the writes of the previous ones.  The caller must
-// guarantee that, within one partition, no generator element reads a
-// position written by another element of the same partition — the property
-// sac2c's reuse analysis proves for border-exchange with-loops, which is
-// exactly what this variant exists for.
+// Multi-partition modarray whose partitions read the array being modified.
+// Partitions execute in order, each seeing the writes of the previous ones.
+// A partition comes in one of two kinds:
+//  * opaque — `body(iv, data)` reads through the data pointer.  The caller
+//    must guarantee that, within one partition, no generator element reads
+//    a position written by another element of the same partition (the
+//    property sac2c's reuse analysis proves for border exchange);
+//  * shift — `body` empty: the element at iv becomes the array's own
+//    element at iv + shift (shift_partition below).  The runtime checks the
+//    hazard itself: the source box, the generator's bounding box moved by
+//    `shift`, must lie inside the array and must not overlap the generator's
+//    box.  A dense rank-3 shift partition runs on the specialised loop nest
+//    with an unpacked (i, j, k) body; other ranks and strided generators
+//    take the index-vector form, which gives the same values.
 template <typename T>
 struct ReadingPartition {
   Gen gen;
   std::function<T(const IndexVec&, const T*)> body;
+  IndexVec shift{};  // the shift kind's offset; used only when body is empty
 };
+
+// "with (gen) modarray(a, a[iv + shift])" as a reading partition.
+template <typename T>
+ReadingPartition<T> shift_partition(Gen gen, IndexVec shift) {
+  return ReadingPartition<T>{std::move(gen), {}, std::move(shift)};
+}
+
+namespace detail {
+
+// Body of a shift partition: the element `off` positions (the linearised
+// shift) past the one being written.
+template <typename T>
+struct ShiftRead {
+  const T* data;
+  const Shape* shape;
+  extent_t off;
+  extent_t s0, s1;  // rank-3 strides of the specialised form
+
+  T operator()(extent_t i, extent_t j, extent_t k) const {
+    return data[i * s0 + j * s1 + k + off];
+  }
+  T operator()(const IndexVec& iv) const {
+    return data[shape->linearize(iv) + off];
+  }
+};
+
+// Check a shift partition against the hazard rule above and build its body.
+// A strided generator's box ends at its last member, not at `upper`.
+template <typename T>
+ShiftRead<T> shift_read(const T* data, const Shape& shp, const ResolvedGen& g,
+                        const IndexVec& shift) {
+  const std::size_t rank = shp.rank();
+  SACPP_REQUIRE(shift.size() == rank,
+                "shift partition rank does not match the array");
+  const IndexVec strides = shp.strides();
+  extent_t off = 0;
+  bool overlap = g.count > 0;
+  for (std::size_t d = 0; d < rank; ++d) {
+    off += shift[d] * strides[d];
+    if (g.count == 0) continue;
+    const extent_t span = g.upper[d] - 1 - g.lower[d];
+    const extent_t last = g.lower[d] + span / g.step[d] * g.step[d] +
+                          std::min(span % g.step[d], g.width[d] - 1);
+    SACPP_REQUIRE(g.lower[d] + shift[d] >= 0 &&
+                      last + shift[d] < shp.extent(d),
+                  "shift partition reads outside the array");
+    overlap = overlap && std::abs(shift[d]) <= last - g.lower[d];
+  }
+  SACPP_REQUIRE(!overlap, "shift partition source box overlaps its generator");
+  return ShiftRead<T>{data, &shp, off, rank == 3 ? strides[0] : 0,
+                      rank == 3 ? strides[1] : 0};
+}
+
+}  // namespace detail
 
 template <typename T>
 Array<T> with_modarray_reading(Array<T> base,
@@ -522,9 +585,14 @@ Array<T> with_modarray_reading(Array<T> base,
   T* data = base.mutable_data();
   for (const auto& p : parts) {
     const auto g = detail::resolve(p.gen, shp);
-    detail::execute_assign(
-        data, shp, g,
-        [&](const IndexVec& iv) { return p.body(iv, data); });
+    if (p.body) {
+      detail::execute_assign(
+          data, shp, g,
+          [&](const IndexVec& iv) { return p.body(iv, data); });
+    } else {
+      detail::execute_assign(data, shp, g,
+                             detail::shift_read<T>(data, shp, g, p.shift));
+    }
   }
   return base;
 }

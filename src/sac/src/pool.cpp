@@ -1,5 +1,7 @@
 #include "sacpp/sac/pool.hpp"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <iterator>
@@ -62,6 +64,19 @@ struct MagazineSlot {
   int n = 0;
   void* blocks[kMagazineDepth];
 };
+
+// Big blocks are their own anonymous mappings, not heap blocks: glibc raises
+// its dynamic mmap threshold each time it frees a mapped chunk, after which
+// blocks of that size come from the brk heap, which it keeps.  munmap hands
+// a mapping's pages back whatever ran before.  Pages satisfy
+// kBufferAlignment.
+void* map_big(std::size_t bytes) noexcept {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  return p == MAP_FAILED ? nullptr : p;
+}
+
+void unmap_big(void* p, std::size_t bytes) noexcept { ::munmap(p, bytes); }
 
 // Big-block cache.  One lock covers the live count and the cached blocks,
 // so a release that finds itself last frees exactly what is cached, and no
@@ -129,7 +144,7 @@ struct BufferPool::Impl {
       }
     }
     *hit = p != nullptr;
-    if (p == nullptr) p = std::aligned_alloc(kBufferAlignment, bytes);
+    if (p == nullptr) p = map_big(bytes);
     if (p != nullptr) ++big.live;
     return p;
   }
@@ -153,15 +168,15 @@ struct BufferPool::Impl {
           big.cached.emplace_back(bytes, p);
           big.cached_bytes += bytes;
         } catch (...) {
-          std::free(p);  // cache growth failed: give the block back
+          unmap_big(p, bytes);  // cache growth failed: give the block back
         }
         return true;
       }
       idle.swap(big.cached);
       big.cached_bytes = 0;
     }
-    for (const auto& entry : idle) std::free(entry.second);
-    std::free(p);
+    for (const auto& entry : idle) unmap_big(entry.second, entry.first);
+    unmap_big(p, bytes);
     big_freed.fetch_add(idle.size() + 1, std::memory_order_relaxed);
     return true;
   }
@@ -422,7 +437,9 @@ void BufferPool::drain() {
   }
   {
     std::lock_guard<TrackedMutex> lock(impl_->big.mutex);
-    for (const auto& entry : impl_->big.cached) std::free(entry.second);
+    for (const auto& entry : impl_->big.cached) {
+      unmap_big(entry.second, entry.first);
+    }
     freed += impl_->big.cached.size();
     impl_->big.cached.clear();
     impl_->big.cached_bytes = 0;

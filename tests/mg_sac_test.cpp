@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "sacpp/mg/mg_sac.hpp"
 #include "sacpp/mg/problem.hpp"
+#include "sacpp/sac/runtime.hpp"
 
 namespace sacpp::mg {
 namespace {
@@ -62,6 +64,44 @@ TEST(Border, CopiesWhenShared) {
   auto b = MgSac::setup_periodic_border(a);
   EXPECT_NE(b.data(), p);
   EXPECT_EQ(a.data(), p);  // original untouched
+}
+
+bool same_bits(const double* a, const double* b, extent_t count) {
+  return std::memcmp(a, b, static_cast<std::size_t>(count) * sizeof(double)) ==
+         0;
+}
+
+// Every cubic extent of the V-cycle's range, bit for bit against the NPB
+// comm3 port: in place on a unique array, and on a shared one, which must
+// keep its values; sequentially and with the faces split over 4 threads.
+TEST(Border, MatchesComm3BitwiseForExtents3To66) {
+  for (const bool mt : {false, true}) {
+    for (extent_t n = 3; n <= 66; ++n) {
+      const Array<double> a = random_extended(cube_shape(3, n), 100 + n);
+      Array<double> unique = random_extended(cube_shape(3, n), 100 + n);
+      const std::vector<double> before(a.data(), a.data() + a.elem_count());
+      std::vector<double> expect = before;
+      periodic_border_3d(expect, n);
+
+      sac::SacConfig cfg = sac::config();
+      cfg.mt_enabled = mt;
+      cfg.mt_threads = 4;
+      cfg.mt_threshold = 1;
+      sac::ScopedConfig guard(cfg);
+      const auto shared = MgSac::setup_periodic_border(a);
+      EXPECT_TRUE(same_bits(shared.data(), expect.data(), a.elem_count()))
+          << "shared, n = " << n << ", mt " << mt;
+      EXPECT_TRUE(same_bits(a.data(), before.data(), a.elem_count()))
+          << "the shared array changed, n = " << n << ", mt " << mt;
+
+      const double* p = unique.data();
+      const auto in_place = MgSac::setup_periodic_border(std::move(unique));
+      EXPECT_EQ(in_place.data(), p);
+      EXPECT_TRUE(same_bits(in_place.data(), expect.data(), a.elem_count()))
+          << "in place, n = " << n << ", mt " << mt;
+    }
+  }
+  sac::shutdown_runtime();
 }
 
 TEST(Border, WorksForRank1And2) {
@@ -184,6 +224,26 @@ TEST_P(RankGeneric, MGridReducesResidualInAnyRank) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, RankGeneric, ::testing::Values(1, 2, 3));
+
+// The resets' rank-3 genarray_const (specialised loop nest) equals a plain
+// constant fill, with and without the specialisation.
+TEST(GenarrayConst, Rank3EqualsConstantFill) {
+  for (const bool specialize : {true, false}) {
+    sac::SacConfig cfg = sac::config();
+    cfg.specialize = specialize;
+    sac::ScopedConfig guard(cfg);
+    for (const Shape& shp : {Shape{5, 6, 7}, cube_shape(3, 66)}) {
+      for (const double v : {0.0, -0.0, 3.25}) {
+        const auto c = sac::genarray_const(shp, v);
+        const std::vector<double> fill(static_cast<std::size_t>(
+                                           shp.elem_count()),
+                                       v);
+        EXPECT_TRUE(same_bits(c.data(), fill.data(), shp.elem_count()))
+            << "value " << v << " specialize " << specialize;
+      }
+    }
+  }
+}
 
 TEST(MgSacValidation, NonPowerOfTwoGridRejected) {
   MgSac mg(MgSpec::custom(8, 1));

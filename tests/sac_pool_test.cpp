@@ -9,6 +9,9 @@
 // in CI).
 
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -369,6 +372,45 @@ TEST(BufferPool, SmallBlocksKeepTheMagazineDepth) {
 // Blocks of at least 8 MB (kBigBlockBytes in pool.cpp) are big.
 constexpr std::size_t kBig = std::size_t{8} << 20;
 
+// Whether every page of the block [p, p + bytes) is mapped in this process
+// (mincore fails with ENOMEM on an unmapped page).
+bool mapped(void* p, std::size_t bytes) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> resident((bytes + page - 1) / page);
+  return ::mincore(p, bytes, resident.data()) == 0;
+}
+
+// Bytes malloc has handed out, from its heaps and its own mappings.
+std::size_t malloc_in_use() {
+  const struct mallinfo2 mi = ::mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(BufferPool, BigBlocksAreTheirOwnMappings) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t before = malloc_in_use();
+  void* keep = pool.allocate(kBig);
+  void* p = pool.allocate(2 * kBig + kBufferAlignment);
+  ASSERT_NE(keep, nullptr);
+  ASSERT_NE(p, nullptr);
+  // A malloc chunk's header precedes its payload, so a page-aligned block
+  // starts a mapping of its own, and malloc's in-use total ignores it.
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(keep) % page, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % page, 0u);
+  EXPECT_LT(malloc_in_use(), before + kBig) << "a big block came from malloc";
+  std::memset(p, 1, 2 * kBig + kBufferAlignment);
+
+  pool.deallocate(p, 2 * kBig + kBufferAlignment);
+  EXPECT_TRUE(mapped(p, 2 * kBig + kBufferAlignment))
+      << "cached while another big block is live";
+  pool.deallocate(keep, kBig);
+  EXPECT_FALSE(mapped(keep, kBig)) << "the last live big block stays mapped";
+  EXPECT_FALSE(mapped(p, 2 * kBig + kBufferAlignment))
+      << "a cached big block outlives quiescence";
+}
+
 TEST(BufferPool, BigBlockReleasedWhileAnotherIsLiveComesBackAsHit) {
   BufferPool& pool = BufferPool::instance();
   pool.drain();
@@ -411,6 +453,9 @@ TEST(BufferPool, ReleasingTheLastLiveBigBlockFreesEveryCachedOne) {
   pool.deallocate(a, kBig);
   EXPECT_EQ(pool.live_big_blocks(), 0u);
   EXPECT_EQ(pool.depot_cached_bytes(), 0u);
+  EXPECT_FALSE(mapped(a, kBig));
+  EXPECT_FALSE(mapped(b, kBig + kBufferAlignment));
+  EXPECT_FALSE(mapped(c, 2 * kBig));
   const BufferPool::Totals after = pool.totals();
   EXPECT_EQ(after.big_freed - before.big_freed, 3u);
   EXPECT_EQ(after.returns - before.returns, 3u);
@@ -437,7 +482,8 @@ TEST(BufferPool, CheckedModeReportsBigBlockDoubleRelease) {
   EXPECT_EQ(pool.live_big_blocks(), 1u) << "a repeat is not a release";
   EXPECT_EQ(pool.depot_cached_bytes(), kBig) << "p is cached once";
   pool.deallocate(keep, kBig);
-  pool.deallocate(keep, kBig);  // deliberate: freed at quiescence already
+  ASSERT_FALSE(mapped(keep, kBig));
+  pool.deallocate(keep, kBig);  // deliberate: unmapped at quiescence already
   EXPECT_EQ(pool.live_big_blocks(), 0u);
 
   int reports = 0;

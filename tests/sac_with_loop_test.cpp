@@ -1,12 +1,18 @@
 // WITH-loop semantics: genarray / modarray / fold, generator resolution
-// (dots, scalar replication, step/width), multi-partition loops, and the
-// specialised rank-3 path's value-equivalence with the generic walker.
+// (dots, scalar replication, step/width), multi-partition loops (opaque and
+// shift reading partitions), and the specialised rank-3 path's
+// value-equivalence with the generic walker.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <random>
 
 #include "sacpp/sac/array.hpp"
+#include "sacpp/sac/config.hpp"
+#include "sacpp/sac/runtime.hpp"
+#include "sacpp/sac/stats.hpp"
 #include "sacpp/sac/with_loop.hpp"
 
 namespace sacpp::sac {
@@ -177,6 +183,171 @@ TEST(MultiPartition, LaterPartitionsSeeEarlierWrites) {
   auto out = with_modarray_reading(std::move(base), parts);
   EXPECT_EQ((out[IndexVec{0}]), 5);
   EXPECT_EQ((out[IndexVec{3}]), 6);
+}
+
+// -- shift partitions ---------------------------------------------------------
+
+Array<double> random_array(const Shape& shp, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  return with_genarray<double>(shp, [&](const IndexVec&) { return dist(rng); });
+}
+
+bool bitwise_equal(const Array<double>& a, const Array<double>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.elem_count()) *
+                         sizeof(double)) == 0;
+}
+
+// A periodic border as reading partitions: per axis d, the iv[d] == 0 face
+// reads iv + (n-2)·e_d and the iv[d] == n-1 face iv - (n-2)·e_d.  `opaque`
+// writes the same reads as bodies; `strided` puts a step-2 grid (width 1)
+// on every face.
+std::vector<ReadingPartition<double>> border_parts(const Shape& shp,
+                                                   bool opaque,
+                                                   bool strided) {
+  const std::size_t rank = shp.rank();
+  std::vector<ReadingPartition<double>> parts;
+  for (std::size_t d = 0; d < rank; ++d) {
+    const extent_t n = shp.extent(d);
+    for (const bool low : {true, false}) {
+      IndexVec lower = uniform_vec(rank, 0);
+      IndexVec upper(shp.extents().begin(), shp.extents().end());
+      IndexVec shift = uniform_vec(rank, 0);
+      if (low) {
+        upper[d] = 1;
+        shift[d] = n - 2;
+      } else {
+        lower[d] = n - 1;
+        shift[d] = -(n - 2);
+      }
+      Gen g = gen_range(std::move(lower), std::move(upper));
+      if (strided) g = std::move(g).with_step(2);
+      if (opaque) {
+        parts.push_back({std::move(g),
+                         [shp, shift](const IndexVec& iv, const double* p) {
+                           return p[shp.linearize(iv + shift)];
+                         }});
+      } else {
+        parts.push_back(shift_partition<double>(std::move(g), shift));
+      }
+    }
+  }
+  return parts;
+}
+
+TEST(ShiftPartition, EqualsOpaqueBodiesOnRanksOneToFour) {
+  for (std::size_t rank = 1; rank <= 4; ++rank) {
+    const Shape shp = cube_shape(rank, 7);
+    for (const bool strided : {false, true}) {
+      for (const bool specialize : {true, false}) {
+        SacConfig cfg = config();
+        cfg.specialize = specialize;
+        ScopedConfig guard(cfg);
+        const Array<double> base = random_array(shp, 40 + rank);
+        const auto shift = with_modarray_reading(
+            base, border_parts(shp, /*opaque=*/false, strided));
+        const auto opaque = with_modarray_reading(
+            base, border_parts(shp, /*opaque=*/true, strided));
+        EXPECT_TRUE(bitwise_equal(shift, opaque))
+            << "rank " << rank << " strided " << strided << " specialize "
+            << specialize;
+        EXPECT_FALSE(bitwise_equal(shift, base)) << "the border was written";
+      }
+    }
+  }
+}
+
+TEST(ShiftPartition, LaterPartitionsReadEarlierWrites) {
+  // Each axis's faces read ghosts the earlier axes wrote, so every edge and
+  // corner ends up holding the interior point it maps to periodically.
+  const extent_t n = 6;
+  const Shape shp = cube_shape(3, n);
+  const Array<double> base = random_array(shp, 7);
+  const auto out = with_modarray_reading(base, border_parts(shp, false, false));
+  auto source = [n](extent_t x) {
+    return x == 0 ? n - 2 : x == n - 1 ? extent_t{1} : x;
+  };
+  for_each_index(shp, [&](const IndexVec& iv) {
+    const IndexVec src{source(iv[0]), source(iv[1]), source(iv[2])};
+    ASSERT_EQ(out[iv], base[src]) << iv[0] << "," << iv[1] << "," << iv[2];
+  });
+  EXPECT_EQ(out(0, 0, 0), base(n - 2, n - 2, n - 2));  // a corner
+  EXPECT_EQ(out(n - 1, 0, 3), base(1, n - 2, 3));      // an edge
+}
+
+TEST(ShiftPartition, SharedBaseIsLeftUnchanged) {
+  const Array<double> base = random_array(cube_shape(3, 6), 8);
+  const std::vector<double> snapshot(base.data(),
+                                     base.data() + base.elem_count());
+  const double* p = base.data();
+  const auto out = with_modarray_reading(base, border_parts(base.shape(),
+                                                            false, false));
+  EXPECT_NE(out.data(), p);
+  EXPECT_EQ(base.data(), p);
+  EXPECT_EQ(std::memcmp(base.data(), snapshot.data(),
+                        snapshot.size() * sizeof(double)),
+            0);
+}
+
+TEST(ShiftPartition, EachPartitionCountsOnceWithItsElements) {
+  const Shape shp = cube_shape(3, 6);
+  Array<double> base = random_array(shp, 9);
+  const auto parts = border_parts(shp, false, false);
+  reset_stats();
+  base = with_modarray_reading(std::move(base), parts);
+  EXPECT_EQ(stats().with_loops, 6u);
+  EXPECT_EQ(stats().elements, 6u * 36u);
+}
+
+TEST(ShiftPartition, MultithreadedFacesMatchSequentialBitwise) {
+  const Shape shp = cube_shape(3, 66);  // a 66x66 face exceeds mt_threshold
+  const Array<double> base = random_array(shp, 10);
+  const auto parts = border_parts(shp, false, false);
+  const auto seq = with_modarray_reading(base, parts);
+  SacConfig cfg = config();
+  cfg.mt_enabled = true;
+  cfg.mt_threads = 4;
+  ASSERT_GT(66 * 66, cfg.mt_threshold);
+  {
+    ScopedConfig guard(cfg);
+    reset_stats();
+    const auto par = with_modarray_reading(base, parts);
+    EXPECT_GT(stats().parallel_regions, 0u);
+    EXPECT_TRUE(bitwise_equal(par, seq));
+  }
+  shutdown_runtime();
+}
+
+TEST(ShiftPartition, OverlappingOrOutOfBoundsSourceIsRejected) {
+  auto run = [](const Shape& shp, Gen g, IndexVec shift) {
+    std::vector<ReadingPartition<double>> parts;
+    parts.push_back(shift_partition<double>(std::move(g), std::move(shift)));
+    return with_modarray_reading(Array<double>(shp, 1.0), parts);
+  };
+  // Reads [1, 4) while writing [0, 3).
+  EXPECT_THROW(run(Shape{6}, gen_range({0}, {3}), {1}), ContractError);
+  // Rank 2: the boxes overlap on both axes.
+  EXPECT_THROW(run(Shape{6, 6}, gen_range({0, 0}, {3, 3}), {2, 0}),
+               ContractError);
+  // The members 0, 2, 4 read 1, 3, 5, but the boxes [0, 4] and [1, 5]
+  // overlap: the rule is about boxes.
+  EXPECT_THROW(run(Shape{6}, gen_range({0}, {6}).with_step(2), {1}),
+               ContractError);
+  // Reads outside the array, and a shift of the wrong rank.
+  EXPECT_THROW(run(Shape{6}, gen_range({0}, {3}), {4}), ContractError);
+  EXPECT_THROW(run(Shape{6}, gen_range({3}, {6}), {-4}), ContractError);
+  EXPECT_THROW(run(Shape{6, 6}, gen_range({0, 0}, {1, 6}), {4}),
+               ContractError);
+  // Disjoint boxes are fine.  A strided box ends at its last member (4),
+  // not at its upper bound, so reading 5 past it fits a 10-element array;
+  // an empty generator reads nothing.
+  EXPECT_NO_THROW(run(Shape{6}, gen_range({0}, {3}), {3}));
+  EXPECT_NO_THROW(run(Shape{10}, gen_range({0}, {6}).with_step(2), {5}));
+  EXPECT_THROW(run(Shape{10}, gen_range({0}, {6}).with_step(2), {4}),
+               ContractError);
+  EXPECT_NO_THROW(run(Shape{6}, gen_range({2}, {2}), {9}));
 }
 
 TEST(Rank3Specialization, MatchesGenericWalker) {

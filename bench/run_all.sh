@@ -41,7 +41,6 @@ run ext_direct          "$BUILD/bench/ext_direct" --classes S,W
 run ext_mpi             "$BUILD/bench/ext_mpi" --classes W,A
 run ext_classes         "$BUILD/bench/ext_classes"
 run ext_rank            "$BUILD/bench/ext_rank"
-run abl_graph           "$BUILD/bench/abl_graph"
 run abl_stencil         "$BUILD/bench/abl_stencil" --benchmark_min_time=0.2 \
   --benchmark_out="$OUT/abl_stencil.json" --benchmark_out_format=json
 # abl_backend's jit column needs compiled kernels: the bench drains the

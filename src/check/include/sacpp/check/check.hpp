@@ -3,9 +3,9 @@
 // array subsystem (docs/static_analysis.md).
 //
 //   diagnostics.hpp     structured Diagnostic + DiagnosticEngine reporter
-//   wlgraph_verify.hpp  with-loop graph and generator-partition verifier
+//   partitions.hpp      generator-partition verifier
 //   runtime_check.hpp   alias/uniqueness checker, race detector, Session
-//   fuzz.hpp            verifier fuzzing harness
+//   fuzz.hpp            backend row and nested-gather fuzzer
 //   session.hpp         session-typed channels: spec IR, TypedChannel,
 //                       runtime conformance monitor
 //   lockorder.hpp       lock-acquisition-order cycle analysis
@@ -18,7 +18,7 @@
 #include "sacpp/check/diagnostics.hpp"
 #include "sacpp/check/fuzz.hpp"
 #include "sacpp/check/lockorder.hpp"
+#include "sacpp/check/partitions.hpp"
 #include "sacpp/check/runtime_check.hpp"
 #include "sacpp/check/schedule.hpp"
 #include "sacpp/check/session.hpp"
-#include "sacpp/check/wlgraph_verify.hpp"

@@ -1,9 +1,9 @@
 #pragma once
 // Structured diagnostics for the sacpp_check verification passes.
 //
-// Every checker — the with-loop graph verifier, the uniqueness/alias
+// Every checker — the generator-partition verifier, the uniqueness/alias
 // checker, and the parallel-region race detector — reports findings as
-// Diagnostic values: severity, originating pass, a location (node path,
+// Diagnostic values: severity, originating pass, a location (partition,
 // buffer, or region/worker), and a message.  A DiagnosticEngine collects
 // them and renders the table/CSV reports printed by the `--check` flag of
 // the MG driver and asserted on by the checker tests.
@@ -19,12 +19,12 @@ namespace sacpp::check {
 enum class Severity { kWarning, kError };
 
 enum class Pass {
-  kWlGraph,    // static with-loop graph / generator-partition verification
-  kAlias,      // uniqueness / alias checking of buffer reuse
-  kRace,       // parallel-region write-interval and ownership checking
-  kSession,    // session-typed channel conformance (protocol monitor)
-  kLockOrder,  // lock-acquisition-order cycle analysis
-  kSchedule,   // schedule-exploring state-machine checker
+  kPartitions,  // static generator-partition verification
+  kAlias,       // uniqueness / alias checking of buffer reuse
+  kRace,        // parallel-region write-interval and ownership checking
+  kSession,     // session-typed channel conformance (protocol monitor)
+  kLockOrder,   // lock-acquisition-order cycle analysis
+  kSchedule,    // schedule-exploring state-machine checker
 };
 
 const char* severity_name(Severity s);
@@ -32,11 +32,11 @@ const char* pass_name(Pass p);
 
 struct Diagnostic {
   Severity severity = Severity::kError;
-  Pass pass = Pass::kWlGraph;
+  Pass pass = Pass::kPartitions;
   std::string location;
   std::string message;
 
-  // "error [wlgraph] root/arg0: ..." — one line, for logs and gtest output.
+  // "error [partitions] partition 1: ..." — one line, for logs and tests.
   std::string to_string() const;
 };
 

@@ -16,8 +16,8 @@ const char* severity_name(Severity s) {
 
 const char* pass_name(Pass p) {
   switch (p) {
-    case Pass::kWlGraph:
-      return "wlgraph";
+    case Pass::kPartitions:
+      return "partitions";
     case Pass::kAlias:
       return "alias";
     case Pass::kRace:

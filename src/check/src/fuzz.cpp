@@ -5,27 +5,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "sacpp/common/shape.hpp"
-#include "sacpp/check/wlgraph_verify.hpp"
 #include "sacpp/sac/array_lib.hpp"
 #include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/stencil.hpp"
-#include "sacpp/sac/wlgraph.hpp"
 
 namespace sacpp::check {
 
 namespace {
-
-using sac::wl::AffineMap;
-using sac::wl::Bindings;
-using sac::wl::EwiseFn;
-using sac::wl::Node;
-using sac::wl::NodeRef;
-using sac::wl::OpKind;
 
 // xorshift64* — deterministic, no global state, good enough for structural
 // fuzzing (we need variety, not statistical quality).
@@ -42,279 +32,7 @@ struct Rng {
     return lo + static_cast<extent_t>(next() % static_cast<std::uint64_t>(
                                                    hi - lo + 1));
   }
-  double coeff() {  // small non-zero scale factor
-    return 0.25 + 0.125 * static_cast<double>(pick(8));
-  }
 };
-
-bool stencil_legal(const Shape& s) {
-  if (s.rank() < 1) return false;
-  for (std::size_t d = 0; d < s.rank(); ++d) {
-    if (s.extent(d) < 3) return false;
-  }
-  return true;
-}
-
-// One randomly composed legal graph plus the bindings for its inputs.
-// Built exclusively through the public builders, which enforce legality by
-// construction; the verifier must therefore stay silent.
-struct LegalGraph {
-  NodeRef root;
-  Bindings bindings;
-};
-
-LegalGraph make_legal_graph(Rng& rng) {
-  const std::size_t rank = 1 + rng.pick(3);
-  IndexVec ext(rank);
-  for (std::size_t d = 0; d < rank; ++d) ext[d] = rng.range(3, 6);
-  const Shape base{ext};
-
-  LegalGraph g;
-  std::vector<NodeRef> pool;
-  const std::size_t num_inputs = 1 + rng.pick(2);
-  for (std::size_t i = 0; i < num_inputs; ++i) {
-    const std::string name = "in" + std::to_string(i);
-    pool.push_back(sac::wl::input(name, base));
-    const std::uint64_t salt = rng.next();
-    g.bindings.emplace(name,
-                       sac::with_genarray<double>(base, [&](const IndexVec& iv) {
-                         const auto lin =
-                             static_cast<std::uint64_t>(base.linearize(iv));
-                         return static_cast<double>(
-                                    (lin * 2654435761ULL + salt) % 1000) /
-                                997.0;
-                       }));
-  }
-  pool.push_back(sac::wl::constant(base, rng.coeff()));
-
-  const int steps = 3 + static_cast<int>(rng.pick(6));
-  for (int s = 0; s < steps; ++s) {
-    NodeRef a = pool[rng.pick(pool.size())];
-    const Shape& shp = a->shape;
-    NodeRef made;
-    switch (rng.pick(10)) {
-      case 0:
-        made = sac::wl::neg(a);
-        break;
-      case 1:
-        made = sac::wl::abs(a);
-        break;
-      case 2:
-        made = sac::wl::scale(a, rng.coeff());
-        break;
-      case 3:
-      case 4: {
-        // binary ewise needs a same-shape partner; synthesise one if the
-        // pool has none.
-        NodeRef b;
-        for (std::size_t tries = 0; tries < pool.size(); ++tries) {
-          NodeRef cand = pool[rng.pick(pool.size())];
-          if (cand->shape == shp) {
-            b = std::move(cand);
-            break;
-          }
-        }
-        if (b == nullptr) b = sac::wl::constant(shp, rng.coeff());
-        switch (rng.pick(3)) {
-          case 0:
-            made = sac::wl::add(a, b);
-            break;
-          case 1:
-            made = sac::wl::sub(a, b);
-            break;
-          default:
-            made = sac::wl::mul(a, b);
-            break;
-        }
-        break;
-      }
-      case 5:
-        if (stencil_legal(shp)) {
-          sac::StencilCoeffs c{};
-          for (std::size_t k = 0; k < c.c.size(); ++k) {
-            c.c[k] = 0.0625 * static_cast<double>(rng.pick(5));
-          }
-          made = sac::wl::stencil(a, c);
-        }
-        break;
-      case 6: {
-        IndexVec off(shp.rank());
-        for (std::size_t d = 0; d < shp.rank(); ++d) off[d] = rng.range(-2, 2);
-        made = sac::wl::shift(off, a);
-        break;
-      }
-      case 7: {
-        // scatter multiplies every extent by the stride; keep the graph
-        // small enough for the naive evaluator.
-        if (rng.pick(2) == 0 && shp.elem_count() < 2000) {
-          made = sac::wl::scatter(2, a, rng.range(0, 1));
-        } else {
-          bool ok = true;
-          for (std::size_t d = 0; d < shp.rank(); ++d) {
-            if (shp.extent(d) < 2) ok = false;
-          }
-          if (ok) made = sac::wl::condense(2, a, rng.range(0, 1));
-        }
-        break;
-      }
-      case 8: {
-        IndexVec shp2(shp.rank());
-        for (std::size_t d = 0; d < shp.rank(); ++d) {
-          shp2[d] = rng.range(1, shp.extent(d));
-        }
-        made = sac::wl::take(shp2, a);
-        break;
-      }
-      default: {
-        IndexVec shp2(shp.rank());
-        IndexVec pos(shp.rank());
-        for (std::size_t d = 0; d < shp.rank(); ++d) {
-          shp2[d] = shp.extent(d) + rng.range(0, 2);
-          pos[d] = rng.range(0, shp2[d] - shp.extent(d));
-        }
-        made = sac::wl::embed(shp2, pos, a);
-        break;
-      }
-    }
-    if (made != nullptr) pool.push_back(std::move(made));
-  }
-  g.root = pool.back();
-  return g;
-}
-
-// Hand-assembled nodes that each violate exactly one invariant the builders
-// enforce.  `base` is a legal subgraph to hang the broken node off.
-std::vector<std::pair<const char*, NodeRef>> make_illegal_graphs(
-    const NodeRef& base, Rng& rng) {
-  std::vector<std::pair<const char*, NodeRef>> out;
-  const Shape& shp = base->shape;
-  const std::size_t rank = shp.rank();
-
-  {  // ewise operand shape differs from the node shape
-    Node n;
-    n.kind = OpKind::kEwise;
-    n.fn = EwiseFn::kAdd;
-    IndexVec grown = shp.extents();
-    grown[rng.pick(rank)] += 1;
-    n.shape = Shape{grown};
-    n.args = {base, sac::wl::constant(n.shape, 1.0)};
-    out.emplace_back("ewise shape mismatch",
-                     std::make_shared<const Node>(std::move(n)));
-  }
-  {  // binary ewise fn with a single argument
-    Node n;
-    n.kind = OpKind::kEwise;
-    n.fn = EwiseFn::kMul;
-    n.shape = shp;
-    n.args = {base};
-    out.emplace_back("ewise arity", std::make_shared<const Node>(std::move(n)));
-  }
-  {  // ewise with a null child
-    Node n;
-    n.kind = OpKind::kEwise;
-    n.fn = EwiseFn::kNeg;
-    n.shape = shp;
-    n.args = {nullptr};
-    out.emplace_back("null child", std::make_shared<const Node>(std::move(n)));
-  }
-  {  // stencil over an extent below the ghost ring minimum
-    IndexVec thin = shp.extents();
-    thin[rng.pick(rank)] = 2;
-    NodeRef small = sac::wl::input("thin", Shape{thin});
-    Node n;
-    n.kind = OpKind::kStencil;
-    n.shape = small->shape;
-    n.args = {std::move(small)};
-    out.emplace_back("stencil ghost ring",
-                     std::make_shared<const Node>(std::move(n)));
-  }
-  {  // affine offset rank differs from the node rank
-    Node n;
-    n.kind = OpKind::kGather;
-    n.shape = shp;
-    n.map.offset = IndexVec(rank + 1);
-    n.args = {base};
-    out.emplace_back("gather offset rank",
-                     std::make_shared<const Node>(std::move(n)));
-  }
-  {  // zero divisor
-    Node n;
-    n.kind = OpKind::kGather;
-    n.shape = shp;
-    n.map.den = 0;
-    n.map.offset = IndexVec(rank);
-    n.args = {base};
-    out.emplace_back("gather zero divisor",
-                     std::make_shared<const Node>(std::move(n)));
-  }
-  {  // unnamed input leaf
-    Node n;
-    n.kind = OpKind::kInput;
-    n.shape = shp;
-    out.emplace_back("unnamed input",
-                     std::make_shared<const Node>(std::move(n)));
-  }
-  return out;
-}
-
-bool values_match(const sac::Array<double>& a, const sac::Array<double>& b) {
-  if (a.shape() != b.shape()) return false;
-  for (extent_t i = 0; i < a.elem_count(); ++i) {
-    const double x = a.at_linear(i);
-    const double y = b.at_linear(i);
-    const double tol = 1e-12 * std::max(1.0, std::max(std::abs(x), std::abs(y)));
-    if (std::abs(x - y) > tol) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-FuzzStats fuzz_wlgraph_verifier(std::uint64_t seed, int rounds) {
-  Rng rng{seed | 1};  // xorshift state must be non-zero
-  FuzzStats stats;
-  for (int r = 0; r < rounds; ++r) {
-    LegalGraph legal = make_legal_graph(rng);
-    stats.legal_graphs += 1;
-    std::vector<Diagnostic> ds = verify_graph(legal.root);
-    // Dead-source warnings are legitimate on random structural chains (a
-    // take after a large shift really can read only default values); only
-    // *errors* on a builder-produced graph are false positives.
-    for (const Diagnostic& d : ds) {
-      if (d.severity == Severity::kError) {
-        stats.legal_flagged += 1;
-        break;
-      }
-    }
-    // The optimised evaluator must agree with the naive one on every legal
-    // graph — a second, independent oracle for graph legality.
-    const sac::Array<double> naive =
-        sac::wl::evaluate_naive(legal.root, legal.bindings);
-    const sac::Array<double> opt =
-        sac::wl::evaluate(sac::wl::optimise(legal.root), legal.bindings);
-    if (!values_match(naive, opt)) stats.eval_mismatches += 1;
-
-    for (auto& [what, bad] : make_illegal_graphs(legal.root, rng)) {
-      stats.illegal_graphs += 1;
-      bool flagged = false;
-      for (const Diagnostic& d : verify_graph(bad)) {
-        if (d.severity == Severity::kError) {
-          flagged = true;
-          break;
-        }
-      }
-      if (!flagged) stats.illegal_missed += 1;
-      (void)what;
-    }
-  }
-  return stats;
-}
-
-// ---------------------------------------------------------------------------
-// Backend row fuzzer
-// ---------------------------------------------------------------------------
-
-namespace {
 
 // Row lengths biased to the masked-tail danger zone around the 4-lane width.
 extent_t fuzz_row_length(Rng& rng) {
@@ -368,7 +86,7 @@ std::vector<const sac::Backend*> fuzz_engines() {
 
 // One round of raw-primitive differential checks on a random row config.
 void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
-                     BackendFuzzStats* stats) {
+                     BackendFuzzReport* stats) {
   const extent_t n = fuzz_row_length(rng);
   extent_t lo = n == 0 ? 0 : rng.range(0, n);
   extent_t hi = n == 0 ? 0 : rng.range(0, n);
@@ -456,43 +174,132 @@ void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
   }
 }
 
-// Whole-expression check: force `expr` under every backend kind and compare
-// bitwise against its per-point evaluation.
-template <typename Expr>
-void fuzz_expr_backends(const Expr& expr, BackendFuzzStats* stats) {
-  const Shape shp = expr.shape();
-  sac::Array<double> ref = sac::with_genarray<double>(
-      shp, [&](const IndexVec& iv) { return expr(iv); });
+constexpr sac::StencilCoeffs kCoeffs{{-0.5, 0.125, 0.0625, 0.03125}};
+
+// Every backend kind the expression checks force under, scalar first.
+std::vector<sac::BackendKind> fuzz_kinds() {
   std::vector<sac::BackendKind> kinds{sac::BackendKind::kScalar,
                                       sac::BackendKind::kSimd,
                                       sac::BackendKind::kSimdPortable};
   if (fuzz_jit()) kinds.push_back(sac::BackendKind::kJit);
-  for (const sac::BackendKind kind : kinds) {
+  return kinds;
+}
+
+sac::Array<double> fuzz_array(Rng& rng, const Shape& shp) {
+  const std::uint64_t salt = rng.next();
+  return sac::with_genarray<double>(shp, [&](const IndexVec& iv) {
+    const auto lin = static_cast<std::uint64_t>(shp.linearize(iv));
+    return static_cast<double>((lin * 2654435761ULL + salt) % 1000) / 997.0;
+  });
+}
+
+// The reference every fused force is measured against.
+template <typename Expr>
+sac::Array<double> per_point(const Expr& expr) {
+  return sac::with_genarray<double>(
+      expr.shape(), [&](const IndexVec& iv) { return expr(iv); });
+}
+
+bool arrays_equal(const sac::Array<double>& a, const sac::Array<double>& b) {
+  if (a.shape() != b.shape()) return false;
+  for (extent_t i = 0; i < a.elem_count(); ++i) {
+    const double x = a.at_linear(i), y = b.at_linear(i);
+    if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+bool arrays_close(const sac::Array<double>& a, const sac::Array<double>& b) {
+  if (a.shape() != b.shape()) return false;
+  for (extent_t i = 0; i < a.elem_count(); ++i) {
+    const double x = a.at_linear(i), y = b.at_linear(i);
+    if (std::abs(x - y) > 1e-12 * std::max(1.0, std::abs(y))) return false;
+  }
+  return true;
+}
+
+// Whole-expression check: force `expr` under every backend kind and compare
+// bitwise against its per-point evaluation.
+template <typename Expr>
+void fuzz_expr_backends(const Expr& expr, BackendFuzzReport* stats) {
+  const sac::Array<double> ref = per_point(expr);
+  for (const sac::BackendKind kind : fuzz_kinds()) {
     sac::SacConfig cfg = sac::config();
     cfg.backend = kind;
     sac::ScopedConfig guard(cfg);
-    const sac::Array<double> got = sac::force(expr);
     stats->exprs_checked += 1;
-    bool ok = got.shape() == ref.shape();
-    for (extent_t i = 0; ok && i < got.elem_count(); ++i) {
-      const double x = got.at_linear(i), y = ref.at_linear(i);
-      ok = std::memcmp(&x, &y, sizeof(double)) == 0;
-    }
-    if (!ok) stats->mismatches += 1;
+    if (!arrays_equal(sac::force(expr), ref)) stats->mismatches += 1;
   }
 }
 
-void fuzz_gather_rows(Rng& rng, BackendFuzzStats* stats) {
+// Gathers over a stencil: `chain` wraps its argument in the same gathers
+// whether that is the stencil itself (the fused expression) or the stencil
+// forced on its own (the step-by-step reference).  The scalar engine
+// evaluates the fused chain per point.  A vectorized engine runs the nested
+// row protocol, whose kPlanes stencil rows reassociate, so it must equal
+// the stencil's own rows gathered.  Every engine stays within 1e-12 of
+// per-point evaluation.
+template <typename Chain>
+void fuzz_stencil_chain(const sac::Array<double>& a, sac::StencilMode mode,
+                        const Chain& chain, BackendFuzzReport* stats) {
+  const sac::Array<double> ref =
+      per_point(chain(sac::StencilExpr(a, kCoeffs, mode)));
+  for (const sac::BackendKind kind : fuzz_kinds()) {
+    sac::SacConfig cfg = sac::config();
+    cfg.backend = kind;
+    sac::ScopedConfig guard(cfg);
+    const sac::StencilExpr st(a, kCoeffs, mode);  // snapshots this engine
+    const sac::Array<double> got = sac::force(chain(st));
+    const sac::Array<double> want = sac::active_backend().vectorized()
+                                        ? sac::force(chain(sac::force(st)))
+                                        : ref;
+    stats->exprs_checked += 1;
+    stats->stencil_chains_checked += 1;
+    if (!arrays_equal(got, want)) stats->mismatches += 1;
+    if (!arrays_close(got, ref)) stats->fold_mismatches += 1;
+  }
+}
+
+// fine2coarse's embed(condense(stencil)) under both stencil modes, or a
+// take over it: the nested gather row protocol at depth 2 and 3.
+void fuzz_stencil_gathers(Rng& rng, BackendFuzzReport* stats) {
+  const Shape shp{rng.range(3, 7), rng.range(3, 7), fuzz_row_length(rng) + 3};
+  const sac::Array<double> a = fuzz_array(rng, shp);
+  const extent_t phase = rng.range(0, 1);
+  const IndexVec cs = shp.extents() / 2;  // condensed shape
+  IndexVec es(3), pos(3), ts(3);
+  for (std::size_t d = 0; d < 3; ++d) {
+    es[d] = cs[d] + rng.range(0, 3);
+    pos[d] = rng.range(0, es[d] - cs[d]);
+    ts[d] = rng.range(1, es[d]);
+  }
+  const bool deep = rng.pick(2) == 0;
+  auto f2c = [&](auto inner) {
+    return sac::lazy_embed(es, pos,
+                           sac::lazy_condense(2, std::move(inner), phase));
+  };
+  // Planes rows need no minimum extent here: the fuzzer's grids are small.
+  sac::SacConfig cfg = sac::config();
+  cfg.stencil_planes_cutover = 0;
+  sac::ScopedConfig guard(cfg);
+  for (const sac::StencilMode mode :
+       {sac::StencilMode::kGrouped, sac::StencilMode::kPlanes}) {
+    if (deep) {
+      fuzz_stencil_chain(
+          a, mode,
+          [&](auto inner) { return sac::lazy_take(ts, f2c(std::move(inner))); },
+          stats);
+    } else {
+      fuzz_stencil_chain(a, mode, f2c, stats);
+    }
+  }
+}
+
+void fuzz_gather_rows(Rng& rng, BackendFuzzReport* stats) {
   IndexVec ext{rng.range(1, 6), rng.range(1, 6), fuzz_row_length(rng) + 1};
   const Shape base{ext};
-  std::uint64_t salt = rng.next();
-  sac::Array<double> a =
-      sac::with_genarray<double>(base, [&](const IndexVec& iv) {
-        const auto lin = static_cast<std::uint64_t>(base.linearize(iv));
-        return static_cast<double>((lin * 2654435761ULL + salt) % 1000) /
-               997.0;
-      });
-  switch (rng.pick(5)) {
+  sac::Array<double> a = fuzz_array(rng, base);
+  switch (rng.pick(6)) {
     case 0: {
       bool ok = true;
       for (std::size_t d = 0; d < 3; ++d) {
@@ -525,7 +332,7 @@ void fuzz_gather_rows(Rng& rng, BackendFuzzStats* stats) {
       fuzz_expr_backends(sac::lazy_embed(shp2, pos, a), stats);
       break;
     }
-    default: {
+    case 4: {
       // Composition: embed(condense(.)) — nested GatherExpr row protocols.
       bool ok = true;
       for (std::size_t d = 0; d < 3; ++d) {
@@ -544,22 +351,26 @@ void fuzz_gather_rows(Rng& rng, BackendFuzzStats* stats) {
       }
       break;
     }
+    default:
+      // coarse2fine's take(scatter(.)), with a random phase.
+      if (base.elem_count() < 2000) {
+        auto inner = sac::lazy_scatter(2, a, rng.range(0, 1));
+        IndexVec shp2(3);
+        for (std::size_t d = 0; d < 3; ++d) {
+          shp2[d] = rng.range(1, inner.shape().extent(d));
+        }
+        fuzz_expr_backends(sac::lazy_take(shp2, std::move(inner)), stats);
+      }
+      break;
   }
 }
 
 // Degenerate stencil grids under the planes row path: extents 3..5 give
 // interiors that are empty along some axes or a single point (the
 // gen_interior regression class from the planes engine work).
-void fuzz_degenerate_stencils(Rng& rng, BackendFuzzStats* stats) {
+void fuzz_degenerate_stencils(Rng& rng, BackendFuzzReport* stats) {
   const Shape shp{rng.range(3, 5), rng.range(3, 5), rng.range(3, 5)};
-  std::uint64_t salt = rng.next();
-  sac::Array<double> a =
-      sac::with_genarray<double>(shp, [&](const IndexVec& iv) {
-        const auto lin = static_cast<std::uint64_t>(shp.linearize(iv));
-        return static_cast<double>((lin * 2654435761ULL + salt) % 1000) /
-               997.0;
-      });
-  sac::StencilCoeffs c{{-0.5, 0.125, 0.0625, 0.03125}};
+  const sac::Array<double> a = fuzz_array(rng, shp);
   sac::SacConfig cfg = sac::config();
   cfg.stencil_planes_cutover = 0;
   cfg.stencil_mode = sac::StencilMode::kPlanes;
@@ -569,34 +380,31 @@ void fuzz_degenerate_stencils(Rng& rng, BackendFuzzStats* stats) {
     sac::SacConfig scalar_cfg = sac::config();
     scalar_cfg.backend = sac::BackendKind::kScalar;
     sac::ScopedConfig scalar_guard(scalar_cfg);
-    ref = sac::relax_kernel(a, c, sac::StencilMode::kPlanes);
+    ref = sac::relax_kernel(a, kCoeffs, sac::StencilMode::kPlanes);
   }
   for (const sac::BackendKind kind :
        {sac::BackendKind::kSimd, sac::BackendKind::kSimdPortable}) {
     sac::SacConfig k_cfg = sac::config();
     k_cfg.backend = kind;
     sac::ScopedConfig k_guard(k_cfg);
-    const sac::Array<double> got =
-        sac::relax_kernel(a, c, sac::StencilMode::kPlanes);
     stats->exprs_checked += 1;
-    bool ok = true;
-    for (extent_t i = 0; ok && i < got.elem_count(); ++i) {
-      const double x = got.at_linear(i), y = ref.at_linear(i);
-      ok = std::memcmp(&x, &y, sizeof(double)) == 0;
+    if (!arrays_equal(
+            sac::relax_kernel(a, kCoeffs, sac::StencilMode::kPlanes), ref)) {
+      stats->mismatches += 1;
     }
-    if (!ok) stats->mismatches += 1;
   }
 }
 
 }  // namespace
 
-BackendFuzzStats fuzz_backend_rows(std::uint64_t seed, int rounds) {
+BackendFuzzReport fuzz_backend_rows(std::uint64_t seed, int rounds) {
   Rng rng{seed | 1};
-  BackendFuzzStats stats;
+  BackendFuzzReport stats;
   const auto engines = fuzz_engines();
   for (int r = 0; r < rounds; ++r) {
     fuzz_primitives(rng, engines, &stats);
     fuzz_gather_rows(rng, &stats);
+    fuzz_stencil_gathers(rng, &stats);
     fuzz_degenerate_stencils(rng, &stats);
   }
   return stats;

@@ -4,8 +4,7 @@
 // The JIT engine does not interpret anything at row time: each Backend row
 // primitive the planes stencil / expr / grid-transfer / fold paths issue is
 // captured once per *shape* — (primitive, row length, sub-range, stride,
-// coefficient bit patterns) — as a RowProgram, a tiny expression graph in
-// the spirit of wlgraph.hpp's op algebra (wl::OpKind / wl::EwiseFn) but
+// coefficient bit patterns) — as a RowProgram, a tiny expression graph
 // scoped to one contiguous k-row.  The program is lowered to specialised
 // C++ source (jit_codegen.cpp) with every parameter baked in as a literal,
 // compiled by the host toolchain into a shared object, and dlopen'd

@@ -214,7 +214,8 @@ void compile_entry(Entry& e) {
       return;
     }
   }
-  const std::string tag = "." + std::to_string(static_cast<long>(::getpid()));
+  std::string tag = ".";
+  tag += std::to_string(static_cast<long>(::getpid()));
   const std::string src = final_so + tag + ".cpp";
   const std::string tmp_so = final_so + tag + ".tmp";
   const std::string code = generate_source(e.prog);
@@ -234,17 +235,24 @@ void compile_entry(Entry& e) {
     return;
   }
   ::unlink(src.c_str());
-  if (::rename(tmp_so.c_str(), final_so.c_str()) != 0) {
+  // Without a disk cache the kernel loads from this process's own file:
+  // under the shared name another process could unlink it between our
+  // rename and dlopen.
+  const bool persist = disk_cache_enabled();
+  if (persist && ::rename(tmp_so.c_str(), final_so.c_str()) != 0) {
     ::unlink(tmp_so.c_str());
     disable_with_diag("cannot move compiled kernel into place", final_so);
     return;
   }
-  if (!publish_from_so(e, final_so)) {
+  const std::string& so = persist ? final_so : tmp_so;
+  const bool published = publish_from_so(e, so);
+  if (!persist) ::unlink(tmp_so.c_str());  // a loaded mapping persists
+  if (!published) {
+    const char* why = dlerror();  // a second call would return null
     disable_with_diag("dlopen rejected compiled kernel",
-                      dlerror() != nullptr ? dlerror() : final_so);
+                      why != nullptr ? why : so);
     return;
   }
-  if (!disk_cache_enabled()) ::unlink(final_so.c_str());  // mapping persists
   stats().jit_compiles += 1;
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now() - t0)

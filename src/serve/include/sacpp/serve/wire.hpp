@@ -34,12 +34,9 @@ namespace sacpp::serve {
 inline constexpr std::uint32_t kRequestMagic = 0x31515253;  // "SRQ1"
 inline constexpr std::uint32_t kResultMagic = 0x31535253;   // "SRS1"
 // v2: request carries backend; v3: trace context (trace_id, parent span,
-// sampling flags) appended to requests, trace_id echoed on results.  Trace
-// fields sit at the END of the payload so every pre-v3 field keeps its byte
-// offset; decoders accept kMinWireVersion..kWireVersion and default the
-// trace fields to zero for v2 peers.
+// sampling flags) appended to requests, trace_id echoed on results.  Every
+// peer speaks v3; decoders reject any other version.
 inline constexpr std::uint8_t kWireVersion = 3;
-inline constexpr std::uint8_t kMinWireVersion = 2;
 
 // Largest frame either side will accept; a length prefix beyond this is
 // treated as corruption rather than honoured with a giant allocation.

@@ -158,14 +158,12 @@ void seal(std::vector<std::uint8_t>& frame) {
 }
 
 // Shared prologue: peel the length prefix, check magic + version, and hand
-// back a reader positioned at the first payload field plus the peer's frame
-// version (kMinWireVersion..kWireVersion; decoders branch on it for fields
-// added after v2).  A cross-version peer gets a diagnostic naming ITS
-// version and the range this build speaks — "bad magic" alone would send an
-// operator diffing byte dumps when the real story is a version skew.
+// back a reader positioned at the first payload field.  A cross-version peer
+// gets a diagnostic naming ITS version and the one this build speaks — "bad
+// magic" alone would send an operator diffing byte dumps when the real story
+// is a version skew.
 bool open_frame(std::span<const std::uint8_t> frame, std::uint32_t want_magic,
-                const char* what, Reader* r, std::uint8_t* version_out,
-                std::string* error) {
+                const char* what, Reader* r, std::string* error) {
   r->data = frame;
   const std::uint32_t body = r->u32();
   if (!r->ok || frame.size() != sizeof(std::uint32_t) + body) {
@@ -187,14 +185,12 @@ bool open_frame(std::span<const std::uint8_t> frame, std::uint32_t want_magic,
                            found + " (not an " + what + " frame)");
   }
   const std::uint8_t version = r->u8();
-  if (!r->ok || version < kMinWireVersion || version > kWireVersion) {
+  if (!r->ok || version != kWireVersion) {
     return fail(error, std::string("serve wire: peer sent ") + what +
                            " frame version " + std::to_string(version) +
-                           "; this build speaks versions " +
-                           std::to_string(kMinWireVersion) + ".." +
+                           "; this build speaks version " +
                            std::to_string(kWireVersion));
   }
-  *version_out = version;
   return true;
 }
 
@@ -310,10 +306,7 @@ std::size_t frame_size(std::span<const std::uint8_t> data) noexcept {
 bool decode_request(std::span<const std::uint8_t> frame, SolveRequest* out,
                     std::string* error) {
   Reader r;
-  std::uint8_t version = 0;
-  if (!open_frame(frame, kRequestMagic, "request", &r, &version, error)) {
-    return false;
-  }
+  if (!open_frame(frame, kRequestMagic, "request", &r, error)) return false;
   SolveRequest req;
   req.id = r.u64();
   const std::uint8_t cls = r.u8();
@@ -325,11 +318,9 @@ bool decode_request(std::span<const std::uint8_t> frame, SolveRequest* out,
   req.nit = r.u32();
   req.gang = r.u32();
   req.deadline_ns = r.i64();
-  if (version >= 3) {
-    req.trace_id = r.u64();
-    req.trace_parent = r.u64();
-    req.trace_flags = r.u8();
-  }
+  req.trace_id = r.u64();
+  req.trace_parent = r.u64();
+  req.trace_flags = r.u8();
   if (!r.ok || r.pos != frame.size()) {
     return fail(error, "serve wire: request frame has wrong payload size");
   }
@@ -365,10 +356,7 @@ bool decode_request(std::span<const std::uint8_t> frame, SolveRequest* out,
 bool decode_result(std::span<const std::uint8_t> frame, SolveResult* out,
                    std::string* error) {
   Reader r;
-  std::uint8_t version = 0;
-  if (!open_frame(frame, kResultMagic, "result", &r, &version, error)) {
-    return false;
-  }
+  if (!open_frame(frame, kResultMagic, "result", &r, error)) return false;
   SolveResult res;
   res.id = r.u64();
   const std::uint8_t status = r.u8();
@@ -380,7 +368,7 @@ bool decode_result(std::span<const std::uint8_t> frame, SolveResult* out,
   res.e2e_ns = r.i64();
   const std::uint16_t err_len = r.u16();
   res.error = r.bytes(err_len);
-  if (version >= 3) res.trace_id = r.u64();
+  res.trace_id = r.u64();
   if (!r.ok || r.pos != frame.size()) {
     return fail(error, "serve wire: result frame has wrong payload size");
   }

@@ -20,7 +20,7 @@ Diagnostic sample(Severity sev = Severity::kError, Pass pass = Pass::kAlias) {
 TEST(Diagnostics, NamesAreStable) {
   EXPECT_STREQ(severity_name(Severity::kWarning), "warning");
   EXPECT_STREQ(severity_name(Severity::kError), "error");
-  EXPECT_STREQ(pass_name(Pass::kWlGraph), "wlgraph");
+  EXPECT_STREQ(pass_name(Pass::kPartitions), "partitions");
   EXPECT_STREQ(pass_name(Pass::kAlias), "alias");
   EXPECT_STREQ(pass_name(Pass::kRace), "race");
 }
@@ -37,14 +37,14 @@ TEST(Diagnostics, EngineCountsBySeverityAndPass) {
   DiagnosticEngine e;
   EXPECT_TRUE(e.empty());
   e.report(sample(Severity::kError, Pass::kAlias));
-  e.report(sample(Severity::kWarning, Pass::kWlGraph));
+  e.report(sample(Severity::kWarning, Pass::kPartitions));
   e.report(Severity::kError, Pass::kRace, "region 1", "overlap");
   EXPECT_FALSE(e.empty());
   EXPECT_EQ(e.size(), 3u);
   EXPECT_EQ(e.count(Severity::kError), 2u);
   EXPECT_EQ(e.count(Severity::kWarning), 1u);
   EXPECT_EQ(e.count(Pass::kAlias), 1u);
-  EXPECT_EQ(e.count(Pass::kWlGraph), 1u);
+  EXPECT_EQ(e.count(Pass::kPartitions), 1u);
   EXPECT_EQ(e.count(Pass::kRace), 1u);
   e.clear();
   EXPECT_TRUE(e.empty());

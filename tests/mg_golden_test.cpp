@@ -97,12 +97,12 @@ TEST_P(GoldenNorm, MatchesWithPoolOffAndOn) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, GoldenNorm, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      std::string name = variant_name(info.param.variant);
+    [](const ::testing::TestParamInfo<GoldenCase>& param_info) {
+      std::string name = variant_name(param_info.param.variant);
       for (char& ch : name) {
         if (ch == '-' || ch == '/') ch = '_';
       }
-      return name + (info.param.cls == MgClass::S ? "_S" : "_W");
+      return name + (param_info.param.cls == MgClass::S ? "_S" : "_W");
     });
 
 // kPlanes goldens.  The shared plane-sum engine (docs/stencil.md)
@@ -158,12 +158,12 @@ TEST_P(PlanesGoldenNorm, MatchesWithPoolOffAndOn) {
 
 INSTANTIATE_TEST_SUITE_P(
     SacVariants, PlanesGoldenNorm, ::testing::ValuesIn(kPlanesGolden),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      std::string name = variant_name(info.param.variant);
+    [](const ::testing::TestParamInfo<GoldenCase>& param_info) {
+      std::string name = variant_name(param_info.param.variant);
       for (char& ch : name) {
         if (ch == '-' || ch == '/') ch = '_';
       }
-      return name + (info.param.cls == MgClass::S ? "_S" : "_W");
+      return name + (param_info.param.cls == MgClass::S ? "_S" : "_W");
     });
 
 // Rows are computed independently, so the planes sweeps themselves are
@@ -247,13 +247,14 @@ TEST_P(SimdGoldenNorm, MatchesPinnedConstant) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, SimdGoldenNorm, ::testing::ValuesIn(kSimdGolden),
-    [](const ::testing::TestParamInfo<BackendGoldenCase>& info) {
-      std::string name = variant_name(info.param.variant);
+    [](const ::testing::TestParamInfo<BackendGoldenCase>& param_info) {
+      std::string name = variant_name(param_info.param.variant);
       for (char& ch : name) {
         if (ch == '-' || ch == '/') ch = '_';
       }
-      name += info.param.mode == sac::StencilMode::kPlanes ? "_planes" : "_grouped";
-      return name + (info.param.cls == MgClass::S ? "_S" : "_W");
+      name += param_info.param.mode == sac::StencilMode::kPlanes ? "_planes"
+                                                                 : "_grouped";
+      return name + (param_info.param.cls == MgClass::S ? "_S" : "_W");
     });
 
 // The reference kernels bypass the array runtime entirely, so the backend

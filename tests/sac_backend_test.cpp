@@ -17,6 +17,8 @@
 // compiles a bounded kernel set while the row data still varies per round.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -703,25 +705,55 @@ TEST_F(BackendJit, DiskCachePersistsAndRehydratesWithoutRecompiling) {
 }
 
 TEST_F(BackendJit, MissingCompilerDegradesToSimdWithIdenticalResults) {
-  ::setenv("SACPP_JIT_CC", "/nonexistent/compiler", 1);
-  jit::testing::reset();
+  // Two broken toolchains: one that cannot be spawned, and one that "builds"
+  // a file dlopen rejects (a script writing text to its -o path).
+  const std::string fake_cc = ::testing::TempDir() + "sacpp_fake_cc_" +
+                              std::to_string(::getpid()) + ".sh";
+  {
+    std::FILE* f = std::fopen(fake_cc.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "#!/bin/sh\n"
+        "while [ $# -gt 0 ]; do\n"
+        "  if [ \"$1\" = -o ]; then echo 'not an ELF object' > \"$2\"; fi\n"
+        "  shift\n"
+        "done\n",
+        f);
+    std::fclose(f);
+    ASSERT_EQ(::chmod(fake_cc.c_str(), 0755), 0);
+  }
 
   std::mt19937_64 rng(311);
-  const extent_t n = 64;
+  // A row length no other test compiles: dlopen answers a path this process
+  // has already mapped from that mapping, without reading the new file.
+  const extent_t n = 48;
   const auto a = random_row(rng, static_cast<std::size_t>(n));
   const auto base = random_row(rng, static_cast<std::size_t>(n));
-  std::vector<double> o_jit = base, o_sc = base;
   const Backend& be = backend_for(BackendKind::kJit);
-  const Backend& sc = detail::scalar_backend();
+  std::vector<double> o_simd = base;
+  backend_for(BackendKind::kSimd).add_into_row(a.data(), o_simd.data(), 0, n);
 
-  reset_stats();
-  be.add_into_row(a.data(), o_jit.data(), 0, n);
-  sc.add_into_row(a.data(), o_sc.data(), 0, n);
-  EXPECT_EQ(o_jit, o_sc);  // fallback keeps the bitwise contract
-  EXPECT_GT(stats().jit_compile_fails, 0u);
-  EXPECT_EQ(stats().jit_kernel_calls, 0u);
-  EXPECT_GT(stats().jit_fallback_calls, 0u);
-  EXPECT_FALSE(jit::available());
+  for (const std::string& cc :
+       {std::string("/nonexistent/compiler"), fake_cc}) {
+    ::setenv("SACPP_JIT_CC", cc.c_str(), 1);
+    jit::testing::reset();
+    reset_stats();
+    std::vector<double> o_jit = base, o_again = base;
+    ::testing::internal::CaptureStderr();
+    be.add_into_row(a.data(), o_jit.data(), 0, n);
+    be.add_into_row(a.data(), o_again.data(), 0, n);  // degraded: no retry
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(o_jit, o_simd) << cc;  // fallback keeps the bitwise contract
+    EXPECT_EQ(o_again, o_simd) << cc;
+    EXPECT_NE(err.find("sacpp jit:"), std::string::npos) << cc;
+    EXPECT_EQ(err.find("sacpp jit:"), err.rfind("sacpp jit:"))
+        << cc << ": one diagnostic, got " << err;
+    EXPECT_GT(stats().jit_compile_fails, 0u) << cc;
+    EXPECT_EQ(stats().jit_kernel_calls, 0u) << cc;
+    EXPECT_GT(stats().jit_fallback_calls, 0u) << cc;
+    EXPECT_FALSE(jit::available()) << cc;
+  }
+  ::unlink(fake_cc.c_str());
 
   // Degradation is per-process state, re-armed by reset: with the override
   // gone the same key compiles and serves.
@@ -730,7 +762,7 @@ TEST_F(BackendJit, MissingCompilerDegradesToSimdWithIdenticalResults) {
   reset_stats();
   std::vector<double> o2 = base;
   be.add_into_row(a.data(), o2.data(), 0, n);
-  EXPECT_EQ(o2, o_sc);
+  EXPECT_EQ(o2, o_simd);
   EXPECT_GT(stats().jit_kernel_calls, 0u);
   EXPECT_TRUE(jit::available());
 }

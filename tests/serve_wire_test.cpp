@@ -182,11 +182,9 @@ TEST(ServeWire, TraceContextRoundTrip) {
 }
 
 // -- cross-version negotiation ----------------------------------------------
-// v3 appended the trace context at the END of each payload, so a v2 frame is
-// a v3 frame minus its trace tail with the version byte rolled back.  These
-// tests pin both directions of the skew: a v2 peer's frames decode with the
-// trace fields defaulted, and out-of-range versions are rejected with a
-// diagnostic naming the PEER's version (not a bare "bad frame").
+// Every peer speaks v3, so any other version is rejected with a diagnostic
+// naming the PEER's version (not a bare "bad frame").  A v2 frame is a v3
+// frame minus its trace tail with the version byte rolled back.
 
 // Rewrites the length prefix after surgery on the frame body.
 void reseal(std::vector<std::uint8_t>& frame) {
@@ -205,34 +203,22 @@ std::vector<std::uint8_t> downgrade_to_v2(std::vector<std::uint8_t> frame,
   return frame;
 }
 
-TEST(ServeWireVersions, V2RequestDecodesWithTraceFieldsDefaulted) {
+TEST(ServeWireVersions, V2RequestFrameIsRejectedNamingItsVersion) {
   // Request trace tail: trace_id(8) + trace_parent(8) + trace_flags(1).
-  SolveRequest v3 = sample_request();
-  v3.trace_id = 0xdeadbeefull;  // must NOT leak through the v2 decode
-  const std::vector<std::uint8_t> frame =
-      downgrade_to_v2(encode_request(v3), 17);
-  SolveRequest back;
+  const auto frame = downgrade_to_v2(encode_request(sample_request()), 17);
+  SolveRequest out;
   std::string error;
-  ASSERT_TRUE(decode_request(frame, &back, &error)) << error;
-  EXPECT_EQ(back.id, v3.id);
-  EXPECT_EQ(back.deadline_ns, v3.deadline_ns);
-  EXPECT_EQ(back.trace_id, 0u);
-  EXPECT_EQ(back.trace_parent, 0u);
-  EXPECT_EQ(back.trace_flags, 0u);
+  EXPECT_FALSE(decode_request(frame, &out, &error));
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
 }
 
-TEST(ServeWireVersions, V2ResultDecodesWithTraceIdDefaulted) {
+TEST(ServeWireVersions, V2ResultFrameIsRejectedNamingItsVersion) {
   // Result trace tail: the echoed trace_id(8).
-  SolveResult v3 = sample_result();
-  v3.trace_id = 0xdeadbeefull;
-  const std::vector<std::uint8_t> frame =
-      downgrade_to_v2(encode_result(v3), 8);
-  SolveResult back;
+  const auto frame = downgrade_to_v2(encode_result(sample_result()), 8);
+  SolveResult out;
   std::string error;
-  ASSERT_TRUE(decode_result(frame, &back, &error)) << error;
-  EXPECT_EQ(back.id, v3.id);
-  EXPECT_EQ(back.error, v3.error);
-  EXPECT_EQ(back.trace_id, 0u);
+  EXPECT_FALSE(decode_result(frame, &out, &error));
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
 }
 
 TEST(ServeWireVersions, PreV2PeerIsRejectedNamingItsVersion) {
@@ -242,8 +228,8 @@ TEST(ServeWireVersions, PreV2PeerIsRejectedNamingItsVersion) {
   std::string error;
   EXPECT_FALSE(decode_request(frame, &out, &error));
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("2..3"), std::string::npos)
-      << "diagnostic should name the supported range: " << error;
+  EXPECT_NE(error.find("speaks version 3"), std::string::npos)
+      << "diagnostic should name the supported version: " << error;
 }
 
 TEST(ServeWireVersions, FutureVersionIsRejectedNamingItsVersion) {
@@ -258,14 +244,14 @@ TEST(ServeWireVersions, FutureVersionIsRejectedNamingItsVersion) {
 }
 
 TEST(ServeWireVersions, V2FrameWithV3LengthIsRejected) {
-  // A frame claiming v2 but still carrying the v3 trace tail has the wrong
-  // payload size for its version — it must not decode as either.
+  // A frame claiming v2 but still carrying the v3 trace tail must not
+  // decode: the version check stops it before the payload is read.
   std::vector<std::uint8_t> frame = encode_request(sample_request());
   frame[8] = 2;  // lie about the version, keep the v3 body
   SolveRequest out;
   std::string error;
   EXPECT_FALSE(decode_request(frame, &out, &error));
-  EXPECT_NE(error.find("payload size"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
 }
 
 TEST(ServeWire, DoublePackingRoundTrip) {

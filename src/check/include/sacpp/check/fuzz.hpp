@@ -33,6 +33,8 @@ struct BackendFuzzReport {
   int fold_mismatches = 0;  // drift beyond 1e-12 — must stay 0
   // Of exprs_checked, the gather chains over a stencil.
   int stencil_chains_checked = 0;
+  // Of exprs_checked, the chains over a copy-free view of a shared base.
+  int view_chains_checked = 0;
 
   bool clean() const { return mismatches == 0 && fold_mismatches == 0; }
 };

@@ -395,6 +395,82 @@ void fuzz_degenerate_stencils(Rng& rng, BackendFuzzReport* stats) {
   }
 }
 
+// Random face-slab shift partitions (with_loop.hpp): per axis, ghost
+// layers of width 1 or 2 at either end, each reading the layers the
+// periodic wrap puts there; a face is sometimes left out.
+std::vector<sac::ReadingPartition<double>> fuzz_slab_parts(Rng& rng,
+                                                           const Shape& shp) {
+  const std::size_t rank = shp.rank();
+  std::vector<sac::ReadingPartition<double>> parts;
+  for (std::size_t d = 0; d < rank; ++d) {
+    const extent_t n = shp.extent(d);
+    const extent_t w = n >= 6 && rng.pick(2) == 0 ? 2 : 1;
+    for (const bool low : {true, false}) {
+      if (rng.pick(4) == 0) continue;
+      IndexVec lower = uniform_vec(rank, 0);
+      IndexVec upper(shp.extents().begin(), shp.extents().end());
+      IndexVec shift = uniform_vec(rank, 0);
+      if (low) {
+        upper[d] = w;
+        shift[d] = n - 2 * w;
+      } else {
+        lower[d] = n - w;
+        shift[d] = -(n - 2 * w);
+      }
+      parts.push_back(sac::shift_partition<double>(
+          sac::gen_range(std::move(lower), std::move(upper)),
+          std::move(shift)));
+    }
+  }
+  return parts;
+}
+
+// The stencil, embed(condense(stencil)) and take(scatter) chains over a
+// copy-free view of a random shared base.  The oracle is the same chain
+// over the forced view, bitwise, under every engine: the view readers must
+// see exactly the values the border with-loops would have written.
+void fuzz_view_chains(Rng& rng, BackendFuzzReport* stats) {
+  const Shape shp{rng.range(3, 8), rng.range(3, 8), fuzz_row_length(rng) + 3};
+  const sac::Array<double> base = fuzz_array(rng, shp);
+  const sac::Array<double> view =
+      sac::with_modarray_reading(base, fuzz_slab_parts(rng, shp));
+  sac::Array<double> forced = view;
+  forced.materialise();
+  const extent_t phase = rng.range(0, 1);
+  IndexVec ts(3);
+  for (std::size_t d = 0; d < 3; ++d) ts[d] = rng.range(1, 2 * shp.extent(d));
+  sac::SacConfig cfg = sac::config();
+  cfg.stencil_planes_cutover = 0;
+  sac::ScopedConfig guard(cfg);
+  auto check = [&](const auto& chain) {
+    for (const sac::BackendKind kind : fuzz_kinds()) {
+      sac::SacConfig k_cfg = sac::config();
+      k_cfg.backend = kind;
+      sac::ScopedConfig k_guard(k_cfg);
+      stats->exprs_checked += 1;
+      stats->view_chains_checked += 1;
+      if (!arrays_equal(sac::force(chain(view)), sac::force(chain(forced)))) {
+        stats->mismatches += 1;
+      }
+    }
+  };
+  using A = const sac::Array<double>&;
+  for (const sac::StencilMode mode :
+       {sac::StencilMode::kGrouped, sac::StencilMode::kPlanes}) {
+    check([&](A x) { return sac::StencilExpr(x, kCoeffs, mode); });
+    check([&](A x) {
+      auto rc =
+          sac::lazy_condense(2, sac::StencilExpr(x, kCoeffs, mode), phase);
+      const IndexVec coarse = rc.shape().extents() + 1;
+      return sac::lazy_embed(coarse, 0 * coarse, std::move(rc));
+    });
+  }
+  check([&](A x) {
+    return sac::lazy_take(ts, sac::lazy_scatter(2, x, phase));
+  });
+  if (!view.is_view()) stats->mismatches += 1;  // no reader may force it
+}
+
 }  // namespace
 
 BackendFuzzReport fuzz_backend_rows(std::uint64_t seed, int rounds) {
@@ -406,6 +482,7 @@ BackendFuzzReport fuzz_backend_rows(std::uint64_t seed, int rounds) {
     fuzz_gather_rows(rng, &stats);
     fuzz_stencil_gathers(rng, &stats);
     fuzz_degenerate_stencils(rng, &stats);
+    fuzz_view_chains(rng, &stats);
   }
   return stats;
 }

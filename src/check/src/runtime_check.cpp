@@ -41,6 +41,17 @@ std::vector<Diagnostic> analyze_buffer_events() {
         diags.push_back(Diagnostic{Severity::kError, Pass::kAlias, loc.str(),
                                    msg.str()});
         break;
+      case cd::BufferEventKind::kViewForcedInRegion:
+        loc << "region " << e.region;
+        msg << "copy-free view forced "
+            << (e.refs != 0 ? "on a worker thread"
+                            : "by the coordinating thread")
+            << " inside a parallel region: forcing rebinds the array's "
+               "buffer while other participants may read it; force views "
+               "before the with-loop";
+        diags.push_back(
+            Diagnostic{Severity::kError, Pass::kRace, loc.str(), msg.str()});
+        break;
     }
   }
   return diags;

@@ -48,7 +48,9 @@ struct TraceContext {
 };
 
 namespace detail {
-extern thread_local TraceContext tl_trace;
+// constinit: no dynamic initialisation, so no TLS init function call on
+// each read (see sac::detail::tl_config).
+extern constinit thread_local TraceContext tl_trace;
 }
 
 inline const TraceContext& current_trace() noexcept {

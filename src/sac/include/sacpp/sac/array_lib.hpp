@@ -203,8 +203,11 @@ T max_abs(const Array<T>& a) {
 // operation (plus / max) to with_fold, since chunk partials still merge
 // through it.
 
+// Both take the elements' address at construction, on the coordinating
+// thread, which forces a view there rather than on a worker.
 struct SumSqRows {
   Array<double> a;
+  const double* p = a.data();
   const Backend* be = &active_backend();
 
   double operator()(const IndexVec& iv) const {
@@ -213,19 +216,20 @@ struct SumSqRows {
   }
   double operator()(extent_t i, extent_t j, extent_t k) const {
     const Shape& s = a.shape();
-    const double x = a.data()[(i * s[1] + j) * s[2] + k];
+    const double x = p[(i * s[1] + j) * s[2] + k];
     return x * x;
   }
   bool row_fold_enabled() const { return a.rank() == 3; }
   double fold_row(double acc, extent_t i, extent_t j, extent_t k_lo,
                   extent_t k_hi) const {
     const Shape& s = a.shape();
-    return be->sum_sq_row(acc, a.data() + (i * s[1] + j) * s[2], k_lo, k_hi);
+    return be->sum_sq_row(acc, p + (i * s[1] + j) * s[2], k_lo, k_hi);
   }
 };
 
 struct MaxAbsRows {
   Array<double> a;
+  const double* p = a.data();
   const Backend* be = &active_backend();
 
   double operator()(const IndexVec& iv) const {
@@ -234,14 +238,14 @@ struct MaxAbsRows {
   }
   double operator()(extent_t i, extent_t j, extent_t k) const {
     const Shape& s = a.shape();
-    const double v = a.data()[(i * s[1] + j) * s[2] + k];
+    const double v = p[(i * s[1] + j) * s[2] + k];
     return v < 0.0 ? -v : v;
   }
   bool row_fold_enabled() const { return a.rank() == 3; }
   double fold_row(double acc, extent_t i, extent_t j, extent_t k_lo,
                   extent_t k_hi) const {
     const Shape& s = a.shape();
-    return be->max_abs_row(acc, a.data() + (i * s[1] + j) * s[2], k_lo, k_hi);
+    return be->max_abs_row(acc, p + (i * s[1] + j) * s[2], k_lo, k_hi);
   }
 };
 

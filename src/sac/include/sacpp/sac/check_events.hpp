@@ -53,12 +53,14 @@ enum class BufferEventKind : std::uint8_t {
   kSharedInPlaceWrite,  // raw in-place write while the buffer was aliased
   kForeignOwnershipOp,  // retain/release off the coordinator inside a region
   kPoolDoubleRelease,   // block released into the BufferPool twice
+  kViewForcedInRegion,  // copy-free view forced inside a parallel region
 };
 
 struct BufferEvent {
   BufferEventKind kind;
   std::uint32_t refs;    // reference count at the event (kPoolDoubleRelease
-                         // carries the block's size class in bytes instead)
+                         // carries the block's size class in bytes instead,
+                         // kViewForcedInRegion 1 when off the coordinator)
   std::uint64_t region;  // active parallel region id (0 = none)
 };
 
@@ -71,6 +73,11 @@ void record_buffer_event(BufferEventKind kind, std::uint32_t refs) noexcept;
 // records a kForeignOwnershipOp when the calling thread is not the region's
 // coordinating thread.
 void note_ownership_op(std::uint32_t refs) noexcept;
+
+// Called from Array when a view is forced while the ownership watch is
+// active: forcing rebinds the array's buffer, which the region's other
+// participants may be reading.  Records a kViewForcedInRegion.
+void note_view_force() noexcept;
 
 // -- parallel-region chunk records --------------------------------------------
 

@@ -150,7 +150,10 @@ SacConfig& config();
 namespace detail {
 // Per-thread configuration override (see ConfigBinding).  Read on every hot
 // path through active_config(); nullptr means "use the process global".
-extern thread_local const SacConfig* tl_config;
+// constinit tells every including translation unit that the variable needs
+// no dynamic initialisation, so a read is one thread-pointer-relative load
+// instead of a call through the TLS init function.
+extern constinit thread_local const SacConfig* tl_config;
 }  // namespace detail
 
 // The configuration governing work on the calling thread: the thread's bound

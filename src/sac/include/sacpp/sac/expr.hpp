@@ -222,8 +222,9 @@ struct GatherExpr {
   // a strided gather (condense), or a strided scatter into a default-filled
   // row (scatter).  Two inner forms participate:
   //
-  //  (a) inner is a concrete Array<double> — pure data movement, bitwise
-  //      identical to per-point evaluation, enabled for every backend;
+  //  (a) inner is an Array<double> — pure data movement, bitwise
+  //      identical to per-point evaluation, enabled for every backend; a
+  //      view is read in place (inner_row / patch_moved below);
   //  (b) inner itself offers the row protocol (a stencil, or another
   //      gather) — the inner row is produced first (directly into `out`
   //      when the k transform is the identity, else into a scratch row) and
@@ -308,13 +309,19 @@ struct GatherExpr {
       be.fill_row(out, k1, k_hi, dflt);
       if (k0 >= k1) return;
       if constexpr (kRowInnerArray) {
-        const double* src = inner.data() + (si * ish[1] + sj) * ish[2];
+        const double* src = inner_row(si, sj);
         if (scale_num == 1) {
           be.copy_row(out, src + k0 + off2, k0, k1);
         } else {
           be.gather_row(out + k0, src + k0 * scale_num + off2, scale_num,
                         k1 - k0);
         }
+        patch_moved(src, off2, [&](extent_t q) {
+          return q % scale_num == 0 && q / scale_num >= k0 &&
+                         q / scale_num < k1
+                     ? out + q / scale_num
+                     : nullptr;
+        });
       } else {
         const extent_t s_lo = k0 * scale_num + off2;
         const extent_t s_hi = (k1 - 1) * scale_num + off2 + 1;
@@ -341,14 +348,48 @@ struct GatherExpr {
       if (t_hi <= t_lo) return;
       double* base = out + t_lo * scale_den - pre;
       if constexpr (kRowInnerArray) {
-        const double* src = inner.data() + (si * ish[1] + sj) * ish[2];
+        const double* src = inner_row(si, sj);
         be.scatter_row(base, scale_den, src + t_lo + off2, t_hi - t_lo);
+        patch_moved(src, off2, [&](extent_t t) {
+          return t >= t_lo && t < t_hi ? out + t * scale_den - pre : nullptr;
+        });
       } else {
         inner.fill_row(st.st, si, sj, st.row.data(), t_lo + off2,
                        t_hi + off2);
         be.scatter_row(base, scale_den, st.row.data() + t_lo + off2,
                        t_hi - t_lo);
       }
+    }
+  }
+
+ private:
+  // Source row (si, sj) of the concrete inner array; a view's row comes
+  // through its axis-0/1 maps, without forcing it.
+  const double* inner_row(extent_t si, extent_t sj) const
+    requires(kRowInnerArray)
+  {
+    if (const auto* v = inner.view_map()) {
+      return inner.base_data() + v->axis(0)[si] + v->axis(1)[sj];
+    }
+    const Shape& ish = inner.shape();
+    return inner.base_data() + (si * ish[1] + sj) * ish[2];
+  }
+
+  // The row primitives above read a view's row as if its last axis were
+  // unmapped.  Rewrite every output whose source position p the view moves:
+  // `dest(p - off2)` is that output's address, or nullptr when the row did
+  // not write it.  Pure data movement, so the patched row equals the forced
+  // view's bitwise.
+  template <typename Dest>
+  void patch_moved(const double* src, extent_t off2, Dest dest) const
+    requires(kRowInnerArray)
+  {
+    const auto* v = inner.view_map();
+    if (v == nullptr) return;
+    const extent_t* m2 = v->axis(2);
+    for (const extent_t p : v->moved_last()) {
+      if (p - off2 < 0) continue;
+      if (double* o = dest(p - off2)) *o = src[m2[p]];
     }
   }
 };
@@ -361,6 +402,12 @@ template <ArrayExpr L, ArrayExpr R, typename Op>
 auto ewise(L lhs, R rhs, Op op) {
   SACPP_REQUIRE(lhs.shape() == rhs.shape(),
                 "element-wise expression needs equal shapes");
+  // The row pass-through hands the left array's raw rows to the workers, so
+  // a view there is forced now, on the coordinating thread.
+  if constexpr (std::is_same_v<L, Array<double>> &&
+                detail::RowFillBody<R, double>) {
+    lhs.materialise();
+  }
   return EwiseBinaryExpr<L, R, Op>{std::move(lhs), std::move(rhs),
                                    std::move(op)};
 }

@@ -33,6 +33,7 @@ class PeriodicStencilExpr {
   PeriodicStencilExpr(Array<double> a, const StencilCoeffs& coeffs,
                       StencilMode mode = active_config().stencil_mode)
       : a_(std::move(a)), c_(coeffs), mode_(mode), be_(&active_backend()) {
+    a_.materialise();  // the evaluators read raw rows on the workers
     const Shape& shp = a_.shape();
     SACPP_REQUIRE(shp.rank() >= 1, "stencil needs rank >= 1");
     extent_t min_extent = shp.extent(0);

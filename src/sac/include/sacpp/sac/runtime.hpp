@@ -56,7 +56,7 @@ ThreadPool& runtime();
 void shutdown_runtime();
 
 namespace runtime_detail {
-extern thread_local ThreadPool* tl_pool;
+extern constinit thread_local ThreadPool* tl_pool;  // see detail::tl_config
 }  // namespace runtime_detail
 
 // RAII: route the calling thread's with-loops through a private ThreadPool

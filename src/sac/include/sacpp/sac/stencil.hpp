@@ -26,7 +26,10 @@
 //
 // StencilExpr is the lazy form (expr.hpp): stencil value on interior
 // points, 0 on the boundary ring, exactly the result RelaxKernel
-// materialises.  It fuses with surrounding expressions (with-loop folding).
+// materialises.  It fuses with surrounding expressions (with-loop folding),
+// and reads a view argument (array.hpp) without forcing it: every operand
+// is taken through the view's index maps, in the same order as over the
+// forced array, so the values are bitwise the same.
 
 #include <algorithm>
 #include <array>
@@ -131,7 +134,9 @@ class StencilExpr {
               StencilMode mode = active_config().stencil_mode)
       : a_(std::move(a)), c_(coeffs), mode_(mode), be_(&active_backend()) {
     const Shape& shp = a_.shape();
-    SACPP_REQUIRE(shp.rank() >= 1, "stencil needs rank >= 1");
+    // One coefficient per distance class: classes 0..3 cover ranks 1..3.
+    SACPP_REQUIRE(shp.rank() >= 1 && shp.rank() <= 3,
+                  "stencil needs rank 1, 2 or 3");
     extent_t min_extent = shp.extent(0);
     for (std::size_t d = 0; d < shp.rank(); ++d) {
       SACPP_REQUIRE(shp.extent(d) >= 3,
@@ -154,6 +159,19 @@ class StencilExpr {
       planes_rows_ = mode_ == StencilMode::kPlanes &&
                      min_extent >= active_config().stencil_planes_cutover;
     }
+    // Over a view, the output positions whose centre-row reads include a
+    // moved last-axis position: the row path combines them one by one.
+    if (const auto* v = a_.view_map()) {
+      const extent_t n = shp.extent(shp.rank() - 1);
+      for (const extent_t m : v->moved_last()) {
+        for (extent_t k = std::max<extent_t>(m - 1, 1);
+             k <= std::min(m + 1, n - 2); ++k) {
+          if (view_points_.empty() || view_points_.back() < k) {
+            view_points_.push_back(k);
+          }
+        }
+      }
+    }
   }
 
   const Shape& shape() const { return a_.shape(); }
@@ -174,9 +192,11 @@ class StencilExpr {
     // specialised and generic execution paths produce bitwise-equal values.
     // kPlanes evaluated per point (below the cutover, or through a fused
     // expression with no row path) uses the grouped association tree.
-    if (mode_ != StencilMode::kNaive && iv.size() == 3) {
-      return at_linear3(a_.shape().linearize(iv));
+    const bool unrolled = mode_ != StencilMode::kNaive && iv.size() == 3;
+    if (a_.is_view()) [[unlikely]] {
+      return unrolled ? view_at3(iv[0], iv[1], iv[2]) : view_at(iv);
     }
+    if (unrolled) return at_linear3(a_.shape().linearize(iv));
     return at_linear(a_.shape().linearize(iv));
   }
 
@@ -186,6 +206,10 @@ class StencilExpr {
     if (i < 1 || i >= shp[0] - 1 || j < 1 || j >= shp[1] - 1 || k < 1 ||
         k >= shp[2] - 1)
       return 0.0;
+    if (a_.is_view()) [[unlikely]] {
+      return mode_ != StencilMode::kNaive ? view_at3(i, j, k)
+                                          : view_at(IndexVec{i, j, k});
+    }
     if (mode_ != StencilMode::kNaive) {
       return at_linear3((i * shp[1] + j) * shp[2] + k);
     }
@@ -238,11 +262,12 @@ class StencilExpr {
     st.rows += 1;
   }
 
+ private:
   // Unrolled grouped evaluation for rank 3 (the dominant path): nine row
   // pointers with compile-time +-1 offsets, 4 multiplications, 26 additions
   // — the form sac2c's optimiser reaches implicitly (paper Sec. 5).
   double at_linear3(extent_t centre) const {
-    const double* c = a_.data() + centre;
+    const double* c = a_.base_data() + centre;
     const double* im = c - s0_;
     const double* ip = c + s0_;
     const double* jm = c - s1_;
@@ -261,7 +286,7 @@ class StencilExpr {
 
   // Weighted neighbour sum around a (guaranteed interior) linear offset.
   double at_linear(extent_t centre) const {
-    const double* p = a_.data() + centre;
+    const double* p = a_.base_data() + centre;
     if (mode_ == StencilMode::kGrouped) {
       double acc = 0.0;
       for (std::size_t cls = 0; cls < 4; ++cls) {
@@ -279,7 +304,6 @@ class StencilExpr {
     return acc;
   }
 
- private:
   // One fused output row (i, j): the NPB u1/u2 plane sums — u1[k] the four
   // class-1 neighbours in the i/j directions, u2[k] the four class-2
   // diagonal rows — feeding the per-point combine, issued as the Backend's
@@ -289,7 +313,11 @@ class StencilExpr {
   // (docs/backends.md, docs/jit.md).
   void fused_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                  extent_t k_lo, extent_t k_hi, bool accumulate) const {
-    const double* c = a_.data() + i * s0_ + j * s1_;
+    if (a_.is_view()) [[unlikely]] {
+      view_row(st, i, j, out, k_lo, k_hi, accumulate);
+      return;
+    }
+    const double* c = a_.base_data() + i * s0_ + j * s1_;
     const double* im = c - s0_;
     const double* ip = c + s0_;
     const double* jm = c - s1_;
@@ -297,6 +325,125 @@ class StencilExpr {
     be_->stencil_row(c_.c.data(), c, im, ip, jm, jp, im - s1_, im + s1_,
                      ip - s1_, ip + s1_, st.u1(), st.u2(), out, k_lo, k_hi,
                      a_.shape().extent(2), accumulate);
+  }
+
+  // -- view readers -----------------------------------------------------------
+
+  // The nine source rows of output row (i, j) over a view: the centre row,
+  // then im, ip, jm, jp and the diagonals imm, imp, ipm, ipp (the order of
+  // Backend::stencil_row), each remapped through the axis-0/1 maps.
+  struct ViewRows {
+    const double* r[9];
+  };
+  ViewRows view_rows(extent_t i, extent_t j) const {
+    const detail::ViewMap<double>& v = *a_.view_map();
+    const extent_t* m0 = v.axis(0);
+    const extent_t* m1 = v.axis(1);
+    const double* b = a_.base_data();
+    return ViewRows{{b + m0[i] + m1[j], b + m0[i - 1] + m1[j],
+                     b + m0[i + 1] + m1[j], b + m0[i] + m1[j - 1],
+                     b + m0[i] + m1[j + 1], b + m0[i - 1] + m1[j - 1],
+                     b + m0[i - 1] + m1[j + 1], b + m0[i + 1] + m1[j - 1],
+                     b + m0[i + 1] + m1[j + 1]}};
+  }
+
+  // at_linear3 over a view: the same operands in the same order, each k
+  // position taken through the last axis's map.
+  double view_at3(extent_t i, extent_t j, extent_t k) const {
+    const ViewRows rows = view_rows(i, j);
+    const double *c = rows.r[0], *im = rows.r[1], *ip = rows.r[2],
+                 *jm = rows.r[3], *jp = rows.r[4], *imm = rows.r[5],
+                 *imp = rows.r[6], *ipm = rows.r[7], *ipp = rows.r[8];
+    const extent_t* m2 = a_.view_map()->axis(2);
+    const extent_t km = m2[k - 1], k0 = m2[k], kp = m2[k + 1];
+    const double faces = im[k0] + ip[k0] + jm[k0] + jp[k0] + c[km] + c[kp];
+    const double edges = imm[k0] + imp[k0] + ipm[k0] + ipp[k0] + im[km] +
+                         im[kp] + ip[km] + ip[kp] + jm[km] + jm[kp] + jp[km] +
+                         jp[kp];
+    const double corners = imm[km] + imm[kp] + imp[km] + imp[kp] + ipm[km] +
+                           ipm[kp] + ipp[km] + ipp[kp];
+    return c_[0] * c[k0] + c_[1] * faces + c_[2] * edges + c_[3] * corners;
+  }
+
+  // at_linear over a view (any rank): the class sums visit the offsets in
+  // by_class_ order, which is the stencil table's order within a class.
+  double view_at(const IndexVec& iv) const {
+    const detail::ViewMap<double>& v = *a_.view_map();
+    const double* b = a_.base_data();
+    const auto& entries = StencilTable::for_rank(iv.size()).entries();
+    auto operand = [&](const StencilTable::Entry& e) {
+      extent_t off = 0;
+      for (std::size_t d = 0; d < iv.size(); ++d) {
+        off += v.axis(d)[iv[d] + e.offset[d]];
+      }
+      return b[off];
+    };
+    const bool grouped = mode_ == StencilMode::kGrouped;
+    double acc = 0.0;
+    for (std::size_t cls = 0; cls < 4; ++cls) {
+      if (grouped && by_class_[cls].empty()) continue;
+      double s = 0.0;
+      for (const auto& e : entries) {
+        if (static_cast<std::size_t>(e.cls) != cls) continue;
+        if (grouped) {
+          s += operand(e);
+        } else {
+          acc += c_[cls] * operand(e);
+        }
+      }
+      if (grouped) acc += c_[cls] * s;
+    }
+    return acc;
+  }
+
+  // fused_row over a view, as the backend's plane_sums + combine_row pair
+  // that stencil_row stands for.  The plane sums run over the remapped
+  // rows, then the sums at the moved k positions are redone from remapped
+  // operands, so the scratch holds the forced view's sums exactly.  The
+  // combine runs on the backend between the output points that read a
+  // moved position of the centre row; those repeat its arithmetic on the
+  // remapped centre values.
+  void view_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
+                extent_t k_lo, extent_t k_hi, bool accumulate) const {
+    const ViewRows rows = view_rows(i, j);
+    const double* const* r = rows.r;
+    const detail::ViewMap<double>& v = *a_.view_map();
+    const extent_t* m2 = v.axis(2);
+    double* u1 = st.u1();
+    double* u2 = st.u2();
+    be_->plane_sums(r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8], u1, u2,
+                    a_.shape().extent(2));
+    for (const extent_t p : v.moved_last()) {
+      const extent_t x = m2[p];
+      u1[p] = ((r[1][x] + r[2][x]) + r[3][x]) + r[4][x];
+      u2[p] = ((r[5][x] + r[6][x]) + r[7][x]) + r[8][x];
+    }
+    const double* uc = r[0];
+    auto run = [&](extent_t lo, extent_t hi) {
+      if (lo >= hi) return;
+      if (accumulate) {
+        be_->accumulate_row(c_.c.data(), uc, u1, u2, out, lo, hi);
+      } else {
+        be_->combine_row(c_.c.data(), uc, u1, u2, out, lo, hi);
+      }
+    };
+    extent_t k = k_lo;
+    auto it = std::lower_bound(view_points_.begin(), view_points_.end(), k_lo);
+    for (; it != view_points_.end() && *it < k_hi; ++it) {
+      const extent_t q = *it;
+      run(k, q);
+      const double ucm = uc[m2[q - 1]], uc0 = uc[m2[q]], ucp = uc[m2[q + 1]];
+      const double val = c_[0] * uc0 + c_[1] * ((u1[q] + ucm) + ucp) +
+                         c_[2] * ((u2[q] + u1[q - 1]) + u1[q + 1]) +
+                         c_[3] * (u2[q - 1] + u2[q + 1]);
+      if (accumulate) {
+        out[q] += val;
+      } else {
+        out[q] = val;
+      }
+      k = q + 1;
+    }
+    run(k, k_hi);
   }
 
   Array<double> a_;
@@ -307,6 +454,7 @@ class StencilExpr {
   extent_t s0_ = 0;  // rank-3 row strides for the unrolled evaluator
   extent_t s1_ = 0;
   bool planes_rows_ = false;  // kPlanes row path active (rank 3, >= cutover)
+  std::vector<extent_t> view_points_;  // sorted; empty unless a_ is a view
 };
 
 // Eager RelaxKernel: one with-loop over the interior, zero boundary ring —

@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -517,6 +519,10 @@ Array<T> with_genarray_parts(const Shape& shp,
 //    box.  A dense rank-3 shift partition runs on the specialised loop nest
 //    with an unpacked (i, j, k) body; other ranks and strided generators
 //    take the index-vector form, which gives the same values.
+//
+// With folding on (D1), a shared base whose partitions are all face-slab
+// shift partitions yields a copy-free view instead (ShiftView below): no
+// copy, no with-loop, until a raw-pointer access forces it.
 template <typename T>
 struct ReadingPartition {
   Gen gen;
@@ -576,25 +582,97 @@ ShiftRead<T> shift_read(const T* data, const Shape& shp, const ResolvedGen& g,
                       rank == 3 ? strides[1] : 0};
 }
 
+// The eager form: the partitions run in order on base's buffer, in place
+// when it is uniquely owned, else on a copy-on-write copy.
+template <typename T>
+Array<T> modarray_reading(Array<T> base,
+                          const std::vector<ReadingPartition<T>>& parts) {
+  const Shape shp = base.shape();
+  T* data = base.mutable_data();
+  for (const auto& p : parts) {
+    const auto g = resolve(p.gen, shp);
+    if (p.body) {
+      execute_assign(data, shp, g,
+                     [&](const IndexVec& iv) { return p.body(iv, data); });
+    } else {
+      execute_assign(data, shp, g, shift_read<T>(data, shp, g, p.shift));
+    }
+  }
+  return base;
+}
+
+// The view of face-slab shift partitions.  A face slab covers the whole
+// array except along one axis d, where it writes a dense range from the
+// range `shift` away (the shift is zero on every other axis), so it only
+// rewrites axis d's index map: map_d[x] = map_d[x + shift] on the range.
+// The partitions in order thus reduce to one map per axis, the identity
+// except on the ghost layers for a periodic border.  Forcing replays them
+// with the eager form, so a forced view holds exactly today's values.
+template <typename T>
+class ShiftView final : public ViewMap<T> {
+ public:
+  ShiftView(const Shape& shp, std::vector<std::vector<extent_t>> maps,
+            std::vector<ReadingPartition<T>> parts)
+      : ViewMap<T>(shp, std::move(maps)), parts_(std::move(parts)) {}
+
+  Array<T> materialise(Array<T> base) const override {
+    return modarray_reading(std::move(base), parts_);
+  }
+
+ private:
+  std::vector<ReadingPartition<T>> parts_;
+};
+
+// The view of `parts` over shape `shp`, or nullptr when a partition is not
+// a face-slab shift partition.  Every partition passes the eager form's
+// hazard check first, so a bad partition fails the same way either way.
+template <typename T>
+std::shared_ptr<const ViewMap<T>> shift_view(
+    const Shape& shp, const std::vector<ReadingPartition<T>>& parts) {
+  const std::size_t rank = shp.rank();
+  if (rank == 0) return nullptr;
+  std::vector<std::vector<extent_t>> maps(rank);
+  for (std::size_t d = 0; d < rank; ++d) {
+    maps[d].resize(static_cast<std::size_t>(shp.extent(d)));
+    std::iota(maps[d].begin(), maps[d].end(), extent_t{0});
+  }
+  for (const auto& p : parts) {
+    if (p.body) return nullptr;
+    const auto g = resolve(p.gen, shp);
+    (void)shift_read<T>(nullptr, shp, g, p.shift);
+    if (g.count == 0) continue;
+    if (!g.dense) return nullptr;
+    // The slab's axis: the one axis not covered whole and unshifted.  The
+    // hazard check rules out a non-empty partition with none, and keeps the
+    // source range off [lower, upper), so the map is rewritten in place.
+    std::size_t axis = rank;
+    for (std::size_t d = 0; d < rank; ++d) {
+      if (p.shift[d] == 0 && g.lower[d] == 0 && g.upper[d] == shp.extent(d)) {
+        continue;
+      }
+      if (axis != rank) return nullptr;
+      axis = d;
+    }
+    std::vector<extent_t>& m = maps[axis];
+    for (extent_t x = g.lower[axis]; x < g.upper[axis]; ++x) {
+      m[static_cast<std::size_t>(x)] =
+          m[static_cast<std::size_t>(x + p.shift[axis])];
+    }
+  }
+  return std::make_shared<const ShiftView<T>>(shp, std::move(maps), parts);
+}
+
 }  // namespace detail
 
 template <typename T>
 Array<T> with_modarray_reading(Array<T> base,
                                const std::vector<ReadingPartition<T>>& parts) {
-  const Shape shp = base.shape();
-  T* data = base.mutable_data();
-  for (const auto& p : parts) {
-    const auto g = detail::resolve(p.gen, shp);
-    if (p.body) {
-      detail::execute_assign(
-          data, shp, g,
-          [&](const IndexVec& iv) { return p.body(iv, data); });
-    } else {
-      detail::execute_assign(data, shp, g,
-                             detail::shift_read<T>(data, shp, g, p.shift));
+  if (active_config().folding && !base.is_view() && !base.unique()) {
+    if (auto map = detail::shift_view(base.shape(), parts)) {
+      return Array<T>::view(base, std::move(map));
     }
   }
-  return base;
+  return detail::modarray_reading(std::move(base), parts);
 }
 
 }  // namespace sacpp::sac

@@ -49,6 +49,13 @@ void note_ownership_op(std::uint32_t refs) noexcept {
   record_buffer_event(BufferEventKind::kForeignOwnershipOp, refs);
 }
 
+void note_view_force() noexcept {
+  // Only called while the watch is armed, so a region is running: whichever
+  // thread forces, it races the region's readers of the same array.
+  const bool foreign = std::this_thread::get_id() != log().coordinator;
+  record_buffer_event(BufferEventKind::kViewForcedInRegion, foreign ? 1 : 0);
+}
+
 std::uint64_t begin_parallel_region(extent_t begin, extent_t end,
                                     extent_t align) noexcept {
   try {

@@ -158,7 +158,7 @@ void collect_stats(obs::MetricSink& sink) {
 }  // namespace
 
 namespace detail {
-thread_local const SacConfig* tl_config = nullptr;
+constinit thread_local const SacConfig* tl_config = nullptr;
 }  // namespace detail
 
 SacConfig& config() {

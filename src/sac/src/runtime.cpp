@@ -232,7 +232,7 @@ void ThreadPool::parallel_for(
 }
 
 namespace runtime_detail {
-thread_local ThreadPool* tl_pool = nullptr;
+constinit thread_local ThreadPool* tl_pool = nullptr;
 }  // namespace runtime_detail
 
 namespace {

@@ -208,6 +208,74 @@ TEST(RaceCheck, CoordinatorOwnershipOpsAreSilent) {
   EXPECT_TRUE(s.finish().empty()) << s.engine().to_ascii();
 }
 
+// A with-loop body that forces a captured view does so inside the region.
+// Only the last chunk's worker touches the view, so the plant is a
+// deterministic single force, not a real race.  The view is rank 1: its
+// one-element faces run sequentially, never as a nested region.
+TEST(RaceCheck, ViewForcedInsideParallelRegionFires) {
+  Session s;
+  {
+    sac::SacConfig cfg = sac::config();
+    cfg.mt_enabled = true;
+    cfg.mt_threads = 4;
+    cfg.mt_threshold = 1;
+    sac::ScopedConfig scoped(cfg);
+    const Array<double> base =
+        sac::with_genarray<double>(Shape{6}, [](const IndexVec& iv) {
+          return static_cast<double>(iv[0]);
+        });
+    std::vector<sac::ReadingPartition<double>> parts;
+    parts.push_back(
+        sac::shift_partition<double>(sac::gen_range({0}, {1}), {4}));
+    parts.push_back(
+        sac::shift_partition<double>(sac::gen_range({5}, {6}), {-4}));
+    const Array<double> view = sac::with_modarray_reading(base, parts);
+    ASSERT_TRUE(view.is_view());
+    const Array<double> out = sac::with_genarray<double>(
+        Shape{8}, [&](const IndexVec& iv) {
+          return iv[0] == 7 ? view.data()[0] : 0.0;
+        });
+    EXPECT_DOUBLE_EQ(out.at_linear(7), 4.0);
+    sac::shutdown_runtime();
+  }
+  DiagnosticEngine& e = s.finish();
+  ASSERT_GE(e.count(Pass::kRace), 1u);
+  EXPECT_NE(e.to_ascii().find("copy-free view forced on a worker thread"),
+            std::string::npos)
+      << e.to_ascii();
+}
+
+// Reading a view through its element accessors inside a region, and
+// forcing it before the region, are both fine.
+TEST(RaceCheck, ViewReadsInsideRegionsAreSilent) {
+  Session s;
+  {
+    sac::SacConfig cfg = sac::config();
+    cfg.mt_enabled = true;
+    cfg.mt_threads = 4;
+    cfg.mt_threshold = 1;
+    sac::ScopedConfig scoped(cfg);
+    const Shape shp{8, 6, 6};
+    const Array<double> base = sac::genarray_const(shp, 2.0);
+    std::vector<sac::ReadingPartition<double>> parts;
+    parts.push_back(sac::shift_partition<double>(
+        sac::gen_range({0, 0, 0}, {1, 6, 6}), {6, 0, 0}));
+    const Array<double> view = sac::with_modarray_reading(base, parts);
+    const Array<double> sum = sac::with_genarray<double>(
+        shp, [&](const IndexVec& iv) { return view[iv] + 1.0; });
+    EXPECT_DOUBLE_EQ(sum.at_linear(0), 3.0);
+    view.materialise();
+    const Array<double> copy =
+        sac::with_genarray<double>(shp, [&](const IndexVec& iv) {
+          return view.data()[shp.linearize(iv)];
+        });
+    EXPECT_DOUBLE_EQ(copy.at_linear(0), 2.0);
+    sac::shutdown_runtime();
+  }
+  DiagnosticEngine& e = s.finish();
+  EXPECT_TRUE(e.empty()) << e.to_ascii();
+}
+
 // -- session mechanics --------------------------------------------------------
 
 TEST(Session, RestoresCheckFlagAndClearsEvents) {

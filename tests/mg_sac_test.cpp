@@ -58,12 +58,24 @@ TEST(Border, InPlaceWhenUnique) {
   EXPECT_EQ(b.data(), p);
 }
 
+// A shared array's border is a copy-free view: nothing is allocated until
+// the first raw-pointer access, which makes the one copy-on-write.
 TEST(Border, CopiesWhenShared) {
   auto a = random_extended(Shape{6, 6, 6}, 4);
   const double* p = a.data();
+  const std::vector<double> before(p, p + a.elem_count());
+  sac::reset_stats();
   auto b = MgSac::setup_periodic_border(a);
+  EXPECT_TRUE(b.is_view());
+  EXPECT_EQ(sac::stats().allocations, 0u);
+  EXPECT_EQ(sac::stats().with_loops, 0u);
   EXPECT_NE(b.data(), p);
-  EXPECT_EQ(a.data(), p);  // original untouched
+  EXPECT_FALSE(b.is_view());
+  EXPECT_EQ(sac::stats().copies_on_write, 1u);
+  EXPECT_EQ(sac::stats().allocations, 1u);
+  EXPECT_EQ(sac::stats().with_loops, 6u);  // one per face
+  EXPECT_EQ(a.data(), p);                  // original untouched
+  EXPECT_EQ(std::memcmp(p, before.data(), before.size() * sizeof(double)), 0);
 }
 
 bool same_bits(const double* a, const double* b, extent_t count) {
@@ -243,6 +255,59 @@ TEST(GenarrayConst, Rank3EqualsConstantFill) {
       }
     }
   }
+}
+
+// One class-W iteration of mgrid — the stats of mgrid(v, 2) less those of
+// mgrid(v, 1) — reads every border as a view: no copy-on-write, and the
+// six face with-loops, their copies and their parallel regions are gone
+// (with eager borders the same iteration counts 22 copies and 160
+// with-loops, 49 allocations and 32 regions).  The planes row path at 4
+// threads and the grouped per-point path at 1 count alike.
+struct IterationCounts {
+  std::uint64_t copies, with_loops, allocations, regions;
+};
+
+IterationCounts class_w_iteration(sac::StencilMode mode,
+                                  sac::BackendKind backend, unsigned threads) {
+  // Before the threads: random_extended's generator must run sequentially.
+  const Array<double> v = random_extended(cube_shape(3, 66), 12);
+  sac::SacConfig cfg = sac::config();
+  cfg.stencil_mode = mode;
+  cfg.backend = backend;
+  cfg.mt_enabled = threads > 1;
+  cfg.mt_threads = threads;
+  sac::ScopedConfig guard(cfg);
+  const MgSac mg(MgSpec::for_class(MgClass::W));
+  auto counts = [&](int iter) {
+    sac::reset_stats();
+    (void)mg.mgrid(v, iter);
+    const sac::RuntimeStats& st = sac::stats();
+    return IterationCounts{st.copies_on_write, st.with_loops, st.allocations,
+                           st.parallel_regions};
+  };
+  const IterationCounts one = counts(1);
+  const IterationCounts two = counts(2);
+  sac::shutdown_runtime();
+  return IterationCounts{two.copies - one.copies,
+                         two.with_loops - one.with_loops,
+                         two.allocations - one.allocations,
+                         two.regions - one.regions};
+}
+
+TEST(MgSacIteration, ClassWBordersCopyNothing) {
+  const IterationCounts planes = class_w_iteration(
+      sac::StencilMode::kPlanes, sac::BackendKind::kSimd, 4);
+  EXPECT_EQ(planes.copies, 0u);
+  EXPECT_EQ(planes.with_loops, 28u);
+  EXPECT_EQ(planes.allocations, 27u);
+  EXPECT_EQ(planes.regions, 16u);
+
+  const IterationCounts grouped = class_w_iteration(
+      sac::StencilMode::kGrouped, sac::BackendKind::kScalar, 1);
+  EXPECT_EQ(grouped.copies, 0u);
+  EXPECT_EQ(grouped.with_loops, 28u);
+  EXPECT_EQ(grouped.allocations, 27u);
+  EXPECT_EQ(grouped.regions, 0u);
 }
 
 TEST(MgSacValidation, NonPowerOfTwoGridRejected) {

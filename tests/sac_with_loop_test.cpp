@@ -305,7 +305,10 @@ TEST(ShiftPartition, MultithreadedFacesMatchSequentialBitwise) {
   const Shape shp = cube_shape(3, 66);  // a 66x66 face exceeds mt_threshold
   const Array<double> base = random_array(shp, 10);
   const auto parts = border_parts(shp, false, false);
+  // The base is shared, so each border is a view; forcing it runs the face
+  // with-loops under the configuration in force at that point.
   const auto seq = with_modarray_reading(base, parts);
+  seq.materialise();
   SacConfig cfg = config();
   cfg.mt_enabled = true;
   cfg.mt_threads = 4;
@@ -314,10 +317,114 @@ TEST(ShiftPartition, MultithreadedFacesMatchSequentialBitwise) {
     ScopedConfig guard(cfg);
     reset_stats();
     const auto par = with_modarray_reading(base, parts);
+    par.materialise();
     EXPECT_GT(stats().parallel_regions, 0u);
     EXPECT_TRUE(bitwise_equal(par, seq));
   }
   shutdown_runtime();
+}
+
+// -- copy-free views ----------------------------------------------------------
+
+// The eager border of `base`: the partitions run on a private copy.
+Array<double> eager_border(const Array<double>& base) {
+  Array<double> own = base;
+  own.mutable_data();  // unshare first, so the partitions run in place
+  return with_modarray_reading(std::move(own),
+                               border_parts(base.shape(), false, false));
+}
+
+TEST(ShiftView, SharedBaseGivesAViewThatReadsLikeTheBorder) {
+  for (std::size_t rank = 1; rank <= 4; ++rank) {
+    const Shape shp = cube_shape(rank, 5);
+    const Array<double> base = random_array(shp, 60 + rank);
+    const Array<double> want = eager_border(base);
+    reset_stats();
+    const auto view =
+        with_modarray_reading(base, border_parts(shp, false, false));
+    ASSERT_TRUE(view.is_view()) << "rank " << rank;
+    EXPECT_FALSE(view.unique());
+    EXPECT_EQ(view.base_data(), base.base_data());  // shares the buffer
+    EXPECT_EQ(stats().with_loops, 0u);
+    EXPECT_EQ(stats().allocations, 0u);
+    for (extent_t i = 0; i < shp.elem_count(); ++i) {
+      ASSERT_EQ(view.at_linear(i), want.at_linear(i)) << "rank " << rank;
+    }
+    for_each_index(shp, [&](const IndexVec& iv) {
+      ASSERT_EQ(view[iv], want[iv]) << "rank " << rank;
+      if (rank == 3) {
+        ASSERT_EQ(view(iv[0], iv[1], iv[2]), want[iv]);
+      }
+    });
+    EXPECT_TRUE(view.is_view());  // element reads never force
+    EXPECT_TRUE(bitwise_equal(view, want));
+    EXPECT_FALSE(view.is_view());
+  }
+}
+
+TEST(ShiftView, OnlySharedFaceSlabsUnderFoldingBecomeViews) {
+  const Shape shp = cube_shape(3, 6);
+  const Array<double> base = random_array(shp, 61);
+  auto parts = [&](bool opaque, bool strided) {
+    return border_parts(shp, opaque, strided);
+  };
+  EXPECT_FALSE(with_modarray_reading(base, parts(true, false)).is_view());
+  EXPECT_FALSE(with_modarray_reading(base, parts(false, true)).is_view());
+  // A face that covers part of another axis, and a shift along two axes.
+  std::vector<ReadingPartition<double>> partial;
+  partial.push_back(shift_partition<double>(gen_range({0, 0, 0}, {1, 3, 6}),
+                                            {4, 0, 0}));
+  EXPECT_FALSE(with_modarray_reading(base, partial).is_view());
+  std::vector<ReadingPartition<double>> diagonal;
+  diagonal.push_back(shift_partition<double>(gen_range({0, 0, 0}, {1, 6, 5}),
+                                             {4, 0, 1}));
+  EXPECT_FALSE(with_modarray_reading(base, diagonal).is_view());
+  // A unique base is written in place, and D1 off keeps the copy.
+  Array<double> own = random_array(shp, 62);
+  const double* p = own.data();
+  const auto in_place =
+      with_modarray_reading(std::move(own), parts(false, false));
+  EXPECT_FALSE(in_place.is_view());
+  EXPECT_EQ(in_place.data(), p);
+  SacConfig cfg = config();
+  cfg.folding = false;
+  ScopedConfig guard(cfg);
+  reset_stats();
+  const auto copied = with_modarray_reading(base, parts(false, false));
+  EXPECT_FALSE(copied.is_view());
+  EXPECT_EQ(stats().copies_on_write, 1u);
+  EXPECT_EQ(stats().with_loops, 6u);
+}
+
+TEST(ShiftView, ViewPathChecksHazardsLikeTheEagerPath) {
+  const Array<double> base(Shape{6}, 1.0);
+  auto run = [&](Gen g, IndexVec shift) {
+    std::vector<ReadingPartition<double>> parts;
+    parts.push_back(shift_partition<double>(std::move(g), std::move(shift)));
+    return with_modarray_reading(base, parts);
+  };
+  EXPECT_THROW(run(gen_range({0}, {3}), {1}), ContractError);
+  EXPECT_THROW(run(gen_range({0}, {3}), {4}), ContractError);
+  EXPECT_TRUE(run(gen_range({0}, {3}), {3}).is_view());
+  EXPECT_TRUE(run(gen_range({2}, {2}), {9}).is_view());  // empty: identity
+}
+
+TEST(ShiftView, ForcingCopiesOnlyWhileTheBaseIsHeld) {
+  const Shape shp = cube_shape(3, 6);
+  Array<double> base = random_array(shp, 63);
+  const Array<double> want = eager_border(base);
+  auto held = with_modarray_reading(base, border_parts(shp, false, false));
+  auto last = with_modarray_reading(base, border_parts(shp, false, false));
+  reset_stats();
+  held.materialise();  // `base` and `last` still hold the buffer
+  EXPECT_EQ(stats().copies_on_write, 1u);
+  const double* p = base.data();
+  base = Array<double>();
+  last.materialise();  // the view is the last holder: in place
+  EXPECT_EQ(stats().copies_on_write, 1u);
+  EXPECT_EQ(last.data(), p);
+  EXPECT_TRUE(bitwise_equal(held, want));
+  EXPECT_TRUE(bitwise_equal(last, want));
 }
 
 TEST(ShiftPartition, OverlappingOrOutOfBoundsSourceIsRejected) {

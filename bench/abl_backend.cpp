@@ -1,10 +1,11 @@
 // Backend ablation (docs/backends.md) — the row-primitive engine ladder:
 //
 //   scalar     the historical per-element loops (bit-exact reference),
-//   simd       what BackendKind::kSimd resolves to on this host (widest of
-//              AVX-512 / AVX2 / the portable 4-wide engine),
-//   portable   the 4-wide fallback engine, pinned explicitly so a host with
-//              AVX still measures the no-ISA path,
+//   simd       what BackendKind::kSimd resolves to on this host (its AVX2
+//              instance when the CPU has AVX2, else the baseline one),
+//   portable   kSimd's baseline instance, pinned through
+//              detail::ScopedSimdOverride so a host with AVX2 still
+//              measures the path a host without it runs,
 //   jit        runtime-compiled kernels (docs/jit.md), warmed before the
 //              timed loops: main() pre-issues every key the benchmarks
 //              request and drains the compile queue, so the numbers are
@@ -269,12 +270,14 @@ void fused_rows(const Backend& be, benchmark::State& state) {
 
 // -- Kernel: whole relax_kernel under the selected backend --------------------
 
-void kernel_resid(sac::BackendKind kind, benchmark::State& state) {
+void kernel_resid(sac::BackendKind kind, const Backend* pin,
+                  benchmark::State& state) {
   const extent_t n = state.range(0);
   sac::SacConfig cfg = sac::config();
   cfg.stencil_mode = sac::StencilMode::kPlanes;
   cfg.backend = kind;
   sac::ScopedConfig scoped(cfg);
+  const sac::detail::ScopedSimdOverride pinned(pin);
   auto a = input_grid(n);
   for (auto _ : state) {
     auto r = sac::relax_kernel(a, kResid, sac::StencilMode::kPlanes);
@@ -286,13 +289,14 @@ void kernel_resid(sac::BackendKind kind, benchmark::State& state) {
 struct Engine {
   const char* label;  // dimension value in benchmark names
   sac::BackendKind kind;
+  const Backend* pin;  // the kSimd instance to pin, or nullptr
 };
 
-constexpr Engine kEngines[] = {
-    {"scalar", sac::BackendKind::kScalar},
-    {"simd", sac::BackendKind::kSimd},
-    {"portable", sac::BackendKind::kSimdPortable},
-    {"jit", sac::BackendKind::kJit},
+const Engine kEngines[] = {
+    {"scalar", sac::BackendKind::kScalar, nullptr},
+    {"simd", sac::BackendKind::kSimd, nullptr},
+    {"portable", sac::BackendKind::kSimd, &sac::detail::portable_backend()},
+    {"jit", sac::BackendKind::kJit, nullptr},
 };
 
 struct RowBench {
@@ -312,7 +316,7 @@ constexpr RowBench kRowBenches[] = {
 
 void register_benches() {
   for (const Engine& e : kEngines) {
-    const Backend& be = sac::backend_for(e.kind);
+    const Backend& be = e.pin != nullptr ? *e.pin : sac::backend_for(e.kind);
     for (const RowBench& rb : kRowBenches) {
       const std::string name =
           std::string("BM_BackendRow/") + rb.primitive + "/" + e.label;
@@ -338,7 +342,7 @@ void register_benches() {
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(
         (std::string("BM_BackendKernel/resid/") + e.label).c_str(),
-        [kind = e.kind](benchmark::State& st) { kernel_resid(kind, st); })
+        [&e](benchmark::State& st) { kernel_resid(e.kind, e.pin, st); })
         ->Arg(66)
         ->Unit(benchmark::kMillisecond);
   }

@@ -12,15 +12,16 @@ namespace sacpp::check {
 // Backend row-primitive fuzzer (docs/backends.md).  Each round draws
 // adversarial row lengths and sub-ranges around the 4-lane vector width
 // (0, 1, width-1, width, width+1, primes, empty ranges) and
-//  * runs every row primitive on every available engine (scalar, portable,
-//    AVX2 where the host has it), comparing element-parallel results
-//    bitwise and fold results to tolerance — masked-tail bugs show up as
-//    `mismatches`;
+//  * runs every row primitive on every available engine (scalar, both kSimd
+//    instances where the host has AVX2), comparing element-parallel
+//    results bitwise and fold results to tolerance — vector-remainder bugs
+//    show up as `mismatches`;
 //  * forces random gather/scatter/take/embed compositions over a concrete
 //    array, coarse2fine's take(scatter(.)) among them, and degenerate
 //    stencil grids (the gen_interior regression class: interiors that are
-//    empty or a single point) under every backend, comparing against
-//    per-point evaluation — row-range algebra bugs show up here too;
+//    empty or a single point) under every backend, kSimd on each of its
+//    instances, comparing against per-point evaluation — row-range algebra
+//    bugs show up here too;
 //  * forces fine2coarse's embed(condense(stencil)), alone or under a take,
 //    in grouped and planes modes: the nested gather row protocol.  The
 //    scalar engine must match per-point evaluation bitwise, a vectorized

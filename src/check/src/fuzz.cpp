@@ -77,9 +77,6 @@ std::vector<const sac::Backend*> fuzz_engines() {
   if (sac::detail::avx2_backend() != nullptr) {
     v.push_back(sac::detail::avx2_backend());
   }
-  if (sac::detail::avx512_backend() != nullptr) {
-    v.push_back(sac::detail::avx512_backend());
-  }
   if (fuzz_jit()) v.push_back(&sac::detail::jit_backend());
   return v;
 }
@@ -176,14 +173,39 @@ void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
 
 constexpr sac::StencilCoeffs kCoeffs{{-0.5, 0.125, 0.0625, 0.03125}};
 
-// Every backend kind the expression checks force under, scalar first.
-std::vector<sac::BackendKind> fuzz_kinds() {
-  std::vector<sac::BackendKind> kinds{sac::BackendKind::kScalar,
-                                      sac::BackendKind::kSimd,
-                                      sac::BackendKind::kSimdPortable};
-  if (fuzz_jit()) kinds.push_back(sac::BackendKind::kJit);
+// One engine the expression checks force under: a backend kind and, for
+// kSimd, the instance it is pinned to (nullptr: this host's own).
+struct FuzzKind {
+  sac::BackendKind kind;
+  const sac::Backend* simd = nullptr;
+};
+
+// Every engine the expression checks force under, scalar first; kSimd runs
+// on this host's instance and on the baseline one.
+std::vector<FuzzKind> fuzz_kinds() {
+  std::vector<FuzzKind> kinds{
+      {sac::BackendKind::kScalar},
+      {sac::BackendKind::kSimd},
+      {sac::BackendKind::kSimd, &sac::detail::portable_backend()}};
+  if (fuzz_jit()) kinds.push_back({sac::BackendKind::kJit});
   return kinds;
 }
+
+// RAII: select `k` for the calling scope.
+class UseKind {
+ public:
+  explicit UseKind(const FuzzKind& k)
+      : cfg_(with_backend(k.kind)), pin_(k.simd) {}
+
+ private:
+  static sac::SacConfig with_backend(sac::BackendKind kind) {
+    sac::SacConfig cfg = sac::config();
+    cfg.backend = kind;
+    return cfg;
+  }
+  sac::ScopedConfig cfg_;
+  sac::detail::ScopedSimdOverride pin_;
+};
 
 sac::Array<double> fuzz_array(Rng& rng, const Shape& shp) {
   const std::uint64_t salt = rng.next();
@@ -223,10 +245,8 @@ bool arrays_close(const sac::Array<double>& a, const sac::Array<double>& b) {
 template <typename Expr>
 void fuzz_expr_backends(const Expr& expr, BackendFuzzReport* stats) {
   const sac::Array<double> ref = per_point(expr);
-  for (const sac::BackendKind kind : fuzz_kinds()) {
-    sac::SacConfig cfg = sac::config();
-    cfg.backend = kind;
-    sac::ScopedConfig guard(cfg);
+  for (const FuzzKind& k : fuzz_kinds()) {
+    const UseKind use(k);
     stats->exprs_checked += 1;
     if (!arrays_equal(sac::force(expr), ref)) stats->mismatches += 1;
   }
@@ -244,10 +264,8 @@ void fuzz_stencil_chain(const sac::Array<double>& a, sac::StencilMode mode,
                         const Chain& chain, BackendFuzzReport* stats) {
   const sac::Array<double> ref =
       per_point(chain(sac::StencilExpr(a, kCoeffs, mode)));
-  for (const sac::BackendKind kind : fuzz_kinds()) {
-    sac::SacConfig cfg = sac::config();
-    cfg.backend = kind;
-    sac::ScopedConfig guard(cfg);
+  for (const FuzzKind& k : fuzz_kinds()) {
+    const UseKind use(k);
     const sac::StencilExpr st(a, kCoeffs, mode);  // snapshots this engine
     const sac::Array<double> got = sac::force(chain(st));
     const sac::Array<double> want = sac::active_backend().vectorized()
@@ -382,11 +400,9 @@ void fuzz_degenerate_stencils(Rng& rng, BackendFuzzReport* stats) {
     sac::ScopedConfig scalar_guard(scalar_cfg);
     ref = sac::relax_kernel(a, kCoeffs, sac::StencilMode::kPlanes);
   }
-  for (const sac::BackendKind kind :
-       {sac::BackendKind::kSimd, sac::BackendKind::kSimdPortable}) {
-    sac::SacConfig k_cfg = sac::config();
-    k_cfg.backend = kind;
-    sac::ScopedConfig k_guard(k_cfg);
+  for (const FuzzKind& k : fuzz_kinds()) {
+    if (k.kind != sac::BackendKind::kSimd) continue;
+    const UseKind use(k);
     stats->exprs_checked += 1;
     if (!arrays_equal(
             sac::relax_kernel(a, kCoeffs, sac::StencilMode::kPlanes), ref)) {
@@ -443,10 +459,8 @@ void fuzz_view_chains(Rng& rng, BackendFuzzReport* stats) {
   cfg.stencil_planes_cutover = 0;
   sac::ScopedConfig guard(cfg);
   auto check = [&](const auto& chain) {
-    for (const sac::BackendKind kind : fuzz_kinds()) {
-      sac::SacConfig k_cfg = sac::config();
-      k_cfg.backend = kind;
-      sac::ScopedConfig k_guard(k_cfg);
+    for (const FuzzKind& k : fuzz_kinds()) {
+      const UseKind use(k);
       stats->exprs_checked += 1;
       stats->view_chains_checked += 1;
       if (!arrays_equal(sac::force(chain(view)), sac::force(chain(forced)))) {

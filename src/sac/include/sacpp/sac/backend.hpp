@@ -19,15 +19,18 @@
 //    one fixed shape: four independent lane accumulators (element `lo + n`
 //    goes to lane `n % 4`) combined in a fixed left-to-right order after
 //    the row.  Results differ from kScalar only by rounding (tests pin
-//    1e-12), but are identical across every vectorized engine: portable,
-//    AVX2, AVX-512 and JIT all perform the same 4-lane arithmetic (none
-//    emits FMA; the wider engines keep their folds at 4 lanes), so kSimd
-//    and kJit folds are bit-identical across hosts.
-//  * Tail handling is masked, never special-cased: a partial final vector
-//    processes only the live lanes (folds feed masked lanes the neutral
-//    element 0.0, exact for both sum-of-squares and max-abs).  No row
-//    length or sub-range may take a different code path that changes
-//    results.
+//    1e-12), but are identical across every vectorized engine: both kSimd
+//    instances and the JIT perform the same 4-lane arithmetic (none emits
+//    FMA), so kSimd and kJit folds are bit-identical across hosts.
+//  * Row length and sub-range never change an element's arithmetic.  The
+//    vector engines split a row into a vector body and a remainder at
+//    whatever point their width dictates; both halves compute each element
+//    (or fold lane) with the same operations in the same order, so every
+//    split yields the same bits.  The fold lane of an element depends only
+//    on its distance from `lo`.
+//  * No output row overlaps an input row, except that the ewise merges'
+//    `a` may be `out` itself: the engines compile their loops on that
+//    promise.
 //
 // Backends are stateless singletons; a const Backend& is safe to use from
 // any thread concurrently.
@@ -43,16 +46,14 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  // Resolved implementation name ("scalar" | "avx2" | "avx512" | "portable"
-  // | "jit") — what the engine actually is, as opposed to
-  // backend_name(kind), which names the selection policy.
+  // Resolved implementation name ("scalar" | "avx2" | "portable" | "jit")
+  // — what the engine actually is, as opposed to backend_name(kind), which
+  // names the selection policy.
   virtual const char* name() const noexcept = 0;
 
-  // Vector width the element-parallel row primitives operate at (1 for
-  // scalar, 4 for the 4-wide engines, 8 for AVX-512).  Fold lane structure
-  // is NOT defined by this: every vectorized engine folds in the fixed
-  // 4-lane structure described above, whatever width its element-parallel
-  // loops run at, so kSimd fold results stay host-independent.
+  // Fold lanes: 1 for scalar, 4 for every vectorized engine (the fixed
+  // 4-lane fold structure above).  The element-parallel loops run at
+  // whatever width the engine's instruction set gives them.
   virtual unsigned lanes() const noexcept = 0;
 
   // True for the vectorized engines; drives stats().backend_simd_rows and
@@ -144,18 +145,15 @@ class Backend {
                              extent_t hi) const = 0;
 };
 
-// The engine a BackendKind resolves to on this host: kScalar and
-// kSimdPortable are fixed; kSimd picks the widest vector engine the CPU
-// supports (AVX-512, then AVX2, then the portable 4-wide engine — checked
-// once); kJit is the code-generating engine, which itself falls back to
-// the resolved kSimd engine per row until a kernel is compiled.  Always
-// returns a live singleton.
+// The engine a BackendKind resolves to on this host: kScalar is fixed;
+// kSimd is the AVX2 instance of the vector engine when the CPU has AVX2
+// (one cached CPUID probe), else its baseline instance; kJit is the
+// code-generating engine, which itself falls back to that kSimd instance
+// per row until a kernel is compiled.  Always returns a live singleton.
 const Backend& backend_for(BackendKind kind);
 
-// Whether this process can run the AVX2 / AVX-512 engines (cached CPUID
-// probes).  cpu_has_avx512 requires the F+DQ+VL subset the engine uses.
+// Whether this process can run the AVX2 instance (cached CPUID probe).
 bool cpu_has_avx2() noexcept;
-bool cpu_has_avx512() noexcept;
 
 // The backend governing work on the calling thread: resolved from
 // active_config().backend, so per-job config snapshots (serve) and
@@ -166,15 +164,32 @@ inline const Backend& active_backend() noexcept {
 
 namespace detail {
 // The singleton engines (backend_scalar.cpp / backend_simd.cpp /
-// backend_jit.cpp).  Exposed for the differential battery, which pins the
-// vector engines against each other bit-for-bit regardless of what kSimd
-// resolves to.
+// backend_jit.cpp).  Exposed for the differential battery and the fuzz
+// passes, which pin every kSimd instance present against scalar.
 const Backend& scalar_backend() noexcept;
+// The kSimd instances: one source compiled at the build's baseline
+// ("portable") and for AVX2 ("avx2"; nullptr when the CPU lacks AVX2).
 const Backend& portable_backend() noexcept;
-// nullptr when the CPU lacks the instruction set.
 const Backend* avx2_backend() noexcept;
-const Backend* avx512_backend() noexcept;
+// The instance kSimd resolves to on this host, ignoring any override.
+const Backend& simd_backend() noexcept;
 const Backend& jit_backend() noexcept;
+
+// Test-only: while alive, kSimd resolves to `engine` (nullptr: this host's
+// own instance).  Tests and fuzz passes use it to run whole kernels on the
+// baseline instance on AVX2 hosts; no env var, flag, config field or wire
+// byte reaches it.  Process-wide and nestable; the pointer is atomic, so
+// worker threads read it race-free.
+class ScopedSimdOverride {
+ public:
+  explicit ScopedSimdOverride(const Backend* engine) noexcept;
+  ~ScopedSimdOverride();
+  ScopedSimdOverride(const ScopedSimdOverride&) = delete;
+  ScopedSimdOverride& operator=(const ScopedSimdOverride&) = delete;
+
+ private:
+  const Backend* prev_;
+};
 }  // namespace detail
 
 }  // namespace sacpp::sac

@@ -34,35 +34,33 @@ const char* stencil_mode_name(StencilMode mode);
 //  * kScalar — today's element-at-a-time row loops, refactored behind the
 //    Backend interface; the bit-exact reference every other backend is
 //    pinned against.
-//  * kSimd — the vectorized row engine: AVX2 when the CPU has it (runtime
-//    CPUID dispatch), otherwise a 4-wide portable fallback that performs the
-//    same lane-structured arithmetic, so kSimd results are bit-identical
-//    across hosts.
-//  * kSimdPortable — the 4-wide portable fallback unconditionally, even on
-//    AVX2 hardware.  Exists so CI can exercise the no-AVX2 path everywhere
-//    and so the differential battery can pin AVX2 against it bit-for-bit.
+//  * kSimd — the vectorized row engine: one source compiled for AVX2 and
+//    for the build's baseline; the AVX2 instance runs when the CPU has it
+//    (runtime CPUID dispatch).  Both instances perform the same arithmetic
+//    in the same lane structure, so kSimd results are bit-identical across
+//    hosts.
 //  * kJit — the runtime code-generation engine (docs/jit.md): row work is
 //    captured as a small expression IR, lowered to C++ specialised on the
 //    (coefficients, row length) pair, compiled with the host toolchain into
 //    a shared object and dlopen'd.  Rows whose kernel is still compiling —
 //    or whose compile failed because the host has no usable compiler — run
 //    on the kSimd engine; results are bit-identical either way.
-enum class BackendKind { kScalar, kSimd, kSimdPortable, kJit };
+// The values are the serve protocol's wire bytes.  Byte 2 belonged to the
+// retired simd-portable kind; decoders reject it by name.
+enum class BackendKind { kScalar = 0, kSimd = 1, kJit = 3 };
 
 // Canonical names used by SACPP_BACKEND / --backend / BENCH_mg:
-// "scalar" | "simd" | "simd-portable" | "jit".
+// "scalar" | "simd" | "jit".
 const char* backend_name(BackendKind kind);
 
-// The backend registry: every selectable kind, in wire-byte order (the
-// serve protocol encodes BackendKind as this index).  CLI help text and
-// error messages enumerate this instead of hard-coding names, so a new
-// engine appears everywhere at once.
+// The backend registry: every selectable kind.  CLI help text and error
+// messages enumerate this instead of hard-coding names, so a new engine
+// appears everywhere at once.
 inline constexpr BackendKind kAllBackendKinds[] = {
-    BackendKind::kScalar, BackendKind::kSimd, BackendKind::kSimdPortable,
-    BackendKind::kJit};
+    BackendKind::kScalar, BackendKind::kSimd, BackendKind::kJit};
 
 // The canonical names of every registered backend joined with `sep`:
-// backend_names() == "scalar | simd | simd-portable | jit".
+// backend_names() == "scalar | simd | jit".
 std::string backend_names(const char* sep = " | ");
 
 struct SacConfig {
@@ -190,8 +188,11 @@ class ConfigBinding {
 // The configuration a fresh process starts from: defaults plus environment
 // overrides (SACPP_CHECK=1 enables the verification passes, SACPP_POOL=0/1
 // disables/enables the pooled allocator, SACPP_OBS=1 enables telemetry,
-// SACPP_STENCIL_MODE=grouped|naive|planes selects the stencil strategy).
-// Exposed so tests can exercise the environment parsing directly.
+// SACPP_STENCIL_MODE=grouped|naive|planes selects the stencil strategy,
+// SACPP_BACKEND=scalar|simd|jit the row engine).  An unknown stencil mode
+// or backend name keeps the default and prints one line to stderr naming
+// the value and the accepted names.  Exposed so tests can exercise the
+// environment parsing directly.
 SacConfig config_from_env();
 
 // Parse a stencil mode name ("grouped" | "naive" | "planes").  Returns false

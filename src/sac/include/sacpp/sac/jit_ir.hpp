@@ -14,8 +14,8 @@
 //  * element-parallel programs reproduce the scalar engine's association
 //    order per element and are lowered with -ffp-contract=off, so compiled
 //    kernels are bit-identical to kScalar;
-//  * fold programs are lowered to the exact portable 4-lane structure, so
-//    they are bit-identical to the kSimd engines;
+//  * fold programs are lowered to the exact 4-lane structure of the kSimd
+//    folds, so they are bit-identical to both kSimd instances;
 //  * the one IR-level simplification — dropping a `+ c*group` term whose
 //    coefficient is bit-exact +0.0 (resid's c1, psinv's c3) — is exact for
 //    finite nonzero data and can only flip the sign of exact-zero outputs,
@@ -63,7 +63,7 @@ struct Node {
 // derived rows u1/u2 are filled over [0, length) first, then roots[0] is
 // written (or accumulated) over [lo, hi).  kGather / kScatter are the
 // strided grid-transfer rows.  kSumSq / kMaxAbs fold roots[0] over
-// [0, length) in the portable 4-lane structure, seeded/combined with the
+// [0, length) in the kSimd 4-lane structure, seeded/combined with the
 // caller's accumulator.
 enum class Pattern : std::uint8_t {
   kMap,

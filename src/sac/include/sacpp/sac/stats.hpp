@@ -78,9 +78,9 @@ struct RuntimeStats {
   // (docs/stencil.md): each counted row reused its u1/u2 partial sums across
   // the whole k inner loop.
   RelaxedCounter stencil_rows_reused;
-  // Rows dispatched through a vectorized (kSimd / kSimdPortable / kJit)
-  // backend's row primitives (docs/backends.md).  Zero under kScalar, so
-  // tests and the obs export can tell which engine a run actually used.
+  // Rows dispatched through a vectorized (kSimd / kJit) backend's row
+  // primitives (docs/backends.md).  Zero under kScalar, so tests and the
+  // obs export can tell which engine a run actually used.
   RelaxedCounter backend_simd_rows;
   // The kJit engine (docs/jit.md).  kernel/fallback tally per row-primitive
   // call: a call is a kernel call when the compiled kernel for its shape was

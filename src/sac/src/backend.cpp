@@ -1,21 +1,18 @@
 #include "sacpp/sac/backend.hpp"
 
+#include <atomic>
+
 namespace sacpp::sac {
+namespace {
+
+// What kSimd resolves to under a detail::ScopedSimdOverride (nullptr: none).
+std::atomic<const Backend*> simd_override{nullptr};
+
+}  // namespace
 
 bool cpu_has_avx2() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_avx512() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  static const bool has = __builtin_cpu_supports("avx512f") != 0 &&
-                          __builtin_cpu_supports("avx512dq") != 0 &&
-                          __builtin_cpu_supports("avx512vl") != 0;
   return has;
 #else
   return false;
@@ -44,18 +41,23 @@ const Backend& backend_for(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScalar:
       return detail::scalar_backend();
-    case BackendKind::kSimdPortable:
-      return detail::portable_backend();
     case BackendKind::kSimd: {
-      const Backend* avx512 = detail::avx512_backend();
-      if (avx512 != nullptr) return *avx512;
-      const Backend* avx2 = detail::avx2_backend();
-      return avx2 != nullptr ? *avx2 : detail::portable_backend();
+      const Backend* pinned = simd_override.load();
+      return pinned != nullptr ? *pinned : detail::simd_backend();
     }
     case BackendKind::kJit:
       return detail::jit_backend();
   }
   return detail::scalar_backend();
 }
+
+namespace detail {
+
+ScopedSimdOverride::ScopedSimdOverride(const Backend* engine) noexcept
+    : prev_(simd_override.exchange(engine)) {}
+
+ScopedSimdOverride::~ScopedSimdOverride() { simd_override.store(prev_); }
+
+}  // namespace detail
 
 }  // namespace sacpp::sac

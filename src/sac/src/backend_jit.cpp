@@ -2,7 +2,7 @@
 // cache for a compiled kernel specialised on this call's shape — length,
 // sub-range, stride, coefficient bit patterns — and runs it when ready.
 // Until the kernel lands (or forever, when the host has no toolchain) the
-// row runs on the resolved kSimd engine instead.  Both paths are
+// row runs on this host's kSimd instance instead.  Both paths are
 // bit-identical by the backend contract, so the hot swap is invisible to
 // numerics; stats().jit_kernel_calls / jit_fallback_calls make it visible
 // to observability.
@@ -118,7 +118,7 @@ RowProgram make_max_abs_prog(const KernelKey& k) {
 
 class JitBackend final : public Backend {
  public:
-  JitBackend() : fb_(backend_for(BackendKind::kSimd)) {}
+  JitBackend() : fb_(detail::simd_backend()) {}
 
   const char* name() const noexcept override { return "jit"; }
   unsigned lanes() const noexcept override { return fb_.lanes(); }
@@ -336,7 +336,7 @@ class JitBackend final : public Backend {
     return false;
   }
 
-  const Backend& fb_;  // the resolved kSimd engine
+  const Backend& fb_;  // this host's kSimd instance
 };
 
 }  // namespace

@@ -1,741 +1,252 @@
-// The kSimd engines: AVX-512 and AVX2 row engines plus the 4-wide portable
-// fallback.
+// The kSimd engine: every row loop written once, compiled per instruction
+// set.
 //
-// All are compiled unconditionally — the vector functions carry
-// __attribute__((target("avx2"))) / target("avx512f,avx512dq,avx512vl") so
-// the translation unit builds at the baseline -march, and backend.cpp
-// dispatches at runtime via CPUID (widest first).  The engines are
+// Each loop body below is plain C++ over __restrict parameters (plus
+// `#pragma GCC ivdep` where an output may legally be an input of the same
+// element).  The bodies are force-inlined into one thin entry point per
+// instruction set: Avx2::run carries [[gnu::target("avx2")]] so the
+// translation unit still builds at the baseline -march, and Baseline::run
+// compiles at that baseline.  The vectorizer turns each body into the
+// target's vector loop plus a remainder, and the instances are
 // bit-identical to each other by construction:
-//  * element-parallel primitives keep the scalar association order per
-//    element (so they are bit-identical to kScalar too), whether they run
-//    4 or 8 lanes at a time;
-//  * folds use the same fixed 4-lane structure in every engine (element
-//    lo+n lands in lane n%4, masked tail lanes contribute the neutral 0.0)
-//    and the same horizontal combine ((l0+l1)+l2)+l3 — the AVX-512 engine
-//    deliberately folds through the portable 4-lane code rather than 8
-//    zmm lanes, so kSimd fold results do not depend on the host CPU;
-//  * no FMA: explicit mul/add intrinsics, and the build pins
-//    -ffp-contract=off on this file (AVX-512 brings zmm FMA into the ISA,
-//    so the target attribute alone would no longer prevent contraction).
-// Tail handling is masked (maskload/maskstore/AVX-512 mask registers),
-// never a separate code path: masked lanes are architecturally not
-// accessed, so reading a partial vector at the end of a row cannot fault
-// or trip ASan.
+//  * element-parallel loops compute every element with the scalar
+//    reference's association order (so they are bit-identical to kScalar
+//    too), whatever width the vectorizer picks and wherever it splits off
+//    the remainder;
+//  * the two folds accumulate into four explicit lanes (element lo+n lands
+//    in lane n%4) and combine them in the fixed order ((l0+l1)+l2)+l3, so
+//    the vectorizer may widen the lane updates but never reorder a lane's
+//    sum;
+//  * no FMA: the build pins -ffp-contract=off on this file.
+// kSimd resolves to the AVX2 instance when the CPU has AVX2, else to the
+// baseline one (simd_backend below).
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define SACPP_HAVE_AVX2_TARGET 1
-#define SACPP_HAVE_AVX512_TARGET 1
-#endif
+#include <functional>
 
 #include "sacpp/sac/backend.hpp"
 
 namespace sacpp::sac {
 namespace {
 
-// -- shared element-parallel loops (association order == kScalar) ------------
+// -- element-parallel rows (association order == kScalar) --------------------
 
-void fill_row_generic(double* out, extent_t lo, extent_t hi, double v) {
-  std::fill(out + lo, out + hi, v);
+[[gnu::always_inline]] inline void fill_body(double* __restrict out,
+                                             extent_t lo, extent_t hi,
+                                             double v) {
+  for (extent_t k = lo; k < hi; ++k) out[k] = v;
 }
 
-void copy_row_generic(double* out, const double* src, extent_t lo,
-                      extent_t hi) {
+[[gnu::always_inline]] inline void copy_body(double* __restrict out,
+                                             const double* __restrict src,
+                                             extent_t lo, extent_t hi) {
   if (hi > lo) {
     std::memcpy(out + lo, src,
                 static_cast<std::size_t>(hi - lo) * sizeof(double));
   }
 }
 
-void plane_sums_generic(const double* im, const double* ip, const double* jm,
-                        const double* jp, const double* imm,
-                        const double* imp, const double* ipm,
-                        const double* ipp, double* u1, double* u2,
-                        extent_t n) {
-  const double* __restrict rim = im;
-  const double* __restrict rip = ip;
-  const double* __restrict rjm = jm;
-  const double* __restrict rjp = jp;
-  const double* __restrict rimm = imm;
-  const double* __restrict rimp = imp;
-  const double* __restrict ripm = ipm;
-  const double* __restrict ripp = ipp;
-  double* __restrict w1 = u1;
-  double* __restrict w2 = u2;
+[[gnu::always_inline]] inline void plane_sums_body(
+    const double* __restrict im, const double* __restrict ip,
+    const double* __restrict jm, const double* __restrict jp,
+    const double* __restrict imm, const double* __restrict imp,
+    const double* __restrict ipm, const double* __restrict ipp,
+    double* __restrict u1, double* __restrict u2, extent_t n) {
   for (extent_t k = 0; k < n; ++k) {
-    w1[k] = ((rim[k] + rip[k]) + rjm[k]) + rjp[k];
-    w2[k] = ((rimm[k] + rimp[k]) + ripm[k]) + ripp[k];
+    u1[k] = ((im[k] + ip[k]) + jm[k]) + jp[k];
+    u2[k] = ((imm[k] + imp[k]) + ipm[k]) + ipp[k];
   }
 }
 
-void combine_row_generic(const double* c, const double* uc, const double* u1,
-                         const double* u2, double* out, extent_t lo,
-                         extent_t hi) {
-  const double* __restrict rc = uc;
-  const double* __restrict r1 = u1;
-  const double* __restrict r2 = u2;
-  double* __restrict o = out;
+template <bool kAccumulate>
+[[gnu::always_inline]] inline void combine_body(
+    const double* __restrict c, const double* __restrict uc,
+    const double* __restrict u1, const double* __restrict u2,
+    double* __restrict out, extent_t lo, extent_t hi) {
+  const double c0 = c[0], c1 = c[1], c2 = c[2], c3 = c[3];
   for (extent_t k = lo; k < hi; ++k) {
-    o[k] = c[0] * rc[k] + c[1] * ((r1[k] + rc[k - 1]) + rc[k + 1]) +
-           c[2] * ((r2[k] + r1[k - 1]) + r1[k + 1]) +
-           c[3] * (r2[k - 1] + r2[k + 1]);
+    const double r = c0 * uc[k] + c1 * ((u1[k] + uc[k - 1]) + uc[k + 1]) +
+                     c2 * ((u2[k] + u1[k - 1]) + u1[k + 1]) +
+                     c3 * (u2[k - 1] + u2[k + 1]);
+    if constexpr (kAccumulate) {
+      out[k] += r;
+    } else {
+      out[k] = r;
+    }
   }
 }
 
-void accumulate_row_generic(const double* c, const double* uc,
-                            const double* u1, const double* u2, double* out,
-                            extent_t lo, extent_t hi) {
-  const double* __restrict rc = uc;
-  const double* __restrict r1 = u1;
-  const double* __restrict r2 = u2;
-  double* __restrict o = out;
-  for (extent_t k = lo; k < hi; ++k) {
-    o[k] += c[0] * rc[k] + c[1] * ((r1[k] + rc[k - 1]) + rc[k + 1]) +
-            c[2] * ((r2[k] + r1[k - 1]) + r1[k + 1]) +
-            c[3] * (r2[k - 1] + r2[k + 1]);
+// out[k] = a[k] <op> out[k].  `a` may be `out` itself, so no __restrict;
+// each element still reads only its own index.
+template <typename Op>
+[[gnu::always_inline]] inline void ewise_body(const double* a, double* out,
+                                              extent_t lo, extent_t hi) {
+#pragma GCC ivdep
+  for (extent_t k = lo; k < hi; ++k) out[k] = Op{}(a[k], out[k]);
+}
+
+// The strided rows.  The vectorizer's cost model rejects a runtime stride
+// as never profitable; a literal 2, the grid transfers' stride, lets it
+// use shuffles instead.
+[[gnu::always_inline]] inline void gather_body(double* __restrict out,
+                                               const double* __restrict src,
+                                               extent_t stride, extent_t n) {
+  if (stride == 2) {
+    for (extent_t t = 0; t < n; ++t) out[t] = src[2 * t];
+  } else {
+    for (extent_t t = 0; t < n; ++t) out[t] = src[t * stride];
   }
 }
 
-void gather_row_generic(double* out, const double* src, extent_t stride,
-                        extent_t n) {
-  for (extent_t t = 0; t < n; ++t) out[t] = src[t * stride];
+[[gnu::always_inline]] inline void scatter_body(double* __restrict out,
+                                                extent_t stride,
+                                                const double* __restrict src,
+                                                extent_t n) {
+  if (stride == 2) {
+    for (extent_t t = 0; t < n; ++t) out[2 * t] = src[t];
+  } else {
+    for (extent_t t = 0; t < n; ++t) out[t * stride] = src[t];
+  }
 }
 
-void scatter_row_generic(double* out, extent_t stride, const double* src,
-                         extent_t n) {
-  for (extent_t t = 0; t < n; ++t) out[t * stride] = src[t];
-}
-
-// -- portable 4-wide folds (the lane contract of the header) -----------------
+// -- the 4-lane folds (the lane contract of backend.hpp) ---------------------
 //
-// max lane combine matches the AVX2 maxpd operand order exactly:
-// maxpd(a, b) = (a > b) ? a : b, second operand on ties/NaN.
+// A lane past `hi` would add the neutral 0.0, which leaves its sum of
+// squares (never -0.0) or running max-abs unchanged, so the tail skips it.
 
-inline double lane_max(double a, double b) { return a > b ? a : b; }
-
-double sum_sq_row_portable(double acc, const double* p, extent_t lo,
-                           extent_t hi) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+[[gnu::always_inline]] inline double sum_sq_body(double acc,
+                                                 const double* __restrict p,
+                                                 extent_t lo, extent_t hi) {
+  double l[4] = {0.0, 0.0, 0.0, 0.0};
   extent_t k = lo;
   for (; k + 4 <= hi; k += 4) {
-    l0 = l0 + p[k] * p[k];
-    l1 = l1 + p[k + 1] * p[k + 1];
-    l2 = l2 + p[k + 2] * p[k + 2];
-    l3 = l3 + p[k + 3] * p[k + 3];
+    for (int j = 0; j < 4; ++j) l[j] = l[j] + p[k + j] * p[k + j];
   }
-  // Masked tail: live lanes take their element, dead lanes add the fold's
-  // neutral 0.0 (a no-op on the non-negative lane sums).
-  if (k < hi) l0 = l0 + p[k] * p[k];
-  if (k + 1 < hi) l1 = l1 + p[k + 1] * p[k + 1];
-  if (k + 2 < hi) l2 = l2 + p[k + 2] * p[k + 2];
-  return acc + (((l0 + l1) + l2) + l3);
-}
-
-double max_abs_row_portable(double acc, const double* p, extent_t lo,
-                            extent_t hi) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    l0 = lane_max(l0, std::fabs(p[k]));
-    l1 = lane_max(l1, std::fabs(p[k + 1]));
-    l2 = lane_max(l2, std::fabs(p[k + 2]));
-    l3 = lane_max(l3, std::fabs(p[k + 3]));
-  }
-  if (k < hi) l0 = lane_max(l0, std::fabs(p[k]));
-  if (k + 1 < hi) l1 = lane_max(l1, std::fabs(p[k + 1]));
-  if (k + 2 < hi) l2 = lane_max(l2, std::fabs(p[k + 2]));
-  return lane_max(lane_max(lane_max(lane_max(acc, l0), l1), l2), l3);
-}
-
-#ifdef SACPP_HAVE_AVX2_TARGET
-
-// -- AVX2 kernels ------------------------------------------------------------
-
-// Mask with the low `r` lanes live (r in [1, 3]) for maskload/maskstore.
-__attribute__((target("avx2"))) inline __m256i tail_mask(extent_t r) {
-  const __m256i idx = _mm256_set_epi64x(3, 2, 1, 0);
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(r), idx);
-}
-
-__attribute__((target("avx2"))) void fill_row_avx2(double* out, extent_t lo,
-                                                   extent_t hi, double v) {
-  const __m256d vv = _mm256_set1_pd(v);
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) _mm256_storeu_pd(out + k, vv);
-  if (k < hi) _mm256_maskstore_pd(out + k, tail_mask(hi - k), vv);
-}
-
-__attribute__((target("avx2"))) void plane_sums_avx2(
-    const double* im, const double* ip, const double* jm, const double* jp,
-    const double* imm, const double* imp, const double* ipm,
-    const double* ipp, double* u1, double* u2, extent_t n) {
-  extent_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d s1 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(im + k),
-                                    _mm256_loadu_pd(ip + k)),
-                      _mm256_loadu_pd(jm + k)),
-        _mm256_loadu_pd(jp + k));
-    const __m256d s2 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(imm + k),
-                                    _mm256_loadu_pd(imp + k)),
-                      _mm256_loadu_pd(ipm + k)),
-        _mm256_loadu_pd(ipp + k));
-    _mm256_storeu_pd(u1 + k, s1);
-    _mm256_storeu_pd(u2 + k, s2);
-  }
-  if (k < n) {
-    const __m256i m = tail_mask(n - k);
-    const __m256d s1 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_maskload_pd(im + k, m),
-                                    _mm256_maskload_pd(ip + k, m)),
-                      _mm256_maskload_pd(jm + k, m)),
-        _mm256_maskload_pd(jp + k, m));
-    const __m256d s2 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_maskload_pd(imm + k, m),
-                                    _mm256_maskload_pd(imp + k, m)),
-                      _mm256_maskload_pd(ipm + k, m)),
-        _mm256_maskload_pd(ipp + k, m));
-    _mm256_maskstore_pd(u1 + k, m, s1);
-    _mm256_maskstore_pd(u2 + k, m, s2);
-  }
-}
-
-// r(k) for four consecutive k: the exact scalar association
-//   (((c0*uc + c1*t1) + c2*t2) + c3*t3)
-// with t1 = (u1[k] + uc[k-1]) + uc[k+1], etc.
-__attribute__((target("avx2"))) inline __m256d combine_block(
-    const __m256d c0, const __m256d c1, const __m256d c2, const __m256d c3,
-    const __m256d uck, const __m256d ucm, const __m256d ucp,
-    const __m256d u1k, const __m256d u1m, const __m256d u1p,
-    const __m256d u2k, const __m256d u2m, const __m256d u2p) {
-  const __m256d t1 = _mm256_add_pd(_mm256_add_pd(u1k, ucm), ucp);
-  const __m256d t2 = _mm256_add_pd(_mm256_add_pd(u2k, u1m), u1p);
-  const __m256d t3 = _mm256_add_pd(u2m, u2p);
-  return _mm256_add_pd(
-      _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(c0, uck),
-                                  _mm256_mul_pd(c1, t1)),
-                    _mm256_mul_pd(c2, t2)),
-      _mm256_mul_pd(c3, t3));
-}
-
-__attribute__((target("avx2"))) void combine_row_avx2(
-    const double* c, const double* uc, const double* u1, const double* u2,
-    double* out, extent_t lo, extent_t hi, bool accumulate) {
-  const __m256d c0 = _mm256_set1_pd(c[0]);
-  const __m256d c1 = _mm256_set1_pd(c[1]);
-  const __m256d c2 = _mm256_set1_pd(c[2]);
-  const __m256d c3 = _mm256_set1_pd(c[3]);
-  extent_t k = lo;
-  // 2x unrolled main loop: two independent 4-wide blocks per iteration give
-  // the out-of-order core parallel add chains to overlap.  Per-element
-  // arithmetic is untouched, so results stay bit-identical to the rolled
-  // loop (and to scalar).
-  for (; k + 8 <= hi; k += 8) {
-    const __m256d ra = combine_block(
-        c0, c1, c2, c3, _mm256_loadu_pd(uc + k), _mm256_loadu_pd(uc + k - 1),
-        _mm256_loadu_pd(uc + k + 1), _mm256_loadu_pd(u1 + k),
-        _mm256_loadu_pd(u1 + k - 1), _mm256_loadu_pd(u1 + k + 1),
-        _mm256_loadu_pd(u2 + k), _mm256_loadu_pd(u2 + k - 1),
-        _mm256_loadu_pd(u2 + k + 1));
-    const __m256d rb = combine_block(
-        c0, c1, c2, c3, _mm256_loadu_pd(uc + k + 4),
-        _mm256_loadu_pd(uc + k + 3), _mm256_loadu_pd(uc + k + 5),
-        _mm256_loadu_pd(u1 + k + 4), _mm256_loadu_pd(u1 + k + 3),
-        _mm256_loadu_pd(u1 + k + 5), _mm256_loadu_pd(u2 + k + 4),
-        _mm256_loadu_pd(u2 + k + 3), _mm256_loadu_pd(u2 + k + 5));
-    if (accumulate) {
-      _mm256_storeu_pd(out + k, _mm256_add_pd(_mm256_loadu_pd(out + k), ra));
-      _mm256_storeu_pd(out + k + 4,
-                       _mm256_add_pd(_mm256_loadu_pd(out + k + 4), rb));
-    } else {
-      _mm256_storeu_pd(out + k, ra);
-      _mm256_storeu_pd(out + k + 4, rb);
-    }
-  }
-  for (; k + 4 <= hi; k += 4) {
-    const __m256d r = combine_block(
-        c0, c1, c2, c3, _mm256_loadu_pd(uc + k), _mm256_loadu_pd(uc + k - 1),
-        _mm256_loadu_pd(uc + k + 1), _mm256_loadu_pd(u1 + k),
-        _mm256_loadu_pd(u1 + k - 1), _mm256_loadu_pd(u1 + k + 1),
-        _mm256_loadu_pd(u2 + k), _mm256_loadu_pd(u2 + k - 1),
-        _mm256_loadu_pd(u2 + k + 1));
-    if (accumulate) {
-      _mm256_storeu_pd(out + k, _mm256_add_pd(_mm256_loadu_pd(out + k), r));
-    } else {
-      _mm256_storeu_pd(out + k, r);
-    }
-  }
-  if (k < hi) {
-    const __m256i m = tail_mask(hi - k);
-    const __m256d r = combine_block(
-        c0, c1, c2, c3, _mm256_maskload_pd(uc + k, m),
-        _mm256_maskload_pd(uc + k - 1, m), _mm256_maskload_pd(uc + k + 1, m),
-        _mm256_maskload_pd(u1 + k, m), _mm256_maskload_pd(u1 + k - 1, m),
-        _mm256_maskload_pd(u1 + k + 1, m), _mm256_maskload_pd(u2 + k, m),
-        _mm256_maskload_pd(u2 + k - 1, m), _mm256_maskload_pd(u2 + k + 1, m));
-    if (accumulate) {
-      _mm256_maskstore_pd(
-          out + k, m, _mm256_add_pd(_mm256_maskload_pd(out + k, m), r));
-    } else {
-      _mm256_maskstore_pd(out + k, m, r);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void ewise_into_row_avx2(const double* a,
-                                                         double* out,
-                                                         extent_t lo,
-                                                         extent_t hi,
-                                                         int op) {
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    const __m256d av = _mm256_loadu_pd(a + k);
-    const __m256d ov = _mm256_loadu_pd(out + k);
-    const __m256d r = op == 0   ? _mm256_add_pd(av, ov)
-                      : op == 1 ? _mm256_sub_pd(av, ov)
-                                : _mm256_mul_pd(av, ov);
-    _mm256_storeu_pd(out + k, r);
-  }
-  if (k < hi) {
-    const __m256i m = tail_mask(hi - k);
-    const __m256d av = _mm256_maskload_pd(a + k, m);
-    const __m256d ov = _mm256_maskload_pd(out + k, m);
-    const __m256d r = op == 0   ? _mm256_add_pd(av, ov)
-                      : op == 1 ? _mm256_sub_pd(av, ov)
-                                : _mm256_mul_pd(av, ov);
-    _mm256_maskstore_pd(out + k, m, r);
-  }
-}
-
-// Fixed horizontal combine shared by both folds: lane order l0..l3.
-__attribute__((target("avx2"))) inline void extract_lanes(const __m256d v,
-                                                          double* l) {
-  const __m128d lo2 = _mm256_castpd256_pd128(v);
-  const __m128d hi2 = _mm256_extractf128_pd(v, 1);
-  l[0] = _mm_cvtsd_f64(lo2);
-  l[1] = _mm_cvtsd_f64(_mm_unpackhi_pd(lo2, lo2));
-  l[2] = _mm_cvtsd_f64(hi2);
-  l[3] = _mm_cvtsd_f64(_mm_unpackhi_pd(hi2, hi2));
-}
-
-__attribute__((target("avx2"))) double sum_sq_row_avx2(double acc,
-                                                       const double* p,
-                                                       extent_t lo,
-                                                       extent_t hi) {
-  __m256d accv = _mm256_setzero_pd();
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    const __m256d x = _mm256_loadu_pd(p + k);
-    accv = _mm256_add_pd(accv, _mm256_mul_pd(x, x));
-  }
-  if (k < hi) {
-    // Masked lanes load 0.0, square to 0.0 and add the neutral element —
-    // the same dead-lane contribution the portable engine makes.
-    const __m256d x = _mm256_maskload_pd(p + k, tail_mask(hi - k));
-    accv = _mm256_add_pd(accv, _mm256_mul_pd(x, x));
-  }
-  double l[4];
-  extract_lanes(accv, l);
+  for (int j = 0; k + j < hi; ++j) l[j] = l[j] + p[k + j] * p[k + j];
   return acc + (((l[0] + l[1]) + l[2]) + l[3]);
 }
 
-__attribute__((target("avx2"))) double max_abs_row_avx2(double acc,
-                                                        const double* p,
-                                                        extent_t lo,
-                                                        extent_t hi) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  __m256d accv = _mm256_setzero_pd();
+// maxpd's semantics (the second operand wins on ties and NaN), the same
+// form the JIT's generated folds use, so every engine keeps one NaN rule.
+inline double lane_max(double a, double b) { return a > b ? a : b; }
+
+[[gnu::always_inline]] inline double max_abs_body(double acc,
+                                                  const double* __restrict p,
+                                                  extent_t lo, extent_t hi) {
+  double l[4] = {0.0, 0.0, 0.0, 0.0};
   extent_t k = lo;
   for (; k + 4 <= hi; k += 4) {
-    accv = _mm256_max_pd(accv,
-                         _mm256_andnot_pd(sign, _mm256_loadu_pd(p + k)));
+    for (int j = 0; j < 4; ++j) l[j] = lane_max(l[j], std::fabs(p[k + j]));
   }
-  if (k < hi) {
-    const __m256d x = _mm256_maskload_pd(p + k, tail_mask(hi - k));
-    accv = _mm256_max_pd(accv, _mm256_andnot_pd(sign, x));
-  }
-  double l[4];
-  extract_lanes(accv, l);
-  double r = acc;
-  r = r > l[0] ? r : l[0];
-  r = r > l[1] ? r : l[1];
-  r = r > l[2] ? r : l[2];
-  r = r > l[3] ? r : l[3];
-  return r;
+  for (int j = 0; k + j < hi; ++j) l[j] = lane_max(l[j], std::fabs(p[k + j]));
+  return lane_max(lane_max(lane_max(lane_max(acc, l[0]), l[1]), l[2]), l[3]);
 }
 
-#endif  // SACPP_HAVE_AVX2_TARGET
+// -- one engine, one thin entry point per instruction set --------------------
 
-#ifdef SACPP_HAVE_AVX512_TARGET
-
-// -- AVX-512 kernels ---------------------------------------------------------
-//
-// 8-wide versions of the element-parallel primitives only.  Folds are NOT
-// widened: the backend contract fixes the 4-lane fold structure, so the
-// AVX-512 engine routes sum_sq/max_abs through the portable code.
-
-#define SACPP_AVX512_TARGET \
-  __attribute__((target("avx512f,avx512dq,avx512vl")))
-
-// Mask with the low `r` lanes live (r in [1, 7]).
-SACPP_AVX512_TARGET inline __mmask8 tail_mask8(extent_t r) {
-  return static_cast<__mmask8>((1u << r) - 1u);
-}
-
-SACPP_AVX512_TARGET void fill_row_avx512(double* out, extent_t lo,
-                                         extent_t hi, double v) {
-  const __m512d vv = _mm512_set1_pd(v);
-  extent_t k = lo;
-  for (; k + 8 <= hi; k += 8) _mm512_storeu_pd(out + k, vv);
-  if (k < hi) _mm512_mask_storeu_pd(out + k, tail_mask8(hi - k), vv);
-}
-
-SACPP_AVX512_TARGET void plane_sums_avx512(
-    const double* im, const double* ip, const double* jm, const double* jp,
-    const double* imm, const double* imp, const double* ipm,
-    const double* ipp, double* u1, double* u2, extent_t n) {
-  extent_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m512d s1 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_loadu_pd(im + k),
-                                    _mm512_loadu_pd(ip + k)),
-                      _mm512_loadu_pd(jm + k)),
-        _mm512_loadu_pd(jp + k));
-    const __m512d s2 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_loadu_pd(imm + k),
-                                    _mm512_loadu_pd(imp + k)),
-                      _mm512_loadu_pd(ipm + k)),
-        _mm512_loadu_pd(ipp + k));
-    _mm512_storeu_pd(u1 + k, s1);
-    _mm512_storeu_pd(u2 + k, s2);
+struct Baseline {
+  static constexpr const char* kName = "portable";
+  template <auto Body, typename... Args>
+  static auto run(Args... args) {
+    return Body(args...);
   }
-  if (k < n) {
-    const __mmask8 m = tail_mask8(n - k);
-    const __m512d s1 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_maskz_loadu_pd(m, im + k),
-                                    _mm512_maskz_loadu_pd(m, ip + k)),
-                      _mm512_maskz_loadu_pd(m, jm + k)),
-        _mm512_maskz_loadu_pd(m, jp + k));
-    const __m512d s2 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_maskz_loadu_pd(m, imm + k),
-                                    _mm512_maskz_loadu_pd(m, imp + k)),
-                      _mm512_maskz_loadu_pd(m, ipm + k)),
-        _mm512_maskz_loadu_pd(m, ipp + k));
-    _mm512_mask_storeu_pd(u1 + k, m, s1);
-    _mm512_mask_storeu_pd(u2 + k, m, s2);
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+struct Avx2 {
+  static constexpr const char* kName = "avx2";
+  template <auto Body, typename... Args>
+  [[gnu::target("avx2")]] static auto run(Args... args) {
+    return Body(args...);
   }
-}
+};
+#endif
 
-// Same per-element association as combine_block, eight lanes at a time.
-SACPP_AVX512_TARGET inline __m512d combine_block_avx512(
-    const __m512d c0, const __m512d c1, const __m512d c2, const __m512d c3,
-    const __m512d uck, const __m512d ucm, const __m512d ucp,
-    const __m512d u1k, const __m512d u1m, const __m512d u1p,
-    const __m512d u2k, const __m512d u2m, const __m512d u2p) {
-  const __m512d t1 = _mm512_add_pd(_mm512_add_pd(u1k, ucm), ucp);
-  const __m512d t2 = _mm512_add_pd(_mm512_add_pd(u2k, u1m), u1p);
-  const __m512d t3 = _mm512_add_pd(u2m, u2p);
-  return _mm512_add_pd(
-      _mm512_add_pd(_mm512_add_pd(_mm512_mul_pd(c0, uck),
-                                  _mm512_mul_pd(c1, t1)),
-                    _mm512_mul_pd(c2, t2)),
-      _mm512_mul_pd(c3, t3));
-}
-
-SACPP_AVX512_TARGET void combine_row_avx512(
-    const double* c, const double* uc, const double* u1, const double* u2,
-    double* out, extent_t lo, extent_t hi, bool accumulate) {
-  const __m512d c0 = _mm512_set1_pd(c[0]);
-  const __m512d c1 = _mm512_set1_pd(c[1]);
-  const __m512d c2 = _mm512_set1_pd(c[2]);
-  const __m512d c3 = _mm512_set1_pd(c[3]);
-  extent_t k = lo;
-  for (; k + 8 <= hi; k += 8) {
-    const __m512d r = combine_block_avx512(
-        c0, c1, c2, c3, _mm512_loadu_pd(uc + k), _mm512_loadu_pd(uc + k - 1),
-        _mm512_loadu_pd(uc + k + 1), _mm512_loadu_pd(u1 + k),
-        _mm512_loadu_pd(u1 + k - 1), _mm512_loadu_pd(u1 + k + 1),
-        _mm512_loadu_pd(u2 + k), _mm512_loadu_pd(u2 + k - 1),
-        _mm512_loadu_pd(u2 + k + 1));
-    if (accumulate) {
-      _mm512_storeu_pd(out + k, _mm512_add_pd(_mm512_loadu_pd(out + k), r));
-    } else {
-      _mm512_storeu_pd(out + k, r);
-    }
-  }
-  if (k < hi) {
-    const __mmask8 m = tail_mask8(hi - k);
-    const __m512d r = combine_block_avx512(
-        c0, c1, c2, c3, _mm512_maskz_loadu_pd(m, uc + k),
-        _mm512_maskz_loadu_pd(m, uc + k - 1),
-        _mm512_maskz_loadu_pd(m, uc + k + 1),
-        _mm512_maskz_loadu_pd(m, u1 + k),
-        _mm512_maskz_loadu_pd(m, u1 + k - 1),
-        _mm512_maskz_loadu_pd(m, u1 + k + 1),
-        _mm512_maskz_loadu_pd(m, u2 + k),
-        _mm512_maskz_loadu_pd(m, u2 + k - 1),
-        _mm512_maskz_loadu_pd(m, u2 + k + 1));
-    if (accumulate) {
-      _mm512_mask_storeu_pd(
-          out + k, m,
-          _mm512_add_pd(_mm512_maskz_loadu_pd(m, out + k), r));
-    } else {
-      _mm512_mask_storeu_pd(out + k, m, r);
-    }
-  }
-}
-
-SACPP_AVX512_TARGET void ewise_into_row_avx512(const double* a, double* out,
-                                               extent_t lo, extent_t hi,
-                                               int op) {
-  extent_t k = lo;
-  for (; k + 8 <= hi; k += 8) {
-    const __m512d av = _mm512_loadu_pd(a + k);
-    const __m512d ov = _mm512_loadu_pd(out + k);
-    const __m512d r = op == 0   ? _mm512_add_pd(av, ov)
-                      : op == 1 ? _mm512_sub_pd(av, ov)
-                                : _mm512_mul_pd(av, ov);
-    _mm512_storeu_pd(out + k, r);
-  }
-  if (k < hi) {
-    const __mmask8 m = tail_mask8(hi - k);
-    const __m512d av = _mm512_maskz_loadu_pd(m, a + k);
-    const __m512d ov = _mm512_maskz_loadu_pd(m, out + k);
-    const __m512d r = op == 0   ? _mm512_add_pd(av, ov)
-                      : op == 1 ? _mm512_sub_pd(av, ov)
-                                : _mm512_mul_pd(av, ov);
-    _mm512_mask_storeu_pd(out + k, m, r);
-  }
-}
-
-#undef SACPP_AVX512_TARGET
-
-#endif  // SACPP_HAVE_AVX512_TARGET
-
-// -- engines -----------------------------------------------------------------
-
-class PortableSimdBackend final : public Backend {
+template <typename Isa>
+class SimdBackend final : public Backend {
  public:
-  const char* name() const noexcept override { return "portable"; }
+  const char* name() const noexcept override { return Isa::kName; }
   unsigned lanes() const noexcept override { return 4; }
   bool vectorized() const noexcept override { return true; }
 
   void fill_row(double* out, extent_t lo, extent_t hi,
                 double v) const override {
-    fill_row_generic(out, lo, hi, v);
+    Isa::template run<fill_body>(out, lo, hi, v);
   }
   void copy_row(double* out, const double* src, extent_t lo,
                 extent_t hi) const override {
-    copy_row_generic(out, src, lo, hi);
+    Isa::template run<copy_body>(out, src, lo, hi);
   }
   void plane_sums(const double* im, const double* ip, const double* jm,
                   const double* jp, const double* imm, const double* imp,
                   const double* ipm, const double* ipp, double* u1,
                   double* u2, extent_t n) const override {
-    plane_sums_generic(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
+    Isa::template run<plane_sums_body>(im, ip, jm, jp, imm, imp, ipm, ipp,
+                                       u1, u2, n);
   }
   void combine_row(const double* c, const double* uc, const double* u1,
                    const double* u2, double* out, extent_t lo,
                    extent_t hi) const override {
-    combine_row_generic(c, uc, u1, u2, out, lo, hi);
+    Isa::template run<combine_body<false>>(c, uc, u1, u2, out, lo, hi);
   }
   void accumulate_row(const double* c, const double* uc, const double* u1,
                       const double* u2, double* out, extent_t lo,
                       extent_t hi) const override {
-    accumulate_row_generic(c, uc, u1, u2, out, lo, hi);
+    Isa::template run<combine_body<true>>(c, uc, u1, u2, out, lo, hi);
   }
   void add_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {
-    for (extent_t k = lo; k < hi; ++k) out[k] = a[k] + out[k];
+    Isa::template run<ewise_body<std::plus<>>>(a, out, lo, hi);
   }
   void sub_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {
-    for (extent_t k = lo; k < hi; ++k) out[k] = a[k] - out[k];
+    Isa::template run<ewise_body<std::minus<>>>(a, out, lo, hi);
   }
   void mul_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {
-    for (extent_t k = lo; k < hi; ++k) out[k] = a[k] * out[k];
+    Isa::template run<ewise_body<std::multiplies<>>>(a, out, lo, hi);
   }
   void gather_row(double* out, const double* src, extent_t stride,
                   extent_t n) const override {
-    gather_row_generic(out, src, stride, n);
+    Isa::template run<gather_body>(out, src, stride, n);
   }
   void scatter_row(double* out, extent_t stride, const double* src,
                    extent_t n) const override {
-    scatter_row_generic(out, stride, src, n);
+    Isa::template run<scatter_body>(out, stride, src, n);
   }
   double sum_sq_row(double acc, const double* p, extent_t lo,
                     extent_t hi) const override {
-    return sum_sq_row_portable(acc, p, lo, hi);
+    return Isa::template run<sum_sq_body>(acc, p, lo, hi);
   }
   double max_abs_row(double acc, const double* p, extent_t lo,
                      extent_t hi) const override {
-    return max_abs_row_portable(acc, p, lo, hi);
+    return Isa::template run<max_abs_body>(acc, p, lo, hi);
   }
 };
-
-#ifdef SACPP_HAVE_AVX2_TARGET
-
-class Avx2Backend final : public Backend {
- public:
-  const char* name() const noexcept override { return "avx2"; }
-  unsigned lanes() const noexcept override { return 4; }
-  bool vectorized() const noexcept override { return true; }
-
-  void fill_row(double* out, extent_t lo, extent_t hi,
-                double v) const override {
-    fill_row_avx2(out, lo, hi, v);
-  }
-  void copy_row(double* out, const double* src, extent_t lo,
-                extent_t hi) const override {
-    copy_row_generic(out, src, lo, hi);
-  }
-  void plane_sums(const double* im, const double* ip, const double* jm,
-                  const double* jp, const double* imm, const double* imp,
-                  const double* ipm, const double* ipp, double* u1,
-                  double* u2, extent_t n) const override {
-    plane_sums_avx2(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
-  }
-  void combine_row(const double* c, const double* uc, const double* u1,
-                   const double* u2, double* out, extent_t lo,
-                   extent_t hi) const override {
-    combine_row_avx2(c, uc, u1, u2, out, lo, hi, /*accumulate=*/false);
-  }
-  void accumulate_row(const double* c, const double* uc, const double* u1,
-                      const double* u2, double* out, extent_t lo,
-                      extent_t hi) const override {
-    combine_row_avx2(c, uc, u1, u2, out, lo, hi, /*accumulate=*/true);
-  }
-  void add_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx2(a, out, lo, hi, 0);
-  }
-  void sub_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx2(a, out, lo, hi, 1);
-  }
-  void mul_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx2(a, out, lo, hi, 2);
-  }
-  void gather_row(double* out, const double* src, extent_t stride,
-                  extent_t n) const override {
-    gather_row_generic(out, src, stride, n);
-  }
-  void scatter_row(double* out, extent_t stride, const double* src,
-                   extent_t n) const override {
-    scatter_row_generic(out, stride, src, n);
-  }
-  double sum_sq_row(double acc, const double* p, extent_t lo,
-                    extent_t hi) const override {
-    return sum_sq_row_avx2(acc, p, lo, hi);
-  }
-  double max_abs_row(double acc, const double* p, extent_t lo,
-                     extent_t hi) const override {
-    return max_abs_row_avx2(acc, p, lo, hi);
-  }
-};
-
-#endif  // SACPP_HAVE_AVX2_TARGET
-
-#ifdef SACPP_HAVE_AVX512_TARGET
-
-class Avx512Backend final : public Backend {
- public:
-  const char* name() const noexcept override { return "avx512"; }
-  unsigned lanes() const noexcept override { return 8; }
-  bool vectorized() const noexcept override { return true; }
-
-  void fill_row(double* out, extent_t lo, extent_t hi,
-                double v) const override {
-    fill_row_avx512(out, lo, hi, v);
-  }
-  void copy_row(double* out, const double* src, extent_t lo,
-                extent_t hi) const override {
-    copy_row_generic(out, src, lo, hi);
-  }
-  void plane_sums(const double* im, const double* ip, const double* jm,
-                  const double* jp, const double* imm, const double* imp,
-                  const double* ipm, const double* ipp, double* u1,
-                  double* u2, extent_t n) const override {
-    plane_sums_avx512(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
-  }
-  void combine_row(const double* c, const double* uc, const double* u1,
-                   const double* u2, double* out, extent_t lo,
-                   extent_t hi) const override {
-    combine_row_avx512(c, uc, u1, u2, out, lo, hi, /*accumulate=*/false);
-  }
-  void accumulate_row(const double* c, const double* uc, const double* u1,
-                      const double* u2, double* out, extent_t lo,
-                      extent_t hi) const override {
-    combine_row_avx512(c, uc, u1, u2, out, lo, hi, /*accumulate=*/true);
-  }
-  void add_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx512(a, out, lo, hi, 0);
-  }
-  void sub_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx512(a, out, lo, hi, 1);
-  }
-  void mul_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx512(a, out, lo, hi, 2);
-  }
-  void gather_row(double* out, const double* src, extent_t stride,
-                  extent_t n) const override {
-    gather_row_generic(out, src, stride, n);
-  }
-  void scatter_row(double* out, extent_t stride, const double* src,
-                   extent_t n) const override {
-    scatter_row_generic(out, stride, src, n);
-  }
-  // Folds stay 4-lane (header contract): delegate to the portable shape so
-  // norms do not change when dispatch picks this engine over avx2.
-  double sum_sq_row(double acc, const double* p, extent_t lo,
-                    extent_t hi) const override {
-    return sum_sq_row_portable(acc, p, lo, hi);
-  }
-  double max_abs_row(double acc, const double* p, extent_t lo,
-                     extent_t hi) const override {
-    return max_abs_row_portable(acc, p, lo, hi);
-  }
-};
-
-#endif  // SACPP_HAVE_AVX512_TARGET
 
 }  // namespace
 
 namespace detail {
 
 const Backend& portable_backend() noexcept {
-  static const PortableSimdBackend be;
+  static const SimdBackend<Baseline> be;
   return be;
 }
 
 const Backend* avx2_backend() noexcept {
-#ifdef SACPP_HAVE_AVX2_TARGET
-  if (!cpu_has_avx2()) return nullptr;
-  static const Avx2Backend be;
-  return &be;
+#if defined(__x86_64__) || defined(__i386__)
+  static const SimdBackend<Avx2> be;
+  return cpu_has_avx2() ? &be : nullptr;
 #else
   return nullptr;
 #endif
 }
 
-const Backend* avx512_backend() noexcept {
-#ifdef SACPP_HAVE_AVX512_TARGET
-  if (!cpu_has_avx512()) return nullptr;
-  static const Avx512Backend be;
-  return &be;
-#else
-  return nullptr;
-#endif
+const Backend& simd_backend() noexcept {
+  static const Backend& be =
+      avx2_backend() != nullptr ? *avx2_backend() : portable_backend();
+  return be;
 }
 
 }  // namespace detail

@@ -1,5 +1,6 @@
 #include "sacpp/sac/config.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -38,7 +39,6 @@ const char* backend_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScalar: return "scalar";
     case BackendKind::kSimd: return "simd";
-    case BackendKind::kSimdPortable: return "simd-portable";
     case BackendKind::kJit: return "jit";
   }
   return "scalar";
@@ -74,12 +74,20 @@ SacConfig config_from_env() {
   if (pool != nullptr && pool[0] != '\0') cfg.pool = pool[0] != '0';
   const char* obs = std::getenv("SACPP_OBS");
   cfg.obs = obs != nullptr && obs[0] != '\0' && obs[0] != '0';
-  // Unknown values are ignored rather than fatal: a stale SACPP_STENCIL_MODE
-  // must not break every binary in the tree.
+  // Unknown values warn rather than abort: a stale SACPP_STENCIL_MODE must
+  // not break every binary in the tree, nor silently run the default.
   const char* mode = std::getenv("SACPP_STENCIL_MODE");
-  if (mode != nullptr) parse_stencil_mode(mode, &cfg.stencil_mode);
+  if (mode != nullptr && !parse_stencil_mode(mode, &cfg.stencil_mode)) {
+    std::fprintf(stderr,
+                 "sacpp: ignoring SACPP_STENCIL_MODE=%s (expected grouped | "
+                 "naive | planes)\n",
+                 mode);
+  }
   const char* backend = std::getenv("SACPP_BACKEND");
-  if (backend != nullptr) parse_backend(backend, &cfg.backend);
+  if (backend != nullptr && !parse_backend(backend, &cfg.backend)) {
+    std::fprintf(stderr, "sacpp: ignoring SACPP_BACKEND=%s (expected %s)\n",
+                 backend, backend_names().c_str());
+  }
   return cfg;
 }
 

@@ -166,6 +166,18 @@ bool publish_from_so(Entry& e, const std::string& path) {
   return true;  // handle stays open for the process lifetime
 }
 
+// Whether the CPU has AVX-512 F+DQ+VL (cached CPUID probe).
+bool cpu_has_avx512() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool has = __builtin_cpu_supports("avx512f") != 0 &&
+                          __builtin_cpu_supports("avx512dq") != 0 &&
+                          __builtin_cpu_supports("avx512vl") != 0;
+  return has;
+#else
+  return false;
+#endif
+}
+
 // Run the host compiler on src -> so.  Returns false with `detail` filled
 // on any failure.
 bool run_compiler(const std::string& src, const std::string& so,
@@ -174,8 +186,7 @@ bool run_compiler(const std::string& src, const std::string& so,
   if (cc == nullptr || cc[0] == '\0') cc = "c++";
   // GCC tunes -march=native AVX-512 targets to 256-bit vectors by default;
   // the autovectorized kernels (plane sums, ewise, gather/scatter) want the
-  // full width the hand-written simd engine already uses.  The flag is
-  // x86-only, so it is gated on the same probe as the avx512 engine.
+  // full width.  The flag is x86-only, so it is gated on a CPUID probe.
   const char* width =
       cpu_has_avx512() ? "-mprefer-vector-width=512" : "-ffp-contract=off";
   const char* argv[] = {cc,       "-O3",     "-march=native",

@@ -546,8 +546,8 @@ void emit_stencil_avx512(std::string& s, const RowProgram& p,
   s += "  }\n";
 }
 
-// The portable 4-lane fold skeleton (backend_simd.cpp's
-// sum_sq_row_portable / max_abs_row_portable with the length baked in).
+// The 4-lane fold skeleton (backend_simd.cpp's sum_sq_body / max_abs_body
+// with the length baked in).
 void emit_fold(std::string& s, const RowProgram& p) {
   const bool max = p.pattern == Pattern::kMaxAbs;
   std::string e[4];

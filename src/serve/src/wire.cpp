@@ -340,6 +340,11 @@ bool decode_request(std::span<const std::uint8_t> frame, SolveRequest* out,
     return fail(error, "serve wire: request stencil mode " +
                            std::to_string(stencil) + " out of range");
   }
+  if (backend == 2) {
+    return fail(error,
+                "serve wire: request backend 2 names the retired "
+                "simd-portable engine");
+  }
   if (backend > static_cast<std::uint8_t>(sac::BackendKind::kJit)) {
     return fail(error, "serve wire: request backend " +
                            std::to_string(backend) + " out of range");

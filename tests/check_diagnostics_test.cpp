@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "sacpp/check/diagnostics.hpp"
 #include "sacpp/sac/config.hpp"
@@ -89,6 +92,58 @@ TEST(Diagnostics, CheckModeComesFromEnvironment) {
   EXPECT_FALSE(sac::config_from_env().check);
   ASSERT_EQ(unsetenv("SACPP_CHECK"), 0);
   EXPECT_FALSE(sac::config_from_env().check);
+}
+
+// RAII: set an environment variable, restoring its old value on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(Diagnostics, UnknownEngineNamesInEnvironmentWarnOnce) {
+  const sac::SacConfig defaults;
+  {
+    // A leftover name of the retired engine, and a mode that never existed.
+    const ScopedEnv backend("SACPP_BACKEND", "simd-portable");
+    const ScopedEnv mode("SACPP_STENCIL_MODE", "fancy");
+    testing::internal::CaptureStderr();
+    const sac::SacConfig cfg = sac::config_from_env();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cfg.backend, defaults.backend);
+    EXPECT_EQ(cfg.stencil_mode, defaults.stencil_mode);
+    // One line per bad value, naming it and the accepted names.
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 2) << err;
+    EXPECT_NE(err.find("SACPP_BACKEND=simd-portable"), std::string::npos);
+    EXPECT_NE(err.find(sac::backend_names()), std::string::npos) << err;
+    EXPECT_NE(err.find("SACPP_STENCIL_MODE=fancy"), std::string::npos);
+    EXPECT_NE(err.find("grouped | naive | planes"), std::string::npos);
+  }
+  {
+    const ScopedEnv backend("SACPP_BACKEND", "simd");
+    const ScopedEnv mode("SACPP_STENCIL_MODE", "planes");
+    testing::internal::CaptureStderr();
+    const sac::SacConfig cfg = sac::config_from_env();
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(cfg.backend, sac::BackendKind::kSimd);
+    EXPECT_EQ(cfg.stencil_mode, sac::StencilMode::kPlanes);
+  }
 }
 
 }  // namespace

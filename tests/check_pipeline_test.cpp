@@ -11,6 +11,7 @@
 #include "sacpp/check/check.hpp"
 #include "sacpp/mg/driver.hpp"
 #include "sacpp/mg/mg_mpi.hpp"
+#include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/config.hpp"
 #include "sacpp/sac/pool.hpp"
 
@@ -62,7 +63,7 @@ TEST(CheckPipeline, SacMultiThreadedClassSIsClean) {
 TEST(CheckPipeline, SacSimdPlanesClassSIsClean) {
   // Vectorized backend under the planes row engine: the checked runtime's
   // aliasing and allocation-balance analyses must stay silent when rows are
-  // dispatched through the SIMD primitives (masked tail stores included).
+  // dispatched through the SIMD primitives (vector remainders included).
   Session session;
   sac::SacConfig cfg = sac::config();
   cfg.stencil_mode = sac::StencilMode::kPlanes;
@@ -76,18 +77,22 @@ TEST(CheckPipeline, SacSimdPlanesClassSIsClean) {
 }
 
 TEST(CheckPipeline, SacPortableSimdClassSIsClean) {
-  // Same battery through the portable 4-wide engine — the path the no-AVX2
-  // CI job exercises.
-  Session session;
+  // Same battery on the baseline kSimd instance — the path a host without
+  // AVX2 runs — for mg_sac_direct and for mg_sac.
   sac::SacConfig cfg = sac::config();
   cfg.stencil_mode = sac::StencilMode::kPlanes;
-  cfg.backend = sac::BackendKind::kSimdPortable;
-  MgResult r;
-  {
-    sac::ScopedConfig scoped(cfg);
-    r = run_checked(Variant::kSacDirect, session);
+  cfg.backend = sac::BackendKind::kSimd;
+  for (const Variant variant : {Variant::kSacDirect, Variant::kSac}) {
+    Session session;
+    MgResult r;
+    {
+      sac::ScopedConfig scoped(cfg);
+      const sac::detail::ScopedSimdOverride pin(
+          &sac::detail::portable_backend());
+      r = run_checked(variant, session);
+    }
+    expect_clean_and_verified(r, session);
   }
-  expect_clean_and_verified(r, session);
 }
 
 TEST(CheckPipeline, FortranRefClassSIsClean) {

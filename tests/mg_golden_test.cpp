@@ -20,6 +20,7 @@
 
 #include "sacpp/mg/driver.hpp"
 #include "sacpp/mg/mg_mpi.hpp"
+#include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/config.hpp"
 #include "sacpp/sac/jit.hpp"
 #include "sacpp/sac/stats.hpp"
@@ -186,9 +187,9 @@ TEST(PlanesGoldenNorm, ClassSMatchesGoldenAcrossThreadCounts) {
 //     equal the scalar constants bit for bit;
 //   * sac / sac-direct match the scalar goldens to rounding at class S and
 //     carry their own pinned constants at the class-W rounding floor;
-//   * the AVX2 and portable engines are bit-identical by construction, so
-//     one constant covers kSimd on any host (the differential battery in
-//     sac_backend_test proves the engine equivalence).
+//   * the AVX2 and baseline kSimd instances are bit-identical by
+//     construction, so one constant covers kSimd on any host (the
+//     differential battery in sac_backend_test proves the equivalence).
 struct BackendGoldenCase {
   Variant variant;
   MgClass cls;
@@ -237,12 +238,14 @@ TEST_P(SimdGoldenNorm, MatchesPinnedConstant) {
       << variant_name(c.variant) << " simd norm " << simd << " vs golden "
       << c.norm;
 
-  // The portable 4-lane engine mirrors the AVX2 lane structure exactly, so
-  // forcing it must not change a single bit of the result.
+  // The baseline kSimd instance runs the same source as the AVX2 one, so
+  // pinning kSimd to it must not change a single bit of the result.
+  const sac::detail::ScopedSimdOverride pin(
+      &sac::detail::portable_backend());
   const double portable = run_backend_final_norm(
-      c.variant, c.cls, sac::BackendKind::kSimdPortable, c.mode);
+      c.variant, c.cls, sac::BackendKind::kSimd, c.mode);
   EXPECT_EQ(portable, simd)
-      << variant_name(c.variant) << ": simd vs simd-portable diverged";
+      << variant_name(c.variant) << ": simd vs its baseline instance diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -333,7 +336,7 @@ TEST(JitGoldenNorm, ClassWMatchesPinnedPlanesConstant) {
                              sac::StencilMode::kPlanes);
   ::unsetenv("SACPP_JIT_SYNC");
   // Same constant as the kSimd planes row above: kJit is pinnable because
-  // it is bitwise simd, which is bitwise avx2/avx512/portable.
+  // it is bitwise simd, on either kSimd instance.
   EXPECT_NEAR(jit / 2.77739287704745898e-18, 1.0, kTol);
   const double simd =
       run_backend_final_norm(Variant::kSac, MgClass::W,

@@ -3,14 +3,16 @@
 //
 // The contract under test: every element-parallel primitive (fill, copy,
 // plane sums, stencil combines, ewise merges, gather, scatter) is bitwise
-// identical across kScalar, kSimd, kSimdPortable and kJit; the two folds
+// identical across kScalar, both kSimd instances and kJit; the two folds
 // (sum-of-squares, max-abs) may reassociate but agree to 1e-12 relative —
-// and the AVX-512, AVX2, portable and JIT engines agree with EACH OTHER
-// bit for bit, so kSimd/kJit results are host-independent and pinnable.
+// and the kSimd instances and the JIT agree with EACH OTHER bit for bit,
+// so kSimd/kJit results are host-independent and pinnable.
 //
-// Row lengths are drawn adversarially around the vector widths
-// (1, 3, 4, 5, w-1, w, w+1, primes) with random sub-ranges including empty
-// ones, hunting masked-tail and degenerate-extent bugs.
+// The kSimd battery covers every row length 0..300 with a random sub-range
+// per length, so every split of a row into the vectorizer's body and
+// remainder is hit on both instances (baseline and, where the CPU has it,
+// AVX2).  Whole kernels run on the baseline instance through
+// detail::ScopedSimdOverride.
 //
 // The kJit battery runs with SACPP_JIT_SYNC=1 so every row call sees its
 // compiled kernel immediately; lengths come from a small pool so the suite
@@ -47,15 +49,11 @@ Array<double> random_array(const Shape& shp, unsigned seed) {
 
 constexpr StencilCoeffs kTestCoeffs{{-0.5, 0.125, 0.0625, 0.03125}};
 
-// Engines under test: scalar is the reference; the portable 4-lane engine
-// always exists; the AVX2/AVX-512 engines only on hosts with the ISA.
-std::vector<const Backend*> all_engines() {
-  std::vector<const Backend*> v{&detail::scalar_backend(),
-                                &detail::portable_backend()};
+// The kSimd instances present on this host: the baseline one always, the
+// AVX2 one where the CPU has it.
+std::vector<const Backend*> simd_instances() {
+  std::vector<const Backend*> v{&detail::portable_backend()};
   if (detail::avx2_backend() != nullptr) v.push_back(detail::avx2_backend());
-  if (detail::avx512_backend() != nullptr) {
-    v.push_back(detail::avx512_backend());
-  }
   return v;
 }
 
@@ -66,53 +64,40 @@ std::vector<double> random_row(std::mt19937_64& rng, std::size_t n) {
   return r;
 }
 
-// Adversarial row lengths around the vector width.
-extent_t random_length(std::mt19937_64& rng) {
-  static constexpr extent_t kPool[] = {1,  2,  3,  4,  5,  7,  8,  9,
-                                       11, 13, 16, 17, 23, 31, 32, 33,
-                                       37, 61, 64, 67, 97, 128};
-  std::uniform_int_distribution<std::size_t> pick(
-      0, std::size(kPool) - 1);
-  return kPool[pick(rng)];
-}
+// Every row length the element-parallel sweeps cover.
+constexpr extent_t kMaxRow = 300;
 
-struct RowCase {
-  extent_t n;       // row length
-  extent_t lo, hi;  // sub-range, possibly empty
+struct Range {
+  extent_t lo, hi;
 };
 
-RowCase random_case(std::mt19937_64& rng) {
-  RowCase c;
-  c.n = random_length(rng);
-  std::uniform_int_distribution<extent_t> bound(0, c.n);
-  c.lo = bound(rng);
-  c.hi = bound(rng);
-  if (c.hi < c.lo) std::swap(c.lo, c.hi);
-  return c;
+// [first, last] itself plus one random sub-range of it, possibly empty.
+std::vector<Range> ranges(std::mt19937_64& rng, extent_t first,
+                          extent_t last) {
+  std::uniform_int_distribution<extent_t> bound(first, last);
+  extent_t lo = bound(rng), hi = bound(rng);
+  if (hi < lo) std::swap(lo, hi);
+  return {{first, last}, {lo, hi}};
 }
 
-constexpr int kRounds = 200;
+std::string where(const Backend* be, extent_t n, Range r) {
+  return std::string(be->name()) + " n=" + std::to_string(n) + " [" +
+         std::to_string(r.lo) + "," + std::to_string(r.hi) + ")";
+}
 
 TEST(BackendRegistry, KindsResolveAndReportLanes) {
   EXPECT_STREQ(backend_for(BackendKind::kScalar).name(), "scalar");
   EXPECT_EQ(backend_for(BackendKind::kScalar).lanes(), 1u);
   EXPECT_FALSE(backend_for(BackendKind::kScalar).vectorized());
-  EXPECT_STREQ(backend_for(BackendKind::kSimdPortable).name(), "portable");
-  EXPECT_EQ(backend_for(BackendKind::kSimdPortable).lanes(), 4u);
-  EXPECT_TRUE(backend_for(BackendKind::kSimdPortable).vectorized());
-  // kSimd resolves widest-first: AVX-512, then AVX2, then portable.
+  // kSimd resolves to the AVX2 instance where the CPU has it, else to the
+  // baseline one; both fold in 4 lanes.
   const Backend& simd = backend_for(BackendKind::kSimd);
   EXPECT_TRUE(simd.vectorized());
-  if (cpu_has_avx512()) {
-    EXPECT_STREQ(simd.name(), "avx512");
-    EXPECT_EQ(simd.lanes(), 8u);
-  } else if (cpu_has_avx2()) {
-    EXPECT_STREQ(simd.name(), "avx2");
-    EXPECT_EQ(simd.lanes(), 4u);
-  } else {
-    EXPECT_STREQ(simd.name(), "portable");
-    EXPECT_EQ(simd.lanes(), 4u);
-  }
+  EXPECT_STREQ(simd.name(), cpu_has_avx2() ? "avx2" : "portable");
+  EXPECT_EQ(simd.lanes(), 4u);
+  EXPECT_STREQ(detail::portable_backend().name(), "portable");
+  EXPECT_EQ(detail::portable_backend().lanes(), 4u);
+  EXPECT_EQ(&detail::simd_backend(), &simd);
   // kJit wraps the resolved kSimd engine as its fallback.
   const Backend& jit = backend_for(BackendKind::kJit);
   EXPECT_STREQ(jit.name(), "jit");
@@ -130,196 +115,237 @@ TEST(BackendRegistry, KindNamesRoundTripThroughParser) {
   }
   BackendKind parsed{};
   EXPECT_FALSE(parse_backend("sse9", &parsed));
+  EXPECT_FALSE(parse_backend("simd-portable", &parsed));  // retired
   // The registry-driven name list is what --backend help/errors print.
-  EXPECT_EQ(backend_names(), "scalar | simd | simd-portable | jit");
+  EXPECT_EQ(backend_names(), "scalar | simd | jit");
+}
+
+TEST(BackendRegistry, SimdOverrideIsScopedAndNests) {
+  const Backend& host = backend_for(BackendKind::kSimd);
+  {
+    detail::ScopedSimdOverride pin(&detail::portable_backend());
+    EXPECT_EQ(&backend_for(BackendKind::kSimd), &detail::portable_backend());
+    {
+      detail::ScopedSimdOverride unpin(nullptr);
+      EXPECT_EQ(&backend_for(BackendKind::kSimd), &host);
+    }
+    EXPECT_EQ(&backend_for(BackendKind::kSimd), &detail::portable_backend());
+    // Only kSimd moves: the JIT keeps this host's instance as its fallback.
+    EXPECT_EQ(backend_for(BackendKind::kJit).lanes(), host.lanes());
+  }
+  EXPECT_EQ(&backend_for(BackendKind::kSimd), &host);
 }
 
 // -- per-primitive differential sweeps --------------------------------------
+//
+// Each instance against scalar, bitwise, at every row length 0..kMaxRow.
+// Every instance runs its own sweep over the same data, so a defect in the
+// shared source fails each instance separately.
+
+// Runs `sweep(instance, rng)` once per kSimd instance, each from a fresh
+// generator seeded with `seed`.
+template <typename Sweep>
+void for_each_instance(unsigned seed, Sweep sweep) {
+  for (const Backend* be : simd_instances()) {
+    SCOPED_TRACE(be->name());
+    std::mt19937_64 rng(seed);
+    sweep(*be, rng);
+  }
+}
 
 TEST(BackendRows, FillCopyBitIdenticalAcrossEngines) {
-  std::mt19937_64 rng(101);
-  const auto engines = all_engines();
-  for (int round = 0; round < kRounds; ++round) {
-    const RowCase c = random_case(rng);
-    const auto src = random_row(rng, static_cast<std::size_t>(c.n));
-    const double v = static_cast<double>(round) * 0.37 - 3.0;
-    std::vector<std::vector<double>> fills, copies;
-    for (const Backend* be : engines) {
-      std::vector<double> f(static_cast<std::size_t>(c.n), -99.0);
-      be->fill_row(f.data(), c.lo, c.hi, v);
-      fills.push_back(std::move(f));
-      std::vector<double> cp(static_cast<std::size_t>(c.n), -99.0);
-      be->copy_row(cp.data(), src.data(), c.lo, c.hi);
-      copies.push_back(std::move(cp));
+  const Backend& sc = detail::scalar_backend();
+  for_each_instance(101, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 0; n <= kMaxRow; ++n) {
+      const auto src = random_row(rng, static_cast<std::size_t>(n));
+      const double v = static_cast<double>(n) * 0.37 - 3.0;
+      for (const Range r : ranges(rng, 0, n)) {
+        auto run = [&](const Backend& e) {
+          std::vector<double> f(static_cast<std::size_t>(n), -99.0);
+          std::vector<double> c = f;
+          e.fill_row(f.data(), r.lo, r.hi, v);
+          e.copy_row(c.data(), src.data(), r.lo, r.hi);
+          f.insert(f.end(), c.begin(), c.end());
+          return f;
+        };
+        ASSERT_EQ(run(be), run(sc)) << where(&be, n, r);
+      }
     }
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      ASSERT_EQ(fills[e], fills[0]) << engines[e]->name() << " n=" << c.n
-                                    << " [" << c.lo << "," << c.hi << ")";
-      ASSERT_EQ(copies[e], copies[0]) << engines[e]->name() << " n=" << c.n;
-    }
-  }
+  });
 }
 
 TEST(BackendRows, PlaneSumsBitIdenticalAcrossEngines) {
-  std::mt19937_64 rng(102);
-  const auto engines = all_engines();
-  for (int round = 0; round < kRounds; ++round) {
-    const extent_t n = random_length(rng);
-    std::vector<std::vector<double>> in;
-    in.reserve(8);
-    for (int r = 0; r < 8; ++r) {
-      in.push_back(random_row(rng, static_cast<std::size_t>(n)));
-    }
-    std::vector<std::vector<double>> u1s, u2s;
-    for (const Backend* be : engines) {
-      std::vector<double> u1(static_cast<std::size_t>(n), -99.0);
-      std::vector<double> u2(static_cast<std::size_t>(n), -99.0);
-      be->plane_sums(in[0].data(), in[1].data(), in[2].data(), in[3].data(),
+  const Backend& sc = detail::scalar_backend();
+  for_each_instance(102, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 0; n <= kMaxRow; ++n) {
+      std::vector<std::vector<double>> in;
+      for (int r = 0; r < 8; ++r) {
+        in.push_back(random_row(rng, static_cast<std::size_t>(n)));
+      }
+      auto run = [&](const Backend& e) {
+        std::vector<double> u1(static_cast<std::size_t>(n), -99.0);
+        std::vector<double> u2 = u1;
+        e.plane_sums(in[0].data(), in[1].data(), in[2].data(), in[3].data(),
                      in[4].data(), in[5].data(), in[6].data(), in[7].data(),
                      u1.data(), u2.data(), n);
-      u1s.push_back(std::move(u1));
-      u2s.push_back(std::move(u2));
+        u1.insert(u1.end(), u2.begin(), u2.end());
+        return u1;
+      };
+      ASSERT_EQ(run(be), run(sc)) << "n=" << n;
     }
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      ASSERT_EQ(u1s[e], u1s[0]) << engines[e]->name() << " n=" << n;
-      ASSERT_EQ(u2s[e], u2s[0]) << engines[e]->name() << " n=" << n;
-    }
-  }
+  });
 }
 
 TEST(BackendRows, CombineAndAccumulateBitIdenticalAcrossEngines) {
-  std::mt19937_64 rng(103);
-  const auto engines = all_engines();
-  for (int round = 0; round < kRounds; ++round) {
-    const extent_t n = random_length(rng) + 2;  // room for the [lo-1, hi+1) reads
-    const auto uc = random_row(rng, static_cast<std::size_t>(n));
-    const auto u1 = random_row(rng, static_cast<std::size_t>(n));
-    const auto u2 = random_row(rng, static_cast<std::size_t>(n));
-    // Interior sub-range: the combine contract needs lo-1 / hi readable.
-    std::uniform_int_distribution<extent_t> bound(1, n - 1);
-    extent_t lo = bound(rng), hi = bound(rng);
-    if (hi < lo) std::swap(lo, hi);
-    std::vector<std::vector<double>> outs, accs;
-    for (const Backend* be : engines) {
-      std::vector<double> o(static_cast<std::size_t>(n), -99.0);
-      be->combine_row(kTestCoeffs.c.data(), uc.data(), u1.data(), u2.data(),
-                      o.data(), lo, hi);
-      outs.push_back(std::move(o));
-      std::vector<double> a(static_cast<std::size_t>(n), 0.5);
-      be->accumulate_row(kTestCoeffs.c.data(), uc.data(), u1.data(),
-                         u2.data(), a.data(), lo, hi);
-      accs.push_back(std::move(a));
+  // Rows of n + 2 so the combine's [lo-1, hi+1) reads stay in bounds for
+  // every sub-range of [1, n + 1).  accumulate_row adds into a random row
+  // in place.
+  const Backend& sc = detail::scalar_backend();
+  for_each_instance(103, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 0; n <= kMaxRow; ++n) {
+      const auto len = static_cast<std::size_t>(n + 2);
+      const auto uc = random_row(rng, len);
+      const auto u1 = random_row(rng, len);
+      const auto u2 = random_row(rng, len);
+      const auto base = random_row(rng, len);
+      for (const Range r : ranges(rng, 1, n + 1)) {
+        for (const bool accumulate : {false, true}) {
+          auto run = [&](const Backend& e) {
+            std::vector<double> o = base;
+            if (accumulate) {
+              e.accumulate_row(kTestCoeffs.c.data(), uc.data(), u1.data(),
+                               u2.data(), o.data(), r.lo, r.hi);
+            } else {
+              e.combine_row(kTestCoeffs.c.data(), uc.data(), u1.data(),
+                            u2.data(), o.data(), r.lo, r.hi);
+            }
+            return o;
+          };
+          ASSERT_EQ(run(be), run(sc))
+              << where(&be, n, r) << (accumulate ? " accumulate" : " combine");
+        }
+      }
     }
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      ASSERT_EQ(outs[e], outs[0]) << engines[e]->name() << " n=" << n
-                                  << " [" << lo << "," << hi << ")";
-      ASSERT_EQ(accs[e], accs[0]) << engines[e]->name() << " n=" << n;
-    }
-  }
+  });
 }
 
 TEST(BackendRows, EwiseMergesBitIdenticalAcrossEngines) {
-  std::mt19937_64 rng(104);
-  const auto engines = all_engines();
-  for (int round = 0; round < kRounds; ++round) {
-    const RowCase c = random_case(rng);
-    const auto a = random_row(rng, static_cast<std::size_t>(c.n));
-    const auto base = random_row(rng, static_cast<std::size_t>(c.n));
-    for (int op = 0; op < 3; ++op) {
-      std::vector<std::vector<double>> outs;
-      for (const Backend* be : engines) {
-        std::vector<double> o = base;
-        if (op == 0) be->add_into_row(a.data(), o.data(), c.lo, c.hi);
-        if (op == 1) be->sub_into_row(a.data(), o.data(), c.lo, c.hi);
-        if (op == 2) be->mul_into_row(a.data(), o.data(), c.lo, c.hi);
-        outs.push_back(std::move(o));
-      }
-      for (std::size_t e = 1; e < engines.size(); ++e) {
-        ASSERT_EQ(outs[e], outs[0])
-            << engines[e]->name() << " op=" << op << " n=" << c.n;
+  // `a` is a separate row, or `out` itself (the one overlap the contract
+  // allows).
+  const Backend& sc = detail::scalar_backend();
+  for_each_instance(104, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 0; n <= kMaxRow; ++n) {
+      const auto a = random_row(rng, static_cast<std::size_t>(n));
+      const auto base = random_row(rng, static_cast<std::size_t>(n));
+      for (const Range r : ranges(rng, 0, n)) {
+        for (int op = 0; op < 3; ++op) {
+          for (const bool self : {false, true}) {
+            auto run = [&](const Backend& e) {
+              std::vector<double> o = base;
+              const double* in = self ? o.data() : a.data();
+              if (op == 0) e.add_into_row(in, o.data(), r.lo, r.hi);
+              if (op == 1) e.sub_into_row(in, o.data(), r.lo, r.hi);
+              if (op == 2) e.mul_into_row(in, o.data(), r.lo, r.hi);
+              return o;
+            };
+            ASSERT_EQ(run(be), run(sc))
+                << where(&be, n, r) << " op=" << op << " self=" << self;
+          }
+        }
       }
     }
-  }
+  });
 }
 
 TEST(BackendRows, GatherScatterBitIdenticalAcrossEngines) {
-  std::mt19937_64 rng(105);
-  const auto engines = all_engines();
-  for (int round = 0; round < kRounds; ++round) {
-    const extent_t count = random_length(rng);
-    std::uniform_int_distribution<extent_t> stride_pick(1, 5);
-    const extent_t stride = stride_pick(rng);
-    const auto src =
-        random_row(rng, static_cast<std::size_t>(count * stride));
-    std::vector<std::vector<double>> gathers, scatters;
-    for (const Backend* be : engines) {
-      std::vector<double> g(static_cast<std::size_t>(count), -99.0);
-      be->gather_row(g.data(), src.data(), stride, count);
-      gathers.push_back(std::move(g));
-      std::vector<double> s(static_cast<std::size_t>(count * stride), -99.0);
-      be->scatter_row(s.data(), stride, src.data(), count);
-      scatters.push_back(std::move(s));
+  // Strides 1..5: the grid transfers' stride 2 has its own vector loop.
+  const Backend& sc = detail::scalar_backend();
+  for_each_instance(105, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 0; n <= kMaxRow; ++n) {
+      for (extent_t stride = 1; stride <= 5; ++stride) {
+        const auto src =
+            random_row(rng, static_cast<std::size_t>(n * stride));
+        auto run = [&](const Backend& e) {
+          std::vector<double> g(static_cast<std::size_t>(n), -99.0);
+          e.gather_row(g.data(), src.data(), stride, n);
+          std::vector<double> s(static_cast<std::size_t>(n * stride), -99.0);
+          e.scatter_row(s.data(), stride, src.data(), n);
+          g.insert(g.end(), s.begin(), s.end());
+          return g;
+        };
+        ASSERT_EQ(run(be), run(sc)) << "n=" << n << " stride=" << stride;
+      }
     }
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      ASSERT_EQ(gathers[e], gathers[0])
-          << engines[e]->name() << " stride=" << stride;
-      ASSERT_EQ(scatters[e], scatters[0])
-          << engines[e]->name() << " stride=" << stride;
-    }
-  }
+  });
 }
 
 TEST(BackendFolds, AgreeWithScalarToTolAndAcrossSimdEnginesExactly) {
-  std::mt19937_64 rng(106);
+  // Every instance folds in the same four lanes: bitwise equal to the
+  // baseline instance, within 1e-12 of scalar, and max-abs (insensitive
+  // to association) exactly scalar's.
   const Backend& sc = detail::scalar_backend();
   const Backend& po = detail::portable_backend();
-  const Backend* avx = detail::avx2_backend();
-  for (int round = 0; round < kRounds; ++round) {
-    const RowCase c = random_case(rng);
-    const auto p = random_row(rng, static_cast<std::size_t>(c.n));
-    const double acc0 = round * 0.013;
-
-    const double ss_sc = sc.sum_sq_row(acc0, p.data(), c.lo, c.hi);
-    const double ss_po = po.sum_sq_row(acc0, p.data(), c.lo, c.hi);
-    ASSERT_NEAR(ss_po, ss_sc, 1e-12 * std::max(1.0, std::fabs(ss_sc)))
-        << "n=" << c.n << " [" << c.lo << "," << c.hi << ")";
-
-    // max is association-insensitive: exact across every engine.
-    const double ma_sc = sc.max_abs_row(acc0, p.data(), c.lo, c.hi);
-    const double ma_po = po.max_abs_row(acc0, p.data(), c.lo, c.hi);
-    ASSERT_EQ(ma_po, ma_sc) << "n=" << c.n;
-
-    if (avx != nullptr) {
-      // AVX2 mirrors the portable lane structure bit for bit.
-      ASSERT_EQ(avx->sum_sq_row(acc0, p.data(), c.lo, c.hi), ss_po)
-          << "n=" << c.n << " [" << c.lo << "," << c.hi << ")";
-      ASSERT_EQ(avx->max_abs_row(acc0, p.data(), c.lo, c.hi), ma_po)
-          << "n=" << c.n;
+  for_each_instance(106, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 0; n <= kMaxRow; ++n) {
+      const auto p = random_row(rng, static_cast<std::size_t>(n));
+      const double acc0 = static_cast<double>(n) * 0.013;
+      for (const Range r : ranges(rng, 0, n)) {
+        const double ss = be.sum_sq_row(acc0, p.data(), r.lo, r.hi);
+        const double ss_sc = sc.sum_sq_row(acc0, p.data(), r.lo, r.hi);
+        ASSERT_NEAR(ss, ss_sc, 1e-12 * std::max(1.0, std::fabs(ss_sc)))
+            << where(&be, n, r);
+        ASSERT_EQ(ss, po.sum_sq_row(acc0, p.data(), r.lo, r.hi))
+            << where(&be, n, r);
+        ASSERT_EQ(be.max_abs_row(acc0, p.data(), r.lo, r.hi),
+                  sc.max_abs_row(acc0, p.data(), r.lo, r.hi))
+            << where(&be, n, r);
+      }
     }
-    if (const Backend* a512 = detail::avx512_backend()) {
-      // The AVX-512 engine keeps the 4-lane fold contract, not 8 lanes.
-      ASSERT_EQ(a512->sum_sq_row(acc0, p.data(), c.lo, c.hi), ss_po)
-          << "n=" << c.n << " [" << c.lo << "," << c.hi << ")";
-      ASSERT_EQ(a512->max_abs_row(acc0, p.data(), c.lo, c.hi), ma_po)
-          << "n=" << c.n;
-    }
-  }
+  });
 }
 
 // -- whole-kernel differential sweeps ---------------------------------------
 
-Array<double> run_relax(const Array<double>& a, BackendKind backend,
+// A whole-kernel engine: a kind and, for kSimd, the instance it is pinned
+// to (nullptr: this host's own).
+struct Engine {
+  const char* label;
+  BackendKind kind;
+  const Backend* pin;
+};
+
+const Engine kScalarEngine{"scalar", BackendKind::kScalar, nullptr};
+const Engine kSimdEngine{"simd", BackendKind::kSimd, nullptr};
+const Engine kPortableEngine{"portable", BackendKind::kSimd,
+                             &detail::portable_backend()};
+
+SacConfig with_backend(SacConfig cfg, BackendKind kind) {
+  cfg.backend = kind;
+  return cfg;
+}
+
+// RAII: run the calling scope on `e`, on top of `base`.
+class UseEngine {
+ public:
+  explicit UseEngine(const Engine& e, const SacConfig& base = config())
+      : cfg_(with_backend(base, e.kind)), pin_(e.pin) {}
+
+ private:
+  ScopedConfig cfg_;
+  detail::ScopedSimdOverride pin_;
+};
+
+Array<double> run_relax(const Array<double>& a, const Engine& e,
                         bool periodic, int threads = 0) {
   SacConfig cfg = config();
   cfg.stencil_mode = StencilMode::kPlanes;
   cfg.stencil_planes_cutover = 0;
-  cfg.backend = backend;
   if (threads > 0) {
     cfg.mt_enabled = true;
     cfg.mt_threads = threads;
     cfg.mt_threshold = 1;
   }
-  ScopedConfig guard(cfg);
+  const UseEngine use(e, cfg);
   return periodic
              ? relax_kernel_periodic(a, kTestCoeffs, StencilMode::kPlanes)
              : relax_kernel(a, kTestCoeffs, StencilMode::kPlanes);
@@ -332,9 +358,9 @@ TEST(BackendKernels, PlanesRelaxBitIdenticalAcrossBackends) {
        {Shape{6, 7, 9}, Shape{5, 5, 4}, Shape{8, 6, 19}, Shape{4, 9, 33}}) {
     auto a = random_array(shp, 71);
     for (const bool periodic : {false, true}) {
-      auto scalar = run_relax(a, BackendKind::kScalar, periodic);
-      auto simd = run_relax(a, BackendKind::kSimd, periodic);
-      auto portable = run_relax(a, BackendKind::kSimdPortable, periodic);
+      auto scalar = run_relax(a, kScalarEngine, periodic);
+      auto simd = run_relax(a, kSimdEngine, periodic);
+      auto portable = run_relax(a, kPortableEngine, periodic);
       for (extent_t i = 0; i < scalar.elem_count(); ++i) {
         ASSERT_EQ(simd.at_linear(i), scalar.at_linear(i))
             << (periodic ? "periodic " : "fixed ") << i;
@@ -348,17 +374,13 @@ TEST(BackendKernels, PlanesRelaxBitIdenticalAcrossBackends) {
 TEST(BackendKernels, MultithreadedRunsAreBitwiseDeterministicPerBackend) {
   const Shape shp{24, 24, 24};
   auto a = random_array(shp, 73);
-  for (const BackendKind kind :
-       {BackendKind::kScalar, BackendKind::kSimd,
-        BackendKind::kSimdPortable}) {
-    auto serial = run_relax(a, kind, /*periodic=*/false);
-    auto mt1 = run_relax(a, kind, /*periodic=*/false, /*threads=*/4);
-    auto mt2 = run_relax(a, kind, /*periodic=*/false, /*threads=*/4);
+  for (const Engine& e : {kScalarEngine, kSimdEngine, kPortableEngine}) {
+    auto serial = run_relax(a, e, /*periodic=*/false);
+    auto mt1 = run_relax(a, e, /*periodic=*/false, /*threads=*/4);
+    auto mt2 = run_relax(a, e, /*periodic=*/false, /*threads=*/4);
     for (extent_t i = 0; i < serial.elem_count(); ++i) {
-      ASSERT_EQ(mt1.at_linear(i), serial.at_linear(i))
-          << backend_name(kind) << " " << i;
-      ASSERT_EQ(mt2.at_linear(i), mt1.at_linear(i))
-          << backend_name(kind) << " " << i;
+      ASSERT_EQ(mt1.at_linear(i), serial.at_linear(i)) << e.label << " " << i;
+      ASSERT_EQ(mt2.at_linear(i), mt1.at_linear(i)) << e.label << " " << i;
     }
   }
 }
@@ -368,42 +390,38 @@ TEST(BackendKernels, GatherRowPathsMatchPerPointEvaluation) {
   // primitives; pure data movement must be bit-identical in every backend
   // and equal to the scalar per-point reference.
   std::mt19937_64 rng(75);
+  std::uniform_int_distribution<extent_t> row(1, 130);
   for (int round = 0; round < 24; ++round) {
     const extent_t n0 = 2 + static_cast<extent_t>(round % 5);
-    const Shape shp{n0 * 2, 6, random_length(rng) + 2};
+    const Shape shp{n0 * 2, 6, row(rng) + 2};
     auto a = random_array(shp, 77 + static_cast<unsigned>(round));
     Array<double> ref_c, ref_s, ref_t, ref_e;
     {
-      SacConfig cfg = config();
-      cfg.backend = BackendKind::kScalar;
-      ScopedConfig guard(cfg);
+      const UseEngine use(kScalarEngine);
       ref_c = condense(2, a);
       ref_s = scatter(3, condense(2, a));
       ref_t = take({shp[0] / 2, 3, shp[2] / 2}, a);
       ref_e = embed(IndexVec{shp[0] + 3, shp[1] + 1, shp[2] + 5},
                     IndexVec{2, 1, 3}, a);
     }
-    for (const BackendKind kind :
-         {BackendKind::kSimd, BackendKind::kSimdPortable}) {
-      SacConfig cfg = config();
-      cfg.backend = kind;
-      ScopedConfig guard(cfg);
+    for (const Engine& eng : {kSimdEngine, kPortableEngine}) {
+      const UseEngine use(eng);
       auto c = condense(2, a);
       auto s = scatter(3, condense(2, a));
       auto t = take({shp[0] / 2, 3, shp[2] / 2}, a);
       auto e = embed(IndexVec{shp[0] + 3, shp[1] + 1, shp[2] + 5},
                      IndexVec{2, 1, 3}, a);
       for (extent_t i = 0; i < ref_c.elem_count(); ++i) {
-        ASSERT_EQ(c.at_linear(i), ref_c.at_linear(i)) << backend_name(kind);
+        ASSERT_EQ(c.at_linear(i), ref_c.at_linear(i)) << eng.label;
       }
       for (extent_t i = 0; i < ref_s.elem_count(); ++i) {
-        ASSERT_EQ(s.at_linear(i), ref_s.at_linear(i)) << backend_name(kind);
+        ASSERT_EQ(s.at_linear(i), ref_s.at_linear(i)) << eng.label;
       }
       for (extent_t i = 0; i < ref_t.elem_count(); ++i) {
-        ASSERT_EQ(t.at_linear(i), ref_t.at_linear(i)) << backend_name(kind);
+        ASSERT_EQ(t.at_linear(i), ref_t.at_linear(i)) << eng.label;
       }
       for (extent_t i = 0; i < ref_e.elem_count(); ++i) {
-        ASSERT_EQ(e.at_linear(i), ref_e.at_linear(i)) << backend_name(kind);
+        ASSERT_EQ(e.at_linear(i), ref_e.at_linear(i)) << eng.label;
       }
     }
   }
@@ -412,22 +430,20 @@ TEST(BackendKernels, GatherRowPathsMatchPerPointEvaluation) {
 TEST(BackendKernels, FusedRestrictionRowPathMatchesPerPointToTol) {
   // condense(2, stencil) under a vectorized backend runs the stencil's ROW
   // evaluator (planes association) where per-point evaluation groups by
-  // class — equal to 1e-12, and bit-identical between the simd engines.
+  // class — equal to 1e-12, and bit-identical between the simd instances.
   const Shape shp{10, 10, 18};
   auto a = random_array(shp, 79);
   SacConfig cfg = config();
   cfg.stencil_mode = StencilMode::kPlanes;
   cfg.stencil_planes_cutover = 0;
-  auto run = [&](BackendKind kind) {
-    SacConfig c = cfg;
-    c.backend = kind;
-    ScopedConfig guard(c);
+  auto run = [&](const Engine& e) {
+    const UseEngine use(e, cfg);
     return force(
         lazy_condense(2, StencilExpr(a, kTestCoeffs, StencilMode::kPlanes)));
   };
-  auto scalar = run(BackendKind::kScalar);
-  auto simd = run(BackendKind::kSimd);
-  auto portable = run(BackendKind::kSimdPortable);
+  auto scalar = run(kScalarEngine);
+  auto simd = run(kSimdEngine);
+  auto portable = run(kPortableEngine);
   for (extent_t i = 0; i < scalar.elem_count(); ++i) {
     ASSERT_NEAR(simd.at_linear(i), scalar.at_linear(i), 1e-12) << i;
     ASSERT_EQ(portable.at_linear(i), simd.at_linear(i)) << i;
@@ -437,26 +453,22 @@ TEST(BackendKernels, FusedRestrictionRowPathMatchesPerPointToTol) {
 TEST(BackendFolds, WholeArrayFoldsAgreeAndSimdEnginesMatchExactly) {
   const Shape shp{12, 13, 21};
   auto r = random_array(shp, 83);
-  auto run_ss = [&](BackendKind kind) {
-    SacConfig cfg = config();
-    cfg.backend = kind;
-    ScopedConfig guard(cfg);
+  auto run_ss = [&](const Engine& e) {
+    const UseEngine use(e);
     return with_fold(std::plus<>{}, 0.0, r.shape(), gen_interior(r.shape()),
                      sum_sq_rows(r));
   };
-  auto run_ma = [&](BackendKind kind) {
-    SacConfig cfg = config();
-    cfg.backend = kind;
-    ScopedConfig guard(cfg);
+  auto run_ma = [&](const Engine& e) {
+    const UseEngine use(e);
     return max_abs(r);
   };
-  const double ss_scalar = run_ss(BackendKind::kScalar);
-  const double ss_simd = run_ss(BackendKind::kSimd);
+  const double ss_scalar = run_ss(kScalarEngine);
+  const double ss_simd = run_ss(kSimdEngine);
   EXPECT_NEAR(ss_simd / ss_scalar, 1.0, 1e-12);
-  EXPECT_EQ(run_ss(BackendKind::kSimdPortable), ss_simd);
-  const double ma_scalar = run_ma(BackendKind::kScalar);
-  EXPECT_EQ(run_ma(BackendKind::kSimd), ma_scalar);
-  EXPECT_EQ(run_ma(BackendKind::kSimdPortable), ma_scalar);
+  EXPECT_EQ(run_ss(kPortableEngine), ss_simd);
+  const double ma_scalar = run_ma(kScalarEngine);
+  EXPECT_EQ(run_ma(kSimdEngine), ma_scalar);
+  EXPECT_EQ(run_ma(kPortableEngine), ma_scalar);
 }
 
 // -- kJit differential battery ----------------------------------------------

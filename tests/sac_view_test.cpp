@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/sac.hpp"
 
 namespace sacpp::sac {
@@ -25,9 +26,16 @@ namespace {
 constexpr StencilCoeffs kCoeffs{{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0}};
 constexpr StencilCoeffs kSmoother{{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0}};
 
+// An engine: a kind and, for kSimd, the instance it is pinned to (nullptr:
+// this host's own).
+struct Engine {
+  BackendKind kind;
+  const Backend* pin = nullptr;
+};
+
 struct Combo {
   StencilMode mode;
-  BackendKind backend;
+  Engine engine;
   unsigned threads;
   std::int64_t cutover;  // SacConfig::stencil_planes_cutover
 };
@@ -39,18 +47,22 @@ std::string label(const Shape& shp, const Combo& c) {
     os << (d ? "," : "") << shp.extent(d);
   }
   os << "} " << stencil_mode_name(c.mode) << " cutover " << c.cutover << " "
-     << backend_name(c.backend) << " threads " << c.threads;
+     << backend_name(c.engine.kind);
+  if (c.engine.pin != nullptr) os << " [" << c.engine.pin->name() << "]";
+  os << " threads " << c.threads;
   return os.str();
 }
 
-// The jit engine joins only under SACPP_JIT_SYNC=1, when its rows run
-// compiled kernels rather than the fallback engine.
-std::vector<BackendKind> engines() {
-  std::vector<BackendKind> v{BackendKind::kScalar, BackendKind::kSimd,
-                             BackendKind::kSimdPortable};
+// kSimd runs on this host's instance and on the baseline one.  The jit
+// engine joins only under SACPP_JIT_SYNC=1, when its rows run compiled
+// kernels rather than the fallback engine.
+std::vector<Engine> engines() {
+  std::vector<Engine> v{{BackendKind::kScalar},
+                        {BackendKind::kSimd},
+                        {BackendKind::kSimd, &detail::portable_backend()}};
   const char* sync = std::getenv("SACPP_JIT_SYNC");
   if (sync != nullptr && std::string(sync) == "1") {
-    v.push_back(BackendKind::kJit);
+    v.push_back({BackendKind::kJit});
   }
   return v;
 }
@@ -59,7 +71,7 @@ std::vector<Combo> all_combos() {
   std::vector<Combo> v;
   for (const StencilMode mode :
        {StencilMode::kNaive, StencilMode::kGrouped, StencilMode::kPlanes}) {
-    for (const BackendKind be : engines()) {
+    for (const Engine& be : engines()) {
       for (const unsigned threads : {1u, 4u}) {
         v.push_back(Combo{mode, be, threads, 18});
         // Planes rows on every grid size, not just above the cutover.
@@ -184,12 +196,13 @@ void check_views(const Shape& shp, unsigned seed, const Combo& c) {
   const Array<double> w = random_array(shp, seed + 1);
   SacConfig cfg = config();
   cfg.stencil_mode = c.mode;
-  cfg.backend = c.backend;
+  cfg.backend = c.engine.kind;
   cfg.mt_enabled = c.threads > 1;
   cfg.mt_threads = c.threads;
   cfg.mt_threshold = 1;
   cfg.stencil_planes_cutover = c.cutover;
   ScopedConfig guard(cfg);
+  const detail::ScopedSimdOverride pin(c.engine.pin);
   const std::string where = label(shp, c);
 
   const std::vector<double> before(base.data(),
@@ -302,7 +315,7 @@ TEST(ViewBattery, CubicExtents3To66) {
                 combos[idx % combos.size()]);
     // The benchmark's own configuration at every extent.
     check_views(cube_shape(3, n), 600 + static_cast<unsigned>(n),
-                Combo{StencilMode::kPlanes, BackendKind::kSimd,
+                Combo{StencilMode::kPlanes, {BackendKind::kSimd},
                       n % 2 == 0 ? 4u : 1u, 18});
   }
   shutdown_runtime();

@@ -153,13 +153,26 @@ TEST(ServeWire, RejectsOutOfRangeEnums) {
 
 TEST(ServeWire, RejectsOutOfRangeBackend) {
   // Backend byte sits after length(4) + magic(4) + version(1) + id(8) +
-  // cls(1) + variant(1) + priority(1) + stencil(1).
-  std::vector<std::uint8_t> frame = encode_request(sample_request());
-  frame[21] = 99;
-  SolveRequest out;
-  std::string error;
-  EXPECT_FALSE(decode_request(frame, &out, &error));
-  EXPECT_NE(error.find("backend"), std::string::npos) << error;
+  // cls(1) + variant(1) + priority(1) + stencil(1).  Byte 2 is the retired
+  // simd-portable engine's; the jit keeps byte 3.
+  for (const std::uint8_t byte : {std::uint8_t{2}, std::uint8_t{99}}) {
+    std::vector<std::uint8_t> frame = encode_request(sample_request());
+    frame[21] = byte;
+    SolveRequest out;
+    std::string error;
+    EXPECT_FALSE(decode_request(frame, &out, &error)) << int{byte};
+    EXPECT_NE(error.find("backend"), std::string::npos) << error;
+    if (byte == 2) {
+      EXPECT_NE(error.find("simd-portable"), std::string::npos) << error;
+    }
+  }
+  SolveRequest jit = sample_request();
+  jit.backend = sac::BackendKind::kJit;
+  const std::vector<std::uint8_t> frame = encode_request(jit);
+  EXPECT_EQ(frame[21], 3);
+  SolveRequest back;
+  ASSERT_TRUE(decode_request(frame, &back));
+  EXPECT_EQ(back.backend, sac::BackendKind::kJit);
 }
 
 TEST(ServeWire, TraceContextRoundTrip) {

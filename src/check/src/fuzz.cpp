@@ -11,6 +11,7 @@
 #include "sacpp/common/shape.hpp"
 #include "sacpp/sac/array_lib.hpp"
 #include "sacpp/sac/backend.hpp"
+#include "sacpp/sac/scatter_stencil.hpp"
 #include "sacpp/sac/stencil.hpp"
 
 namespace sacpp::check {
@@ -152,6 +153,29 @@ void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
     }
   }
 
+  // The polyphase prolongation rows: sums of 2 and 4 rows, and the
+  // interleaved row over a coarse row long enough for its last odd point.
+  {
+    const auto c = fuzz_row(rng, nz), d = fuzz_row(rng, nz);
+    const auto w = fuzz_row(rng, nz / 2 + 2);
+    std::vector<std::vector<double>> sums(engines.size()),
+        interp(engines.size());
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      sums[e].assign(2 * nz, -77.0);
+      engines[e]->sum_rows(a.data(), b.data(), nullptr, nullptr,
+                           sums[e].data(), n);
+      engines[e]->sum_rows(a.data(), b.data(), c.data(), d.data(),
+                           sums[e].data() + nz, n);
+      interp[e].assign(nz, -77.0);
+      engines[e]->interp_row(v, 0.375, w.data(), interp[e].data(), lo, hi);
+      stats->rows_checked += 1;
+      if (e > 0 && (!rows_equal(sums[e], sums[0]) ||
+                    !rows_equal(interp[e], interp[0]))) {
+        stats->mismatches += 1;
+      }
+    }
+  }
+
   // Strided gather / scatter.
   if (n >= 1) {
     const extent_t stride = rng.range(1, 4);
@@ -227,6 +251,16 @@ bool arrays_equal(const sac::Array<double>& a, const sac::Array<double>& b) {
   for (extent_t i = 0; i < a.elem_count(); ++i) {
     const double x = a.at_linear(i), y = b.at_linear(i);
     if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+// Equal under ==: a +0.0 and a -0.0 match.
+bool arrays_equal_values(const sac::Array<double>& a,
+                         const sac::Array<double>& b) {
+  if (a.shape() != b.shape()) return false;
+  for (extent_t i = 0; i < a.elem_count(); ++i) {
+    if (a.at_linear(i) != b.at_linear(i)) return false;
   }
   return true;
 }
@@ -485,6 +519,45 @@ void fuzz_view_chains(Rng& rng, BackendFuzzReport* stats) {
   if (!view.is_view()) stats->mismatches += 1;  // no reader may force it
 }
 
+// coarse2fine's stencil over take(scatter(.)), read straight from a random
+// array or from a view of one, against the stencil over the forced gather
+// on every engine and stencil mode.  Equal under ==: the exact-zero taps it
+// drops can flip the sign of a zero, nothing else.
+void fuzz_scatter_stencils(Rng& rng, BackendFuzzReport* stats) {
+  const Shape coarse{rng.range(3, 6), rng.range(3, 6),
+                     fuzz_row_length(rng) / 2 + 3};
+  const sac::Array<double> base = fuzz_array(rng, coarse);
+  const sac::Array<double> src =
+      rng.pick(2) == 0
+          ? base
+          : sac::with_modarray_reading(base, fuzz_slab_parts(rng, coarse));
+  const extent_t phase = rng.range(0, 1);
+  IndexVec ts(3);
+  for (std::size_t d = 0; d < 3; ++d) {
+    ts[d] = rng.range(3, 2 * coarse.extent(d));
+  }
+  sac::SacConfig cfg = sac::config();
+  cfg.stencil_planes_cutover = 0;
+  sac::ScopedConfig guard(cfg);
+  const auto gather = sac::lazy_take(ts, sac::lazy_scatter(2, src, phase));
+  // Coefficients that round, so that each mode's association order shows.
+  constexpr sac::StencilCoeffs kRounding{{-8.0 / 3.0, 0.3, 1.0 / 6.0, 0.1}};
+  for (const sac::StencilMode mode :
+       {sac::StencilMode::kNaive, sac::StencilMode::kGrouped,
+        sac::StencilMode::kPlanes}) {
+    for (const FuzzKind& k : fuzz_kinds()) {
+      const UseKind use(k);
+      stats->exprs_checked += 1;
+      stats->scatter_stencils_checked += 1;
+      if (!arrays_equal_values(
+              sac::relax_kernel(gather, kRounding, mode),
+              sac::relax_kernel(sac::force(gather), kRounding, mode))) {
+        stats->mismatches += 1;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 BackendFuzzReport fuzz_backend_rows(std::uint64_t seed, int rounds) {
@@ -497,6 +570,7 @@ BackendFuzzReport fuzz_backend_rows(std::uint64_t seed, int rounds) {
     fuzz_stencil_gathers(rng, &stats);
     fuzz_degenerate_stencils(rng, &stats);
     fuzz_view_chains(rng, &stats);
+    fuzz_scatter_stencils(rng, &stats);
   }
   return stats;
 }

@@ -12,8 +12,9 @@
 //    composition of Figs. 6/7 (border setup, RelaxKernel, condense, embed,
 //    scatter, take as separate with-loops);
 //  * folding on (default) — the compositions are fused into single
-//    traversals (with-loop folding): v - A(u) evaluates in one sweep, and
-//    Fine2Coarse evaluates the P-stencil only at the condensed points.
+//    traversals (with-loop folding): v - A(u) evaluates in one sweep,
+//    Fine2Coarse evaluates the P-stencil only at the condensed points, and
+//    Coarse2Fine the Q-stencil straight from the coarse grid.
 // Both paths compute identical values (tests assert this).
 
 #include "sacpp/mg/spec.hpp"
@@ -31,8 +32,12 @@ class MgSac {
   // u = u + VCycle(r)  starting from u = 0.  v is an extended grid.
   sac::Array<double> mgrid(const sac::Array<double>& v, int iter) const;
 
-  // Paper Fig. 4, VCycle: the recursive V-cycle correction operator.
-  sac::Array<double> vcycle(const sac::Array<double>& r) const;
+  // Paper Fig. 4, VCycle: the recursive V-cycle correction operator.  It
+  // consumes r, as the paper's VCycle does: passed its last reference (an
+  // rvalue), it overwrites r with the residual r - A z in place, so the
+  // cycle allocates no grid for it.  An lvalue argument is copied (O(1),
+  // shared) and left unchanged.
+  sac::Array<double> vcycle(sac::Array<double> r) const;
 
   // Paper Fig. 6: Resid — periodic border setup + relaxation with A.
   // (The paper's Resid(u) computes the operator application A u; the
@@ -48,7 +53,9 @@ class MgSac {
   sac::Array<double> fine2coarse(const sac::Array<double>& r) const;
 
   // Paper Fig. 7: Coarse2Fine — border setup, scatter, take, relax with Q.
-  // With folding enabled scatter/take fuse into one traversal.
+  // With folding enabled the Q-relaxation folds over scatter/take: it reads
+  // the coarse grid directly, 1, 2, 4 or 8 taps per fine point, and no
+  // scattered grid is built.
   sac::Array<double> coarse2fine(const sac::Array<double>& rn) const;
 
   // The current residual  r = v - Resid(u) , fused into one traversal when
@@ -68,7 +75,9 @@ class MgSac {
 
  private:
   // Fused forms used when with-loop folding is enabled.
-  sac::Array<double> sub_resid_fused(const sac::Array<double>& v,
+  // v - A u; written into v's buffer when v holds its last reference (and
+  // reuse, D2, is on), bitwise equal to the out-of-place form.
+  sac::Array<double> sub_resid_fused(sac::Array<double> v,
                                      const sac::Array<double>& u) const;
   // Takes z by value: when the caller passes its last reference the update
   // z + S(r) happens in place in z's buffer (SAC's psinv does the same).

@@ -178,7 +178,8 @@ MgResult run_sac(const MgSpec& spec, const RunOptions& opts) {
     r = solver.residual(v, u);
   };
   auto step = [&] {
-    u = std::move(u) + solver.vcycle(r);  // in-place update (refcount 1)
+    // In-place update (refcount 1); the V-cycle consumes r.
+    u = std::move(u) + solver.vcycle(std::move(r));
     r = solver.residual(v, u);
   };
   auto norm = [&] {

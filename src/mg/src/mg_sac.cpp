@@ -1,6 +1,8 @@
 #include "sacpp/mg/mg_sac.hpp"
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "sacpp/common/error.hpp"
 #include "sacpp/mg/profiler.hpp"
@@ -51,6 +53,56 @@ struct AddSmoothBody {
     st.accumulate_row(s, i, j, out, k_lo, k_hi);
   }
 };
+
+// Loop body of sub_resid_fused in place: v[i,j,k] - (A u)[i,j,k], written
+// into v's own buffer.  A kPlanes row cannot land on the v row it is
+// subtracted from, so it goes to a scratch row, v - row is formed there and
+// copied back: the arithmetic of the out-of-place ewise(v, A u, minus) rows.
+struct SubResidBody {
+  const StencilExpr& st;
+  const double* self;
+  extent_t e1, e2;
+
+  double operator()(extent_t i, extent_t j, extent_t k) const {
+    return self[(i * e1 + j) * e2 + k] - st(i, j, k);
+  }
+  double operator()(const IndexVec& iv) const {
+    return (*this)(iv[0], iv[1], iv[2]);
+  }
+  struct RowState {
+    sac::PlaneScratch planes;
+    std::vector<double> row;
+  };
+  bool row_fill_enabled() const { return st.row_fill_enabled(); }
+  RowState make_row_state() const {
+    return RowState{st.make_row_state(),
+                    std::vector<double>(static_cast<std::size_t>(e2))};
+  }
+  void fill_row(RowState& s, extent_t i, extent_t j, double* out,
+                extent_t k_lo, extent_t k_hi) const {
+    double* row = s.row.data();
+    st.fill_row(s.planes, i, j, row, k_lo, k_hi);
+    const sac::Backend& be = sac::active_backend();
+    be.sub_into_row(out, row, k_lo, k_hi);
+    be.copy_row(out, row + k_lo, k_lo, k_hi);
+  }
+};
+
+// self = self <op> st over the whole of `self`, in place: Body3 (one of the
+// bodies above) on rank 3, the index-vector form on other ranks.
+template <typename Body3, typename Op>
+void update_in_place(double* self, const Shape& shp, const StencilExpr& st,
+                     Op op) {
+  const auto g = sac::detail::resolve(sac::gen_all(), shp);
+  if (shp.rank() == 3) {
+    sac::detail::execute_assign(
+        self, shp, g, Body3{st, self, shp.extent(1), shp.extent(2)});
+  } else {
+    sac::detail::execute_assign(self, shp, g, [&](const IndexVec& iv) {
+      return op(self[shp.linearize(iv)], st(iv));
+    });
+  }
+}
 
 }  // namespace
 
@@ -115,12 +167,18 @@ Array<double> MgSac::coarse2fine(const Array<double>& rn) const {
 
 // -- fused forms (with-loop folding on) --------------------------------------
 
-Array<double> MgSac::sub_resid_fused(const Array<double>& v,
+Array<double> MgSac::sub_resid_fused(Array<double> v,
                                      const Array<double>& u) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "resid");
   Array<double> ub = setup_periodic_border(u);
-  return force(sac::ewise(v, StencilExpr(std::move(ub), spec_.a),
-                          std::minus<>{}));
+  StencilExpr st(std::move(ub), spec_.a);
+  if (!v.unique() || !sac::active_config().reuse) {
+    return force(sac::ewise(std::move(v), std::move(st), std::minus<>{}));
+  }
+  const Shape shp = v.shape();
+  double* self = v.mutable_data();  // the last reference: reused in place
+  update_in_place<SubResidBody>(self, shp, st, std::minus<>{});
+  return v;
 }
 
 Array<double> MgSac::add_smooth_fused(Array<double> z,
@@ -130,16 +188,7 @@ Array<double> MgSac::add_smooth_fused(Array<double> z,
   const StencilExpr st(std::move(rb), spec_.s);
   const Shape shp = z.shape();
   double* self = z.mutable_data();  // in place when uniquely owned
-  const auto g = sac::detail::resolve(sac::gen_all(), shp);
-  if (shp.rank() == 3) {
-    sac::detail::execute_assign(
-        self, shp, g,
-        AddSmoothBody{st, self, shp.extent(1), shp.extent(2)});
-  } else {
-    sac::detail::execute_assign(self, shp, g, [&](const IndexVec& iv) {
-      return self[shp.linearize(iv)] + st(iv);
-    });
-  }
+  update_in_place<AddSmoothBody>(self, shp, st, std::plus<>{});
   return z;
 }
 
@@ -155,13 +204,15 @@ Array<double> MgSac::fine2coarse_fused(const Array<double>& r) const {
 
 Array<double> MgSac::coarse2fine_fused(const Array<double>& rn) const {
   Array<double> rp = setup_periodic_border(rn);
-  // scatter + take fuse into one traversal; the Q-relaxation then needs the
-  // scattered grid materialised (stencils fold only over concrete arrays —
-  // the same profitability constraint sac2c applies).
+  // The Q-relaxation folds over scatter + take: it reads the bordered
+  // coarse grid straight through, 1, 2, 4 or 8 taps per fine point, and the
+  // scattered grid is never built (scatter_stencil.hpp).  Stencils
+  // otherwise fold only over concrete arrays, sac2c's profitability rule;
+  // this fold divides the work instead of multiplying it.
   const IndexVec fine_shape = 2 * rp.shape().extents() - 2;
-  Array<double> rt =
-      force(sac::lazy_take(fine_shape, sac::lazy_scatter(2, std::move(rp))));
-  return relax_kernel(rt, spec_.q);
+  return relax_kernel(
+      sac::lazy_take(fine_shape, sac::lazy_scatter(2, std::move(rp))),
+      spec_.q);
 }
 
 Array<double> MgSac::residual(const Array<double>& v,
@@ -187,7 +238,7 @@ int level_of(const Array<double>& a) {
 
 }  // namespace
 
-Array<double> MgSac::vcycle(const Array<double>& r) const {
+Array<double> MgSac::vcycle(Array<double> r) const {
   const bool folded = sac::active_config().folding;
   const int level = level_of(r);
   if (r.shape().extent(0) > 2 + 2) {
@@ -196,11 +247,12 @@ Array<double> MgSac::vcycle(const Array<double>& r) const {
       LevelScope scope(level);  // this level's work, recursion excluded
       rn = fine2coarse(r);
     }
-    Array<double> zn = vcycle(rn);
+    const Array<double> zn = vcycle(std::move(rn));
     LevelScope scope(level);
     Array<double> z = coarse2fine(zn);
     if (folded) {
-      Array<double> r2 = sub_resid_fused(r, z);
+      // r's last use: r - A z overwrites it in place.
+      Array<double> r2 = sub_resid_fused(std::move(r), z);
       return add_smooth_fused(std::move(z), r2);  // z updated in place
     }
     Array<double> r2 = r - resid(z);
@@ -212,15 +264,13 @@ Array<double> MgSac::vcycle(const Array<double>& r) const {
 
 Array<double> MgSac::mgrid(const Array<double>& v, int iter) const {
   check_extended(v);
-  const bool folded = sac::active_config().folding;
-  (void)folded;
   Array<double> u = sac::genarray_const(v.shape(), 0.0);
   for (int i = 0; i < iter; ++i) {
     Array<double> r = residual(v, u);
     // u's reference count drops to one here, so the addition reuses its
     // buffer in place — what SAC's reference counting does for
-    // `u = u + VCycle(r)`.
-    u = std::move(u) + vcycle(r);
+    // `u = u + VCycle(r)` — and VCycle consumes r.
+    u = std::move(u) + vcycle(std::move(r));
   }
   return u;
 }

@@ -133,6 +133,19 @@ class Backend {
   virtual void scatter_row(double* out, extent_t stride, const double* src,
                            extent_t n) const = 0;
 
+  // The polyphase prolongation rows: a stencil over a stride-2 scatter,
+  // read straight from the scattered array (ScatterStencilExpr,
+  // docs/stencil.md).
+  //   sum_rows:   w[t] = a[t] + b[t], or ((a[t] + b[t]) + c[t]) + d[t] when
+  //               c is given (d then too), for t in [0, n) — plane_sums'
+  //               association of the source rows the stencil reads.
+  //   interp_row: for k in [lo, hi) (lo >= 0), out[k] = ca * w[k/2] for
+  //               even k and cb * (w[k/2] + w[k/2 + 1]) for odd k.
+  virtual void sum_rows(const double* a, const double* b, const double* c,
+                        const double* d, double* w, extent_t n) const = 0;
+  virtual void interp_row(double ca, double cb, const double* w, double* out,
+                          extent_t lo, extent_t hi) const = 0;
+
   // -- row folds (reassociate under vectorized backends; see contract) ------
 
   // Returns acc folded with sum of p[k]^2 over [lo, hi).

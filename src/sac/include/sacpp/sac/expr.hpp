@@ -14,7 +14,10 @@
 // Like the compiler optimisation, folding has a profitability constraint:
 // a stencil reads 3^rank neighbours, so folding a stencil over another
 // unmaterialised stencil would multiply work.  The API mirrors sac2c's
-// heuristic by allowing StencilExpr only over concrete arrays.
+// heuristic by allowing StencilExpr only over concrete arrays.  The one
+// exception is a stencil over a stride-2 scatter (relax_kernel over
+// take(scatter(2, a)), scatter_stencil.hpp): read straight from `a` it
+// drops 7/8 of the taps, so that fold divides the work instead.
 
 #include <algorithm>
 #include <concepts>

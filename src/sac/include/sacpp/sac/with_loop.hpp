@@ -323,8 +323,44 @@ void execute_assign(T* out, const Shape& shape, const ResolvedGen& g,
 // genarray / modarray / fold
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+// Write `dflt` at every element outside a non-empty dense box: the whole
+// planes before and after it along axis 0, then in each plane it crosses
+// the same one axis down, ending with the two ends of each innermost row.
+template <typename T>
+void fill_outside_box(T* data, const Shape& shp, const ResolvedGen& g,
+                      T dflt) {
+  const std::size_t last = shp.rank() - 1;
+  const IndexVec strides = shp.strides();
+  auto ends = [&](T* row) {
+    std::fill(row, row + g.lower[last], dflt);
+    std::fill(row + g.upper[last], row + shp.extent(last), dflt);
+  };
+  auto fill = [&](auto& self, std::size_t d, T* base) -> void {
+    const extent_t s = strides[d];
+    std::fill(base, base + g.lower[d] * s, dflt);
+    std::fill(base + g.upper[d] * s, base + shp.extent(d) * s, dflt);
+    for (extent_t x = g.lower[d]; x < g.upper[d]; ++x) {
+      if (d + 1 == last) {
+        ends(base + x * s);
+      } else {
+        self(self, d + 1, base + x * s);
+      }
+    }
+  };
+  if (last == 0) {
+    ends(data);
+  } else {
+    fill(fill, 0, data);
+  }
+}
+
+}  // namespace detail
+
 // with (gen) genarray(shp, body(iv)); elements outside the generator are
-// `dflt` (SAC default: 0).
+// `dflt` (SAC default: 0).  A dense generator's box is left to the body, so
+// each element is written once; a strided one is filled whole first.
 template <typename T, typename Body>
 Array<T> with_genarray(const Shape& shp, const Gen& gen, const Body& body,
                        T dflt = T{}) {
@@ -332,7 +368,11 @@ Array<T> with_genarray(const Shape& shp, const Gen& gen, const Body& body,
   Array<T> out = Array<T>::uninitialized(shp);
   T* data = out.raw_data_unchecked();
   if (!g.full) {
-    std::fill_n(data, static_cast<std::size_t>(shp.elem_count()), dflt);
+    if (g.dense && g.count > 0) {
+      detail::fill_outside_box(data, shp, g, dflt);
+    } else {
+      std::fill_n(data, static_cast<std::size_t>(shp.elem_count()), dflt);
+    }
   }
   detail::execute_assign(data, shp, g, body);
   return out;

@@ -253,6 +253,18 @@ class JitBackend final : public Backend {
     fb_.scatter_row(out, stride, src, n);
   }
 
+  // No generated form: the interp rows are the simd engine's, uncounted
+  // like the fills and copies.
+  void sum_rows(const double* a, const double* b, const double* c,
+                const double* d, double* w, extent_t n) const override {
+    fb_.sum_rows(a, b, c, d, w, n);
+  }
+
+  void interp_row(double ca, double cb, const double* w, double* out,
+                  extent_t lo, extent_t hi) const override {
+    fb_.interp_row(ca, cb, w, out, lo, hi);
+  }
+
   double sum_sq_row(double acc, const double* p, extent_t lo,
                     extent_t hi) const override {
     if (hi - lo >= kMinRow) {

@@ -105,6 +105,21 @@ class ScalarBackend final : public Backend {
     for (extent_t t = 0; t < n; ++t) out[t * stride] = src[t];
   }
 
+  void sum_rows(const double* a, const double* b, const double* c,
+                const double* d, double* w, extent_t n) const override {
+    for (extent_t t = 0; t < n; ++t) {
+      w[t] = c == nullptr ? a[t] + b[t] : ((a[t] + b[t]) + c[t]) + d[t];
+    }
+  }
+
+  void interp_row(double ca, double cb, const double* w, double* out,
+                  extent_t lo, extent_t hi) const override {
+    for (extent_t k = lo; k < hi; ++k) {
+      const extent_t t = k / 2;
+      out[k] = k % 2 == 0 ? ca * w[t] : cb * (w[t] + w[t + 1]);
+    }
+  }
+
   double sum_sq_row(double acc, const double* p, extent_t lo,
                     extent_t hi) const override {
     for (extent_t k = lo; k < hi; ++k) {

@@ -110,6 +110,40 @@ template <typename Op>
   }
 }
 
+[[gnu::always_inline]] inline void sum_rows_body(
+    const double* __restrict a, const double* __restrict b,
+    const double* __restrict c, const double* __restrict d,
+    double* __restrict w, extent_t n) {
+  if (c == nullptr) {
+    for (extent_t t = 0; t < n; ++t) w[t] = a[t] + b[t];
+  } else {
+    for (extent_t t = 0; t < n; ++t) w[t] = ((a[t] + b[t]) + c[t]) + d[t];
+  }
+}
+
+// An odd first or even last position is peeled off, so the loop stores
+// whole (even, odd) pairs, which the vectorizer interleaves with shuffles.
+[[gnu::always_inline]] inline void interp_body(double ca, double cb,
+                                               const double* __restrict w,
+                                               double* __restrict out,
+                                               extent_t lo, extent_t hi) {
+  if (hi <= lo) return;
+  extent_t k = lo;
+  if (k % 2 != 0) {
+    out[k] = cb * (w[k / 2] + w[k / 2 + 1]);
+    ++k;
+  }
+  const extent_t pairs = (hi - k) / 2;
+  const double* __restrict wt = w + k / 2;
+  double* __restrict o = out + k;
+  for (extent_t t = 0; t < pairs; ++t) {
+    o[2 * t] = ca * wt[t];
+    o[2 * t + 1] = cb * (wt[t] + wt[t + 1]);
+  }
+  k += 2 * pairs;
+  if (k < hi) out[k] = ca * w[k / 2];
+}
+
 // -- the 4-lane folds (the lane contract of backend.hpp) ---------------------
 //
 // A lane past `hi` would add the neutral 0.0, which leaves its sum of
@@ -214,6 +248,14 @@ class SimdBackend final : public Backend {
   void scatter_row(double* out, extent_t stride, const double* src,
                    extent_t n) const override {
     Isa::template run<scatter_body>(out, stride, src, n);
+  }
+  void sum_rows(const double* a, const double* b, const double* c,
+                const double* d, double* w, extent_t n) const override {
+    Isa::template run<sum_rows_body>(a, b, c, d, w, n);
+  }
+  void interp_row(double ca, double cb, const double* w, double* out,
+                  extent_t lo, extent_t hi) const override {
+    Isa::template run<interp_body>(ca, cb, w, out, lo, hi);
   }
   double sum_sq_row(double acc, const double* p, extent_t lo,
                     extent_t hi) const override {

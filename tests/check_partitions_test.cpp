@@ -92,6 +92,7 @@ TEST(BackendFuzz, RowPrimitivesAndGatherRowsSurviveAdversarialShapes) {
   EXPECT_GT(stats.exprs_checked, 0);
   EXPECT_GT(stats.stencil_chains_checked, 0);
   EXPECT_GT(stats.view_chains_checked, 0);
+  EXPECT_GT(stats.scatter_stencils_checked, 0);
   EXPECT_EQ(stats.mismatches, 0);
   EXPECT_EQ(stats.fold_mismatches, 0);
   EXPECT_TRUE(stats.clean());

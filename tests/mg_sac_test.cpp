@@ -10,6 +10,7 @@
 
 #include "sacpp/mg/mg_sac.hpp"
 #include "sacpp/mg/problem.hpp"
+#include "sacpp/sac/pool.hpp"
 #include "sacpp/sac/runtime.hpp"
 
 namespace sacpp::mg {
@@ -261,8 +262,11 @@ TEST(GenarrayConst, Rank3EqualsConstantFill) {
 // mgrid(v, 1) — reads every border as a view: no copy-on-write, and the
 // six face with-loops, their copies and their parallel regions are gone
 // (with eager borders the same iteration counts 22 copies and 160
-// with-loops, 49 allocations and 32 regions).  The planes row path at 4
-// threads and the grouped per-point path at 1 count alike.
+// with-loops, 49 allocations and 32 regions).  Each of the five levels
+// above the coarsest relaxes Q straight from the coarse grid, with no
+// scattered grid to build, and writes r - A z into r: 23 with-loops and 17
+// allocations.  The planes row path at 4 threads and the grouped per-point
+// path at 1 count alike.
 struct IterationCounts {
   std::uint64_t copies, with_loops, allocations, regions;
 };
@@ -298,16 +302,36 @@ TEST(MgSacIteration, ClassWBordersCopyNothing) {
   const IterationCounts planes = class_w_iteration(
       sac::StencilMode::kPlanes, sac::BackendKind::kSimd, 4);
   EXPECT_EQ(planes.copies, 0u);
-  EXPECT_EQ(planes.with_loops, 28u);
-  EXPECT_EQ(planes.allocations, 27u);
-  EXPECT_EQ(planes.regions, 16u);
+  EXPECT_EQ(planes.with_loops, 23u);
+  EXPECT_EQ(planes.allocations, 17u);
+  EXPECT_EQ(planes.regions, 13u);
 
   const IterationCounts grouped = class_w_iteration(
       sac::StencilMode::kGrouped, sac::BackendKind::kScalar, 1);
   EXPECT_EQ(grouped.copies, 0u);
-  EXPECT_EQ(grouped.with_loops, 28u);
-  EXPECT_EQ(grouped.allocations, 27u);
+  EXPECT_EQ(grouped.with_loops, 23u);
+  EXPECT_EQ(grouped.allocations, 17u);
   EXPECT_EQ(grouped.regions, 0u);
+}
+
+// One mgrid iteration on a 130^3 grid: its 17.6 MB grids are big pool
+// blocks and nothing below them is, so the blocks freed at quiescence are
+// the big mappings the solve used.  Four grids are live at its peak: v, u,
+// the residual r (which the V-cycle overwrites with r - A z) and the
+// prolonged correction z; no scattered fine grid and no separate r - A z
+// is allocated.
+TEST(MgSacIteration, Grid130MapsFourBigBlocks) {
+  sac::SacConfig cfg = sac::config();
+  cfg.pool = true;
+  sac::ScopedConfig guard(cfg);
+  const std::uint64_t before = sac::BufferPool::instance().totals().big_freed;
+  {
+    const Array<double> v = random_extended(cube_shape(3, 130), 13);
+    const MgSac mg(MgSpec::custom(128, 1));
+    (void)mg.mgrid(v, 1);
+  }
+  EXPECT_EQ(sac::BufferPool::instance().live_big_blocks(), 0u);
+  EXPECT_EQ(sac::BufferPool::instance().totals().big_freed - before, 4u);
 }
 
 TEST(MgSacValidation, NonPowerOfTwoGridRejected) {

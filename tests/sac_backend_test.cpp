@@ -279,6 +279,37 @@ TEST(BackendRows, GatherScatterBitIdenticalAcrossEngines) {
   });
 }
 
+TEST(BackendRows, InterpRowsBitIdenticalAcrossEngines) {
+  // sum_rows over 2 and 4 rows of length n; interp_row over every sub-range
+  // of [0, n), reading a coarse row long enough for the last odd position.
+  const Backend& sc = detail::scalar_backend();
+  for_each_instance(106, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 0; n <= kMaxRow; ++n) {
+      const auto len = static_cast<std::size_t>(n);
+      const auto a = random_row(rng, len), b = random_row(rng, len),
+                 c = random_row(rng, len), d = random_row(rng, len);
+      const auto w = random_row(rng, len / 2 + 2);
+      const double ca = 0.5 + 0.01 * static_cast<double>(n), cb = -0.25;
+      auto sums = [&](const Backend& e) {
+        std::vector<double> w2(len, -99.0), w4(len, -99.0);
+        e.sum_rows(a.data(), b.data(), nullptr, nullptr, w2.data(), n);
+        e.sum_rows(a.data(), b.data(), c.data(), d.data(), w4.data(), n);
+        w2.insert(w2.end(), w4.begin(), w4.end());
+        return w2;
+      };
+      ASSERT_EQ(sums(be), sums(sc)) << "sum_rows n=" << n;
+      for (const Range r : ranges(rng, 0, n)) {
+        auto run = [&](const Backend& e) {
+          std::vector<double> o(len, -99.0);
+          e.interp_row(ca, cb, w.data(), o.data(), r.lo, r.hi);
+          return o;
+        };
+        ASSERT_EQ(run(be), run(sc)) << where(&be, n, r);
+      }
+    }
+  });
+}
+
 TEST(BackendFolds, AgreeWithScalarToTolAndAcrossSimdEnginesExactly) {
   // Every instance folds in the same four lanes: bitwise equal to the
   // baseline instance, within 1e-12 of scalar, and max-abs (insensitive

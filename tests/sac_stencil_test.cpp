@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/periodic_stencil.hpp"
 #include "sacpp/sac/sac.hpp"
 
@@ -336,6 +341,242 @@ TEST(StencilExpr, IndexVectorAndUnpackedAccessAgree) {
   for_each_index(a.shape(), [&](const IndexVec& iv) {
     ASSERT_DOUBLE_EQ(st(iv), st(iv[0], iv[1], iv[2]));
   });
+}
+
+// -- the stencil over a stride-2 scatter (scatter_stencil.hpp) ---------------
+//
+// The differential battery: relax_kernel over take(scatter(2, src)) must
+// equal relax_kernel over the materialised take∘scatter, element by element
+// under == (dropping the exact-zero taps may flip the sign of an exact
+// zero, nothing else), on every engine, stencil mode, thread count and
+// source kind.
+
+// The MG prolongation Q, whose power-of-two coefficients multiply exactly,
+// and coefficients that round, so that multiplying each tap and
+// multiplying their sum give different bits.
+constexpr StencilCoeffs kQ{{1.0, 0.5, 0.25, 0.125}};
+constexpr StencilCoeffs kRounding{{-8.0 / 3.0, 0.3, 1.0 / 6.0, 1.0 / 12.0}};
+
+// An engine: a kind and, for kSimd, the instance it is pinned to (nullptr:
+// this host's own).
+struct Engine {
+  BackendKind kind;
+  const Backend* pin = nullptr;
+};
+
+struct Combo {
+  StencilMode mode;
+  Engine engine;
+  unsigned threads;
+  std::int64_t cutover;  // SacConfig::stencil_planes_cutover
+};
+
+// kSimd runs on this host's instance and on the baseline one; the jit
+// engine joins under SACPP_JIT_SYNC=1.
+std::vector<Combo> scatter_combos() {
+  std::vector<Engine> engines{{BackendKind::kScalar},
+                              {BackendKind::kSimd},
+                              {BackendKind::kSimd, &detail::portable_backend()}};
+  const char* sync = std::getenv("SACPP_JIT_SYNC");
+  if (sync != nullptr && std::string(sync) == "1") {
+    engines.push_back({BackendKind::kJit});
+  }
+  std::vector<Combo> v;
+  for (const StencilMode mode :
+       {StencilMode::kNaive, StencilMode::kGrouped, StencilMode::kPlanes}) {
+    for (const Engine& be : engines) {
+      for (const unsigned threads : {1u, 4u}) {
+        v.push_back(Combo{mode, be, threads, 18});
+        if (mode == StencilMode::kPlanes) {
+          v.push_back(Combo{mode, be, threads, 0});
+        }
+      }
+    }
+  }
+  return v;
+}
+
+// The MG periodic border of `shp` as face-slab shift partitions: over a
+// shared base, a copy-free view.
+std::vector<ReadingPartition<double>> border_parts(const Shape& shp) {
+  std::vector<ReadingPartition<double>> parts;
+  const std::size_t rank = shp.rank();
+  for (std::size_t d = 0; d < rank; ++d) {
+    const extent_t n = shp.extent(d);
+    IndexVec shift = uniform_vec(rank, 0);
+    IndexVec low_up(shp.extents().begin(), shp.extents().end());
+    low_up[d] = 1;
+    shift[d] = n - 2;
+    parts.push_back(shift_partition<double>(
+        gen_range(uniform_vec(rank, 0), std::move(low_up)), shift));
+    IndexVec high_lo = uniform_vec(rank, 0);
+    high_lo[d] = n - 1;
+    shift[d] = -(n - 2);
+    parts.push_back(shift_partition<double>(
+        gen_range(std::move(high_lo), shp.extents()), std::move(shift)));
+  }
+  return parts;
+}
+
+// The source of a `fine`-shaped take: fine/2 + 1 per axis (coarse2fine's
+// 2n - 2 for even extents), at least 3 so that it can carry a border.
+Shape scatter_source_shape(const Shape& fine) {
+  IndexVec ext(fine.rank());
+  for (std::size_t d = 0; d < fine.rank(); ++d) {
+    ext[d] = std::max<extent_t>(3, fine.extent(d) / 2 + 1);
+  }
+  return Shape(ext);
+}
+
+std::string scatter_label(const Shape& fine, const Combo& c, bool view,
+                          extent_t phase, const StencilCoeffs& q) {
+  std::ostringstream os;
+  os << "fine {";
+  for (std::size_t d = 0; d < fine.rank(); ++d) {
+    os << (d ? "," : "") << fine.extent(d);
+  }
+  os << "} " << stencil_mode_name(c.mode) << " cutover " << c.cutover << " "
+     << backend_name(c.engine.kind);
+  if (c.engine.pin != nullptr) os << " [" << c.engine.pin->name() << "]";
+  os << " threads " << c.threads << (view ? " view" : " concrete")
+     << " phase " << phase << " c0 " << q[0];
+  return os.str();
+}
+
+void check_scatter_stencil(const Shape& fine, unsigned seed, const Combo& c,
+                           bool view, extent_t phase,
+                           const StencilCoeffs& q = kQ) {
+  // The input first: random_array's generator must run sequentially.
+  const Shape coarse = scatter_source_shape(fine);
+  const Array<double> base = random_array(coarse, seed);
+  SacConfig cfg = config();
+  cfg.stencil_mode = c.mode;
+  cfg.backend = c.engine.kind;
+  cfg.mt_enabled = c.threads > 1;
+  cfg.mt_threads = c.threads;
+  cfg.mt_threshold = 1;
+  cfg.stencil_planes_cutover = c.cutover;
+  ScopedConfig guard(cfg);
+  const detail::ScopedSimdOverride pin(c.engine.pin);
+  const std::string where = scatter_label(fine, c, view, phase, q);
+
+  const Array<double> src =
+      view ? with_modarray_reading(base, border_parts(coarse)) : base;
+  ASSERT_EQ(src.is_view(), view) << where;
+  auto gather = [&] {
+    return lazy_take(fine.extents(), lazy_scatter(2, src, phase));
+  };
+  const Array<double> got = relax_kernel(gather(), q);
+  const Array<double> want = relax_kernel(force(gather()), q);
+  ASSERT_EQ(got.shape(), want.shape()) << where;
+  for (extent_t x = 0; x < got.elem_count(); ++x) {
+    ASSERT_EQ(got.at_linear(x), want.at_linear(x))
+        << "element " << x << ", " << where;
+  }
+  EXPECT_EQ(src.is_view(), view) << "the source was forced, " << where;
+}
+
+// Every combination over small, awkward and non-cubic shapes of ranks 1-3,
+// both source kinds and both phases.
+TEST(ScatterStencil, EveryEngineModeAndThreadCount) {
+  const std::vector<Shape> shapes{
+      Shape{3},        Shape{8},          Shape{11},        Shape{4, 4},
+      Shape{7, 12},    Shape{3, 3, 3},    Shape{4, 4, 4},   Shape{5, 18, 7},
+      Shape{18, 6, 34}, Shape{3, 20, 19}, Shape{19, 20, 21}, cube_shape(3, 34)};
+  unsigned seed = 1;
+  for (const Combo& c : scatter_combos()) {
+    for (const Shape& shp : shapes) {
+      for (const bool view : {false, true}) {
+        check_scatter_stencil(shp, seed, c, view, seed % 2,
+                              seed % 3 == 0 ? kQ : kRounding);
+        ++seed;
+      }
+    }
+  }
+  shutdown_runtime();
+}
+
+// Every cubic extent 3-66 of every rank, rotating through the combinations
+// so that each one meets many extents, plus the benchmark's configuration
+// (planes on the host's simd instance) at every rank-3 extent.
+TEST(ScatterStencil, CubicExtents3To66) {
+  const std::vector<Combo> combos = scatter_combos();
+  for (extent_t n = 3; n <= 66; ++n) {
+    const auto idx = static_cast<std::size_t>(n);
+    for (std::size_t rank = 1; rank <= 3; ++rank) {
+      const auto seed = static_cast<unsigned>(1000 * rank + idx);
+      check_scatter_stencil(cube_shape(rank, n), seed,
+                            combos[(idx + rank) % combos.size()], n % 2 == 0,
+                            rank == 3 ? 0 : seed % 2, kRounding);
+    }
+    check_scatter_stencil(cube_shape(3, n), 4000 + static_cast<unsigned>(n),
+                          Combo{StencilMode::kPlanes, {BackendKind::kSimd},
+                                n % 2 == 0 ? 4u : 1u, 18},
+                          true, 0);
+  }
+  shutdown_runtime();
+}
+
+// The row protocol on sub-ranges, which a gather over the expression may
+// issue: each range writes the materialised stencil's values and nothing
+// outside itself.
+TEST(ScatterStencil, RowSubRangesWriteOnlyTheirRange) {
+  SacConfig cfg = config();
+  cfg.stencil_mode = StencilMode::kPlanes;
+  cfg.stencil_planes_cutover = 0;
+  cfg.backend = BackendKind::kSimd;
+  ScopedConfig guard(cfg);
+  for (const Shape& fine : {Shape{6, 7, 12}, Shape{5, 4, 9}}) {
+    for (const extent_t phase : {0, 1}) {
+      const Array<double> src = random_array(scatter_source_shape(fine), 3);
+      const ScatterStencilExpr st(ScatterSource{src, phase, fine}, kQ);
+      ASSERT_TRUE(st.row_fill_enabled());
+      const Array<double> want =
+          relax_kernel(force(lazy_take(fine.extents(),
+                                       lazy_scatter(2, src, phase))),
+                       kQ);
+      auto state = st.make_row_state();
+      const extent_t n2 = fine.extent(2);
+      for (extent_t i = 0; i < fine.extent(0); ++i) {
+        for (extent_t j = 0; j < fine.extent(1); ++j) {
+          for (extent_t lo = 0; lo <= n2; ++lo) {
+            for (extent_t hi = lo; hi <= n2; ++hi) {
+              std::vector<double> row(static_cast<std::size_t>(n2), -7.0);
+              st.fill_row(state, i, j, row.data(), lo, hi);
+              for (extent_t k = 0; k < n2; ++k) {
+                const double expect =
+                    k >= lo && k < hi ? want[IndexVec{i, j, k}] : -7.0;
+                ASSERT_EQ(row[static_cast<std::size_t>(k)], expect)
+                    << "row (" << i << ", " << j << ") [" << lo << ", " << hi
+                    << ") k " << k << " phase " << phase;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Any other gather is forced and relaxed as an array; a take larger than
+// the scatter is one.
+TEST(ScatterStencil, OtherGathersAreForcedFirst) {
+  const Array<double> src = random_array(Shape{7, 8, 6}, 21);
+  const auto cond = lazy_condense(2, src);
+  EXPECT_FALSE(detail::scatter_source(cond).has_value());
+  const auto wide = lazy_take(IndexVec{15, 16, 13}, lazy_scatter(2, src));
+  EXPECT_FALSE(detail::scatter_source(wide).has_value());
+  const auto mg = lazy_take(IndexVec{12, 14, 10}, lazy_scatter(2, src));
+  EXPECT_TRUE(detail::scatter_source(mg).has_value());
+  for (const bool forced : {false, true}) {
+    const Array<double> got =
+        forced ? relax_kernel(wide, kQ) : relax_kernel(cond, kQ);
+    const Array<double> want =
+        forced ? relax_kernel(force(wide), kQ) : relax_kernel(force(cond), kQ);
+    for (extent_t x = 0; x < got.elem_count(); ++x) {
+      ASSERT_EQ(got.at_linear(x), want.at_linear(x)) << x;
+    }
+  }
 }
 
 }  // namespace

@@ -100,6 +100,37 @@ TEST(Genarray, EmptyGeneratorYieldsAllDefault) {
   for (extent_t i = 0; i < 3; ++i) EXPECT_EQ((a[IndexVec{i}]), 9);
 }
 
+// A dense box writes the default only to its complement (planes, rows, row
+// ends) and leaves the box to the body: on ranks 1-4 over random boxes,
+// empty ones included, each element holds exactly one of the two.
+TEST(Genarray, DenseBoxComplementGetsDefaultAndBoxGetsBody) {
+  std::mt19937 rng(19);
+  for (std::size_t rank = 1; rank <= 4; ++rank) {
+    for (int round = 0; round < 50; ++round) {
+      IndexVec ext(rank), lo(rank), hi(rank);
+      for (std::size_t d = 0; d < rank; ++d) {
+        ext[d] = 1 + static_cast<extent_t>(rng() % 7);
+        lo[d] = static_cast<extent_t>(rng() % static_cast<unsigned>(ext[d] + 1));
+        hi[d] = lo[d] + static_cast<extent_t>(
+                            rng() % static_cast<unsigned>(ext[d] - lo[d] + 1));
+      }
+      const Shape shp(ext);
+      auto body = [&](const IndexVec& iv) {
+        return 1.0 + static_cast<double>(shp.linearize(iv));
+      };
+      const auto a = with_genarray<double>(shp, gen_range(lo, hi), body, -2.5);
+      for_each_index(shp, [&](const IndexVec& iv) {
+        bool inside = true;
+        for (std::size_t d = 0; d < rank; ++d) {
+          inside = inside && lo[d] <= iv[d] && iv[d] < hi[d];
+        }
+        ASSERT_EQ(a[iv], inside ? body(iv) : -2.5)
+            << "rank " << rank << " round " << round;
+      });
+    }
+  }
+}
+
 TEST(Genarray, Rank0ProducesScalar) {
   auto a = with_genarray<double>(Shape{}, [](const IndexVec& iv) {
     EXPECT_TRUE(iv.empty());

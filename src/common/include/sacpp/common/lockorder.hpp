@@ -13,7 +13,7 @@
 // even if no deadlock fires during the run.
 //
 // Layering: this lives in sacpp_common (not sacpp_check) so the layers below
-// the checker — the buffer pool's depot shards, msg mailboxes, the serve
+// the checker — the buffer pool's lock, msg mailboxes, the serve
 // dispatch/queue locks — can instrument their mutexes without a dependency
 // cycle.  sacpp_check turns registry cycles into structured Diagnostics
 // (sacpp/check/lockorder.hpp) and exports the graph via the obs exporters.
@@ -24,8 +24,8 @@
 // thread-local vector and edge recording takes one internal (untracked)
 // mutex.
 //
-// Locks sharing a constructor name share one graph node: the 8 pool depot
-// shards are all "sac.pool.depot", every msg mailbox is "msg.mailbox".  The
+// Locks sharing a constructor name share one graph node: every msg mailbox
+// is "msg.mailbox", every TCP transport's peer table is "net.peer".  The
 // graph therefore speaks about lock *classes*; acquiring a second instance
 // of a class already held is treated as re-entry on the shared node (no
 // edge) — a class whose instances nest must impose its own instance order,

@@ -40,11 +40,6 @@ namespace sacpp::obs {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-extern std::atomic<std::uint32_t> g_probe_mask;
-// Count a span suppressed by a disabled probe on the calling thread (the
-// ring never sees it; ThreadSpans::skipped reports these separately from
-// ring overwrites).
-void note_probe_skip() noexcept;
 }
 
 // The one guard every instrumentation point tests (relaxed: a toggle only
@@ -57,24 +52,6 @@ inline bool enabled() noexcept {
 // Turn recording on/off (SacConfig::obs / SACPP_OBS route through this).
 // Enabling also primes the clock epoch so the first span is not skewed.
 void set_enabled(bool on) noexcept;
-
-// Per-kind probe mask: bit `1 << kind` on means spans of that kind are
-// recorded.  Only consulted when enabled() is already true, preserving the
-// one-load-one-branch disabled-path contract.  A span arriving at a masked
-// probe is counted as a skip (ThreadSpans::skipped), never as a ring drop.
-inline constexpr std::uint32_t kAllProbes = 0xffffffffu;
-
-inline constexpr std::uint32_t probe_bit(SpanKind kind) noexcept {
-  return std::uint32_t{1} << static_cast<unsigned>(kind);
-}
-
-inline bool probe_enabled(SpanKind kind) noexcept {
-  return (detail::g_probe_mask.load(std::memory_order_relaxed) &
-          probe_bit(kind)) != 0;
-}
-
-void set_probe_mask(std::uint32_t mask) noexcept;
-std::uint32_t probe_mask() noexcept;
 
 // Nanoseconds since the process obs epoch (steady clock).
 std::int64_t now_ns() noexcept;
@@ -194,20 +171,15 @@ struct ThreadSpans {
   std::string name;          // set_thread_name value or "thread-N"
   std::uint64_t recorded = 0;
   std::uint64_t overwritten = 0;  // oldest-span evictions (ring overflow)
-  std::uint64_t skipped = 0;      // suppressed by a disabled probe (mask)
   std::vector<SpanRecord> spans;
 };
 std::vector<ThreadSpans> snapshot_spans();
 
-// Overwrite-drops (ring overflow) summed across threads.  Kept under the
-// historical "dropped" name because obs_consolidate.py and the dashboards
-// read sacpp_obs_spans_dropped_total; probe skips are a separate total.
+// Overwrite-drops (ring overflow) summed across threads; each thread's ring
+// holds SACPP_OBS_RING spans (32 Ki by default).  Kept under the historical
+// "dropped" name because obs_consolidate.py and the dashboards read
+// sacpp_obs_spans_dropped_total.
 std::uint64_t total_dropped_spans();
-std::uint64_t total_skipped_spans();
-
-// Default capacity for rings created after this call (power of two; the
-// SACPP_OBS_RING environment variable sets the startup value).
-void set_default_ring_capacity(std::size_t capacity);
 
 // Drop all recorded telemetry: rings, histograms, level aggregates.  Call at
 // a quiescent point (between benchmark phases), not under concurrent

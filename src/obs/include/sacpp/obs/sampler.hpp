@@ -15,7 +15,6 @@
 // Lock-free: observe() is three relaxed increments, should_retain() reads
 // the bucket array.  One sampler per service; tests may construct their own.
 
-#include <atomic>
 #include <cstdint>
 
 #include "sacpp/obs/histogram.hpp"
@@ -31,10 +30,6 @@ class TailSampler {
 
   explicit TailSampler(double head_rate = 0.0) noexcept
       : head_permille_(rate_to_permille(head_rate)) {}
-
-  void set_head_rate(double rate) noexcept {
-    head_permille_.store(rate_to_permille(rate), std::memory_order_relaxed);
-  }
 
   // Feed one completed request's end-to-end latency.
   void observe(std::uint64_t e2e_ns) noexcept { hist_.observe(e2e_ns); }
@@ -77,9 +72,7 @@ class TailSampler {
       if (reason != nullptr) *reason = RetainReason::kSlow;
       return true;
     }
-    const std::uint32_t permille =
-        head_permille_.load(std::memory_order_relaxed);
-    if (permille != 0 && hash_permille(trace_id) < permille) {
+    if (head_permille_ != 0 && hash_permille(trace_id) < head_permille_) {
       if (reason != nullptr) *reason = RetainReason::kSampled;
       return true;
     }
@@ -108,7 +101,7 @@ class TailSampler {
   }
 
   LogHistogram hist_;
-  std::atomic<std::uint32_t> head_permille_;
+  const std::uint32_t head_permille_;
 };
 
 }  // namespace sacpp::obs

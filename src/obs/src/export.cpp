@@ -184,20 +184,15 @@ void write_prometheus(std::ostream& out) {
     for (const Collector& c : collectors) c(sink);
   }
 
-  // Span bookkeeping.  Overwrite-drops (ring overflow) and disabled-probe
-  // skips used to alias under the "dropped" counter; they are distinct
-  // losses — an overwrite lost a span that was recorded, a skip never
-  // recorded one — so both get their own counter.  The historical dropped
-  // name stays as an alias of overwrites for obs_consolidate.py.
+  // Span bookkeeping.  The historical dropped name stays as an alias of
+  // overwrites (ring overflow) for obs_consolidate.py.
   {
     std::uint64_t recorded = 0;
     std::uint64_t overwritten = 0;
-    std::uint64_t skipped = 0;
     const auto threads = snapshot_spans();
     for (const ThreadSpans& t : threads) {
       recorded += t.recorded;
       overwritten += t.overwritten;
-      skipped += t.skipped;
     }
     TextSink sink(out);
     sink.counter("sacpp_obs_spans_recorded_total",
@@ -208,9 +203,6 @@ void write_prometheus(std::ostream& out) {
     sink.counter("sacpp_obs_spans_overwritten_total",
                  static_cast<double>(overwritten),
                  "spans evicted by ring overflow");
-    sink.counter("sacpp_obs_spans_skipped_total",
-                 static_cast<double>(skipped),
-                 "spans suppressed by a disabled probe (probe mask)");
     sink.gauge("sacpp_obs_threads", static_cast<double>(threads.size()),
                "threads registered with the telemetry layer");
     sink.counter("sacpp_obs_traces_retained_total",

@@ -68,8 +68,7 @@ void write_dump(std::ostream& out, const char* reason, std::uint64_t seq) {
     first_thread = false;
     out << "{\"name\":\"" << flight_json_escape(t.name)
         << "\",\"recorded\":" << t.recorded
-        << ",\"overwritten\":" << t.overwritten
-        << ",\"skipped\":" << t.skipped << ",\"recent_spans\":[";
+        << ",\"overwritten\":" << t.overwritten << ",\"recent_spans\":[";
     const std::size_t n = t.spans.size();
     const std::size_t from =
         n > kDumpSpansPerThread ? n - kDumpSpansPerThread : 0;

@@ -12,7 +12,6 @@ namespace sacpp::obs {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-std::atomic<std::uint32_t> g_probe_mask{kAllProbes};
 constinit thread_local TraceContext tl_trace;
 }
 
@@ -38,14 +37,6 @@ std::int64_t now_ns() noexcept {
 void set_enabled(bool on) noexcept {
   (void)epoch();  // prime the epoch before the first span
   detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-void set_probe_mask(std::uint32_t mask) noexcept {
-  detail::g_probe_mask.store(mask, std::memory_order_relaxed);
-}
-
-std::uint32_t probe_mask() noexcept {
-  return detail::g_probe_mask.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -161,11 +152,18 @@ constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 15;
 struct ThreadRec {
   std::uint32_t tid = 0;
   std::string name;
-  // Spans suppressed by a masked probe (satellite of the overwrite/skip
-  // accounting split): counted here because they never reach the ring.
-  std::atomic<std::uint64_t> skipped{0};
   std::unique_ptr<SpanRing> ring;  // created on first record
 };
+
+// Ring capacity: SACPP_OBS_RING when set to a positive count.
+std::size_t ring_capacity_from_env() {
+  if (const char* env = std::getenv("SACPP_OBS_RING");
+      env != nullptr && env[0] != '\0') {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v > 0) return static_cast<std::size_t>(v);
+  }
+  return kDefaultRingCapacity;
+}
 
 struct Registry {
   std::mutex mutex;
@@ -173,19 +171,11 @@ struct Registry {
   // read them after joins; a registration is a few bytes until the first
   // recorded span allocates the ring.
   std::vector<std::unique_ptr<ThreadRec>> threads;
-  std::size_t ring_capacity = kDefaultRingCapacity;
+  const std::size_t ring_capacity = ring_capacity_from_env();
 };
 
 Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry;  // immortal, like the BufferPool
-    if (const char* env = std::getenv("SACPP_OBS_RING");
-        env != nullptr && env[0] != '\0') {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) reg->ring_capacity = static_cast<std::size_t>(v);
-    }
-    return reg;
-  }();
+  static Registry* r = new Registry;  // immortal, like the BufferPool
   return *r;
 }
 
@@ -205,13 +195,7 @@ ThreadRec& thread_rec() {
 SpanRing& thread_ring() {
   ThreadRec& rec = thread_rec();
   if (rec.ring == nullptr) {
-    Registry& reg = registry();
-    std::size_t cap;
-    {
-      std::lock_guard<std::mutex> lock(reg.mutex);
-      cap = reg.ring_capacity;
-    }
-    rec.ring = std::make_unique<SpanRing>(cap);
+    rec.ring = std::make_unique<SpanRing>(registry().ring_capacity);
   }
   return *rec.ring;
 }
@@ -221,10 +205,6 @@ SpanRing& thread_ring() {
 void record_span(SpanKind kind, const char* name, std::int64_t start_ns,
                  std::int64_t dur_ns, std::int64_t arg,
                  std::uint64_t id) noexcept {
-  if (!probe_enabled(kind)) {
-    detail::note_probe_skip();
-    return;
-  }
   SpanRecord r;
   r.start_ns = start_ns;
   r.dur_ns = dur_ns;
@@ -239,12 +219,6 @@ void record_span(SpanKind kind, const char* name, std::int64_t start_ns,
     histogram(h).observe(dur_ns > 0 ? static_cast<std::uint64_t>(dur_ns) : 0);
   }
 }
-
-namespace detail {
-void note_probe_skip() noexcept {
-  thread_rec().skipped.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
 
 void set_thread_name(std::string name) {
   ThreadRec& rec = thread_rec();
@@ -278,7 +252,6 @@ std::vector<ThreadSpans> snapshot_spans() {
       std::lock_guard<std::mutex> lock(reg.mutex);
       ts.name = rec->name;
     }
-    ts.skipped = rec->skipped.load(std::memory_order_relaxed);
     if (rec->ring != nullptr) {
       ts.recorded = rec->ring->recorded();
       ts.overwritten = rec->ring->overwritten();
@@ -293,18 +266,6 @@ std::uint64_t total_dropped_spans() {
   std::uint64_t total = 0;
   for (const ThreadSpans& t : snapshot_spans()) total += t.overwritten;
   return total;
-}
-
-std::uint64_t total_skipped_spans() {
-  std::uint64_t total = 0;
-  for (const ThreadSpans& t : snapshot_spans()) total += t.skipped;
-  return total;
-}
-
-void set_default_ring_capacity(std::size_t capacity) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  if (capacity > 0) reg.ring_capacity = capacity;
 }
 
 // ---------------------------------------------------------------------------
@@ -404,7 +365,6 @@ void reset() {
   {
     std::lock_guard<std::mutex> lock(reg.mutex);
     for (auto& t : reg.threads) {
-      t->skipped.store(0, std::memory_order_relaxed);
       if (t->ring != nullptr) t->ring->clear();
     }
   }

@@ -11,36 +11,36 @@
 //
 // Structure (docs/memory.md):
 //  * size classes — block sizes rounded up to whole cache lines; each class
-//    has its own free list, so a recycled block always fits exactly;
-//  * per-thread magazines — a small, lock-free cache of recently released
-//    blocks per size class on each thread; the common alloc/release pair on
-//    the coordinating thread never takes a lock;
-//  * central depot — magazine overflow and refill go to free lists sharded
-//    over independently locked buckets (sharded by size class, so threads
-//    cycling different shapes do not contend);
-//  * epoch-based trim — depot blocks are stamped with the epoch of their
-//    release; trim() advances the epoch and frees blocks that sat unused
-//    for two full epochs, bounding retained memory without a size heuristic.
-//    An automatic trim runs every kPoolAutoTrimInterval releases;
+//    has its own LIFO free list, so a recycled block always fits exactly and
+//    the most recently released (cache-warm) block goes out first;
+//  * one lock — a single mutex covers every free list and the count of live
+//    big blocks.  An MG iteration makes only a few dozen alloc/release pairs,
+//    so the lock costs little (docs/memory.md has counts and times), and
+//    every cached block sits where the double-release screen sees it;
+//  * epoch-based trim — released blocks are stamped with the epoch of their
+//    release; trim() advances the epoch and frees blocks below 8 MB that sat
+//    unused for two full epochs, bounding retained memory without a size
+//    heuristic.  An automatic trim runs every kPoolAutoTrimInterval releases;
 //  * quiescent release of big blocks — blocks of at least 8 MB (the fine
-//    grids of classes A and up) skip the magazines and are cached only
-//    while some big block is live; releasing the last live one frees every
-//    cached big block, so reuse stays inside one solve and nothing big is
-//    retained under whatever the process runs next.
+//    grids of classes A and up) are cached only while some big block is
+//    live; releasing the last live one frees every cached big block, so
+//    reuse stays inside one solve and nothing big is retained under
+//    whatever the process runs next.
 //
-// Blocks hold exactly pool_block_bytes(payload) bytes.  Small blocks are
-// std::aligned_alloc allocations; each big block is its own anonymous
-// mapping (mmap/munmap), so its pages leave the process when it is freed
-// instead of staying in the malloc heap (docs/memory.md).  A block must go
-// back the way it came — into the pool when the pool allocated it, to
-// std::free otherwise — so the live count of big blocks stays exact; Buffer
-// and PlaneScratch remember which, so SacConfig::pool / SACPP_POOL may flip
-// at any time.
+// Blocks hold exactly pool_block_bytes(payload) bytes.  Blocks below 128 KiB
+// (glibc's default mmap threshold) are std::aligned_alloc allocations; from
+// there up each block is its own anonymous mapping (mmap/munmap), so its
+// pages leave the process when trim or quiescence frees it instead of
+// staying in the malloc heap (docs/memory.md).  A block must go back the way
+// it came — into the pool when the pool allocated it, to std::free
+// otherwise — so the live count of big blocks stays exact; Buffer and
+// PlaneScratch remember which, so SacConfig::pool / SACPP_POOL may flip at
+// any time.
 //
-// Checked mode (SacConfig::check): releasing a block that is already sitting
-// in a magazine or depot free list, or a big block that is cached or was
-// freed at quiescence, records a kPoolDoubleRelease event for the
-// sacpp_check diagnostics instead of corrupting the free list.
+// Checked mode (SacConfig::check): releasing a block that already sits on a
+// free list, or a big block while none is live (it was freed at quiescence),
+// records a kPoolDoubleRelease event for the sacpp_check diagnostics instead
+// of corrupting the free list.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,7 +69,7 @@ class BufferPool {
   // trimmed/drained are pool-internal and monotonic since process start.
   struct Totals {
     std::uint64_t hits = 0;       // allocations served from a free list
-    std::uint64_t misses = 0;     // allocations that fell through to malloc
+    std::uint64_t misses = 0;     // allocations that went to the system
     std::uint64_t returns = 0;    // blocks released into the pool
     std::uint64_t trimmed = 0;    // blocks freed by epoch trim
     std::uint64_t drained = 0;    // blocks freed by drain()
@@ -82,36 +82,28 @@ class BufferPool {
   static BufferPool& instance();
 
   // Allocate a cache-line aligned block of exactly `bytes` bytes, which must
-  // be a pool_block_bytes() value.  Serves from the calling thread's
-  // magazine, then from the depot (refilling the magazine), then from
-  // std::aligned_alloc; big blocks from the big-block cache, then a fresh
-  // mapping.  Returns nullptr only when the system allocator fails.
-  // `from_cache` (optional) reports whether this was a pool hit.
-  void* allocate(std::size_t bytes, bool* from_cache = nullptr);
+  // be a pool_block_bytes() value: the size class's most recently released
+  // block, else a fresh one from the system.  Returns nullptr only when the
+  // system is out of memory.
+  void* allocate(std::size_t bytes);
 
   // Release a block this pool allocated with `bytes = pool_block_bytes(..)`
-  // (magazine first, depot on overflow; a big block is cached, or freed
-  // with every cached big block when it was the last live one).  In checked
-  // mode a block already released is reported and dropped.
+  // onto its class's free list; the last live big block is freed instead,
+  // with every cached big block.  In checked mode a block already released
+  // is reported and dropped.
   void deallocate(void* p, std::size_t bytes) noexcept;
 
-  // Advance the epoch and free every depot block that has sat unused for
-  // two full epochs (big blocks are not aged; quiescence frees them).
+  // Advance the epoch and free every cached block below 8 MB that has sat
+  // unused for two full epochs (big blocks are not aged; quiescence frees
+  // them).
   void trim();
 
-  // Free every cached block: the calling thread's magazine, the whole
-  // depot and the big-block cache.  Other threads' magazines are untouched
-  // (they flush to the depot when their thread exits).  Tests and
-  // memory-pressure handlers use this.
+  // Free every cached block.  Tests and memory-pressure handlers use this.
   void drain();
-
-  // Flush the calling thread's magazine into the depot (making its blocks
-  // visible to trim() and other threads).
-  void flush_thread_cache();
 
   Totals totals() const;
   std::uint64_t epoch() const;
-  // Bytes cached for reuse: depot free lists and big blocks.
+  // Bytes cached for reuse on the free lists, big blocks included.
   std::size_t depot_cached_bytes() const;
   // Big blocks allocated through the pool and not yet released.
   std::size_t live_big_blocks() const;
@@ -119,18 +111,16 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  // Opaque implementation (sharded depot + counters); public only so the
-  // thread-exit magazine flush in pool.cpp can reach it.
-  struct Impl;
-
  private:
+  struct Impl;  // the lock, the free lists and the counters
+
   BufferPool();
   ~BufferPool() = default;
 
   // The real alloc/release paths; the public entry points only bracket them
-  // with telemetry when obs is enabled, so the magazine fast path carries no
-  // span-object frame cost while telemetry is off.
-  void* allocate_impl(std::size_t bytes, bool* from_cache);
+  // with telemetry when obs is enabled, so the untraced path carries no
+  // span-object frame cost.
+  void* allocate_impl(std::size_t bytes);
   void deallocate_impl(void* p, std::size_t bytes) noexcept;
 
   Impl* impl_;

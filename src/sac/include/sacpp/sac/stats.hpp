@@ -15,7 +15,7 @@ namespace sacpp::sac {
 
 // A relaxed-atomic counter that behaves like a plain uint64_t field
 // (copyable, +=, implicit read).  Used for the counters that worker threads
-// mutate: the pool's per-thread magazines serve worker-side allocations, so
+// mutate: the pool serves worker-side allocations (stencil scratch rows), so
 // pool hit/miss/return increments can race with the coordinator.  Relaxed is
 // enough — these are statistics, not synchronisation.
 class RelaxedCounter {
@@ -72,7 +72,7 @@ struct RuntimeStats {
   RelaxedCounter elements;             // generator elements processed
   RelaxedCounter parallel_regions;     // with-loops run multithreaded
   RelaxedCounter pool_hits;            // buffers served from the BufferPool
-  RelaxedCounter pool_misses;          // pooled allocations that hit malloc
+  RelaxedCounter pool_misses;          // pooled allocations the system served
   RelaxedCounter pool_returns;         // buffers recycled into the pool
   // Output rows computed through the kPlanes shared plane-sum path
   // (docs/stencil.md): each counted row reused its u1/u2 partial sums across

@@ -61,7 +61,7 @@ struct StencilCoeffs {
 // loop never touches the shared counter).  Deliberately NOT a Buffer<T>:
 // chunk states live and die on worker threads, and Buffer ownership is
 // coordinator-only by contract (buffer.hpp) — BufferPool itself is
-// thread-safe through its per-thread magazines, which is exactly what keeps
+// thread-safe (one lock over its free lists), which is exactly what keeps
 // bottom-of-V-cycle levels from re-allocating scratch (docs/memory.md).
 class PlaneScratch {
  public:

@@ -2,12 +2,12 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iterator>
+#include <map>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "sacpp/common/lockorder.hpp"
@@ -20,237 +20,123 @@ namespace sacpp::sac {
 
 namespace {
 
-// -- central depot geometry ---------------------------------------------------
-
-constexpr int kShards = 8;
-
-// Size classes hash to shards so threads cycling through different shapes
-// contend on different locks; the multiplier spreads the low bits of the
-// cache-line count (all size classes share the low 6 zero bits).
-int shard_of(std::size_t bytes) noexcept {
-  const std::uint64_t lines = static_cast<std::uint64_t>(bytes) >> 6;
-  return static_cast<int>((lines * 0x9E3779B97F4A7C15ull) >> 61) &
-         (kShards - 1);
-}
-
-struct DepotEntry {
-  void* block;
-  std::uint64_t epoch;  // pool epoch at release time (trim ages on this)
-};
-
-struct Shard {
-  mutable TrackedMutex mutex{"sac.pool.depot"};
-  // size class -> free blocks, most recently released last.
-  std::unordered_map<std::size_t, std::vector<DepotEntry>> lists;
-  std::size_t cached_bytes = 0;
-};
-
-// -- per-thread magazine ------------------------------------------------------
-
-// A magazine caches a handful of blocks per size class with no locking.  The
-// V-cycle cycles through ~12 shapes, so a few spare class slots cover the
-// whole benchmark; threads that touch more size classes than kSlots fall
-// through to the depot for the excess classes.
-constexpr int kMagazineSlots = 24;
-constexpr int kMagazineDepth = 8;
-
 // Blocks at or above this size (the top-of-V-cycle grids: 137 MB each at
-// class A) skip the magazines and are cached only while some big block is
-// live; releasing the last live one frees them all (BigBlocks below).
+// class A) are cached only while some big block is live; releasing the last
+// live one frees them all.
 constexpr std::size_t kBigBlockBytes = std::size_t{8} << 20;
 
-struct MagazineSlot {
-  std::size_t bytes = 0;
-  int n = 0;
-  void* blocks[kMagazineDepth];
-};
+// Blocks at or above this size, glibc's default mmap threshold, are the
+// pool's own anonymous mappings rather than heap blocks.  glibc raises its
+// dynamic mmap threshold each time it frees a mapped chunk, after which
+// blocks of that size come from the brk heap, which it keeps: a trim or a
+// quiescent release would then hand nothing back, and the next burst grows
+// the heap again.  munmap hands a mapping's pages back whatever ran before.
+// Pages satisfy kBufferAlignment.
+constexpr std::size_t kMappedBlockBytes = std::size_t{128} << 10;
 
-// Big blocks are their own anonymous mappings, not heap blocks: glibc raises
-// its dynamic mmap threshold each time it frees a mapped chunk, after which
-// blocks of that size come from the brk heap, which it keeps.  munmap hands
-// a mapping's pages back whatever ran before.  Pages satisfy
-// kBufferAlignment.
-void* map_big(std::size_t bytes) noexcept {
+bool is_big(std::size_t bytes) noexcept { return bytes >= kBigBlockBytes; }
+
+// A fresh block from the system: a mapping, or the heap below
+// kMappedBlockBytes.  nullptr when the system is out of memory.
+void* acquire_from_system(std::size_t bytes) noexcept {
+  if (bytes < kMappedBlockBytes) {
+    return std::aligned_alloc(kBufferAlignment, bytes);
+  }
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   return p == MAP_FAILED ? nullptr : p;
 }
 
-void unmap_big(void* p, std::size_t bytes) noexcept { ::munmap(p, bytes); }
+// Hand a block back to the system the way it came from it.
+void release_to_system(void* p, std::size_t bytes) noexcept {
+  if (bytes < kMappedBlockBytes) {
+    std::free(p);
+  } else {
+    ::munmap(p, bytes);
+  }
+}
 
-// Big-block cache.  One lock covers the live count and the cached blocks,
-// so a release that finds itself last frees exactly what is cached, and no
-// block can slip into the cache after that.  Reuse therefore stays inside
-// one solve's lifetime: between solves no big block is retained.
-struct BigBlocks {
-  mutable TrackedMutex mutex{"sac.pool.big"};
-  std::size_t live = 0;  // allocated through the pool, not yet released
-  std::vector<std::pair<std::size_t, void*>> cached;  // (bytes, block)
-  std::size_t cached_bytes = 0;
+struct FreeBlock {
+  void* block;
+  std::uint64_t epoch;  // pool epoch at release time (trim ages on this)
 };
 
-}  // namespace
+// Size class -> free blocks in release order, most recent last, so a list's
+// epochs never decrease.  Ordered by size: the big classes are one tail.
+using FreeLists = std::map<std::size_t, std::vector<FreeBlock>>;
 
-// -- pool implementation ------------------------------------------------------
-
-struct BufferPool::Impl {
-  // hit/miss/return counting lives in the RuntimeStats pool gauges
-  // (stats().pool_*): one relaxed RMW per event, shared with the per-run
-  // counters instead of duplicated here.
-  Shard shards[kShards];
-  BigBlocks big;
-  std::atomic<std::uint64_t> epoch{1};
-  std::atomic<std::uint64_t> trimmed{0};
-  std::atomic<std::uint64_t> drained{0};
-  std::atomic<std::uint64_t> big_freed{0};
-
-  // Push to the depot; takes the shard lock.  May throw bad_alloc from the
-  // free-list map; callers own the fallback (std::free the block).
-  void depot_push(void* p, std::size_t bytes) {
-    Shard& s = shards[shard_of(bytes)];
-    const std::uint64_t e = epoch.load(std::memory_order_relaxed);
-    std::lock_guard<TrackedMutex> lock(s.mutex);
-    s.lists[bytes].push_back(DepotEntry{p, e});
-    s.cached_bytes += bytes;
+// Hand every block on `lists` back to the system; returns how many.
+std::uint64_t release_all(const FreeLists& lists) noexcept {
+  std::uint64_t n = 0;
+  for (const auto& [bytes, list] : lists) {
+    for (const FreeBlock& b : list) release_to_system(b.block, bytes);
+    n += list.size();
   }
-
-  // Pop up to `max` blocks of one size class into `out`.
-  int depot_pop(std::size_t bytes, void** out, int max) {
-    Shard& s = shards[shard_of(bytes)];
-    std::lock_guard<TrackedMutex> lock(s.mutex);
-    auto it = s.lists.find(bytes);
-    if (it == s.lists.end()) return 0;
-    std::vector<DepotEntry>& list = it->second;
-    int n = 0;
-    while (n < max && !list.empty()) {
-      out[n++] = list.back().block;
-      list.pop_back();
-      s.cached_bytes -= bytes;
-    }
-    if (list.empty()) s.lists.erase(it);
-    return n;
-  }
-
-  // Serve a big block from the cache, else from the system; counts it live.
-  void* big_acquire(std::size_t bytes, bool* hit) {
-    std::lock_guard<TrackedMutex> lock(big.mutex);
-    void* p = nullptr;
-    for (auto it = big.cached.rbegin(); it != big.cached.rend(); ++it) {
-      if (it->first == bytes) {
-        p = it->second;
-        big.cached.erase(std::next(it).base());
-        big.cached_bytes -= bytes;
-        break;
-      }
-    }
-    *hit = p != nullptr;
-    if (p == nullptr) p = map_big(bytes);
-    if (p != nullptr) ++big.live;
-    return p;
-  }
-
-  // Return a live big block: cache it while others are live, else free it
-  // and everything cached.  With `screen` (checked mode) a block already
-  // cached is left alone and reported by returning false.
-  bool big_release(void* p, std::size_t bytes, bool screen) noexcept {
-    std::vector<std::pair<std::size_t, void*>> idle;
-    {
-      std::lock_guard<TrackedMutex> lock(big.mutex);
-      if (screen) {
-        // Cached, or released while no big block is live: freed already.
-        if (big.live == 0) return false;
-        for (const auto& entry : big.cached) {
-          if (entry.second == p) return false;
-        }
-      }
-      if (--big.live > 0) {
-        try {
-          big.cached.emplace_back(bytes, p);
-          big.cached_bytes += bytes;
-        } catch (...) {
-          unmap_big(p, bytes);  // cache growth failed: give the block back
-        }
-        return true;
-      }
-      idle.swap(big.cached);
-      big.cached_bytes = 0;
-    }
-    for (const auto& entry : idle) unmap_big(entry.second, entry.first);
-    unmap_big(p, bytes);
-    big_freed.fetch_add(idle.size() + 1, std::memory_order_relaxed);
-    return true;
-  }
-
-  bool depot_contains(void* p, std::size_t bytes) const {
-    const Shard& s = shards[shard_of(bytes)];
-    std::lock_guard<TrackedMutex> lock(s.mutex);
-    auto it = s.lists.find(bytes);
-    if (it == s.lists.end()) return false;
-    for (const DepotEntry& e : it->second) {
-      if (e.block == p) return true;
-    }
-    return false;
-  }
-};
-
-namespace {
-
-// Set once when the immortal pool is constructed; magazines (which are only
-// ever touched from inside pool calls, i.e. after construction) use it to
-// flush at thread exit without re-entering instance().
-BufferPool::Impl* g_pool_impl = nullptr;
-
-// Thread-local magazine.  Destroyed at thread exit (flushing its blocks to
-// the immortal depot); `tl_magazine_dead` guards releases arriving from
-// static destructors after that point — those go straight to the depot.
-struct Magazine {
-  MagazineSlot slots[kMagazineSlots];
-  int used = 0;
-
-  ~Magazine() {
-    tl_magazine_dead = true;
-    for (int i = 0; i < used; ++i) {
-      for (int j = 0; j < slots[i].n; ++j) {
-        try {
-          g_pool_impl->depot_push(slots[i].blocks[j], slots[i].bytes);
-        } catch (...) {
-          std::free(slots[i].blocks[j]);
-        }
-      }
-      slots[i].n = 0;
-    }
-  }
-
-  MagazineSlot* find(std::size_t bytes) noexcept {
-    for (int i = 0; i < used; ++i) {
-      if (slots[i].bytes == bytes) return &slots[i];
-    }
-    return nullptr;
-  }
-
-  MagazineSlot* find_or_claim(std::size_t bytes) noexcept {
-    if (MagazineSlot* s = find(bytes)) return s;
-    if (used == kMagazineSlots) return nullptr;
-    MagazineSlot* s = &slots[used++];
-    s->bytes = bytes;
-    s->n = 0;
-    return s;
-  }
-
-  static thread_local bool tl_magazine_dead;
-};
-
-thread_local bool Magazine::tl_magazine_dead = false;
-
-Magazine* magazine() {
-  if (Magazine::tl_magazine_dead) return nullptr;
-  static thread_local Magazine m;
-  return &m;
+  return n;
 }
 
 }  // namespace
 
-BufferPool::BufferPool() : impl_(new Impl) { g_pool_impl = impl_; }
+struct BufferPool::Impl {
+  // One lock covers the free lists, the live big count and the epoch, so a
+  // release that finds itself the last live big block frees exactly what
+  // is cached, and no block can slip into the cache after that.
+  mutable TrackedMutex mutex{"sac.pool"};
+  FreeLists lists;
+  std::size_t cached_bytes = 0;
+  std::size_t live_big = 0;  // big blocks allocated, not yet released
+  std::uint64_t epoch = 1;
+  // hit/miss/return counting lives in the RuntimeStats pool gauges
+  // (stats().pool_*): one relaxed RMW per event, shared with the per-run
+  // counters instead of duplicated here.
+  std::atomic<std::uint64_t> trimmed{0};
+  std::atomic<std::uint64_t> drained{0};
+  std::atomic<std::uint64_t> big_freed{0};
+
+  // The class's most recently released block, or nullptr.  Lock held.  An
+  // emptied list stays, so a steady-state release never allocates.
+  void* pop(std::size_t bytes) noexcept {
+    auto it = lists.find(bytes);
+    if (it == lists.end() || it->second.empty()) return nullptr;
+    void* p = it->second.back().block;
+    it->second.pop_back();
+    cached_bytes -= bytes;
+    return p;
+  }
+
+  // Cache a released block.  Lock held.  False when the list could not grow;
+  // the caller then hands the block back to the system.
+  bool push(void* p, std::size_t bytes) noexcept {
+    try {
+      lists[bytes].push_back(FreeBlock{p, epoch});
+    } catch (...) {
+      return false;
+    }
+    cached_bytes += bytes;
+    return true;
+  }
+
+  // Whether `p` sits on its class's free list.  Lock held.
+  bool cached(void* p, std::size_t bytes) const noexcept {
+    auto it = lists.find(bytes);
+    return it != lists.end() &&
+           std::any_of(it->second.begin(), it->second.end(),
+                       [p](const FreeBlock& b) { return b.block == p; });
+  }
+
+  // Take every big class off the lists.  Lock held.  Moving the map nodes
+  // allocates nothing.
+  FreeLists take_big() noexcept {
+    FreeLists out;
+    for (auto it = lists.lower_bound(kBigBlockBytes); it != lists.end();) {
+      cached_bytes -= it->first * it->second.size();
+      out.insert(lists.extract(it++));
+    }
+    return out;
+  }
+};
+
+BufferPool::BufferPool() : impl_(new Impl) {}
 
 BufferPool& BufferPool::instance() {
   // Intentionally leaked: arrays held in statics may release buffers after
@@ -260,57 +146,36 @@ BufferPool& BufferPool::instance() {
   return *pool;
 }
 
-void* BufferPool::allocate(std::size_t bytes, bool* from_cache) {
-  if (!obs::enabled()) [[likely]] return allocate_impl(bytes, from_cache);
+void* BufferPool::allocate(std::size_t bytes) {
+  if (!obs::enabled()) [[likely]] return allocate_impl(bytes);
   const std::int64_t t0 = obs::now_ns();
-  void* p = allocate_impl(bytes, from_cache);
+  void* p = allocate_impl(bytes);
   obs::record_span(obs::SpanKind::kPoolAlloc, "pool_alloc", t0,
                    obs::now_ns() - t0, static_cast<std::int64_t>(bytes));
   return p;
 }
 
-void* BufferPool::allocate_impl(std::size_t bytes, bool* from_cache) {
-  if (bytes >= kBigBlockBytes) {
-    bool hit = false;
-    void* p = impl_->big_acquire(bytes, &hit);
-    (hit ? stats().pool_hits : stats().pool_misses) += 1;
-    if (from_cache != nullptr) *from_cache = hit;
+void* BufferPool::allocate_impl(std::size_t bytes) {
+  const bool big = is_big(bytes);
+  void* p = nullptr;
+  bool hit = false;
+  {
+    std::lock_guard<TrackedMutex> lock(impl_->mutex);
+    p = impl_->pop(bytes);
+    hit = p != nullptr;
+    if (big) {
+      // A big miss maps under the lock (only a solve's first big grids do),
+      // so the block counts as live from the moment it exists.
+      if (!hit) p = acquire_from_system(bytes);
+      if (p != nullptr) ++impl_->live_big;
+    }
+  }
+  if (hit) {
+    stats().pool_hits += 1;
     return p;
   }
-
-  Magazine* mag = magazine();
-  if (mag != nullptr) {
-    if (MagazineSlot* slot = mag->find(bytes); slot != nullptr && slot->n > 0) {
-      stats().pool_hits += 1;
-      if (from_cache != nullptr) *from_cache = true;
-      return slot->blocks[--slot->n];
-    }
-  }
-
-  // Magazine empty for this class: refill a batch from the depot so the next
-  // few allocations of the same shape stay lock-free.
-  void* batch[kMagazineDepth];
-  const int want = mag != nullptr ? kMagazineDepth / 2 + 1 : 1;
-  const int got = impl_->depot_pop(bytes, batch, want);
-  if (got > 0) {
-    if (mag != nullptr && got > 1) {
-      MagazineSlot* slot = mag->find_or_claim(bytes);
-      for (int i = 1; i < got; ++i) {
-        if (slot != nullptr && slot->n < kMagazineDepth) {
-          slot->blocks[slot->n++] = batch[i];
-        } else {
-          impl_->depot_push(batch[i], bytes);
-        }
-      }
-    }
-    stats().pool_hits += 1;
-    if (from_cache != nullptr) *from_cache = true;
-    return batch[0];
-  }
-
   stats().pool_misses += 1;
-  if (from_cache != nullptr) *from_cache = false;
-  return std::aligned_alloc(kBufferAlignment, bytes);
+  return big ? p : acquire_from_system(bytes);
 }
 
 void BufferPool::deallocate(void* p, std::size_t bytes) noexcept {
@@ -323,144 +188,80 @@ void BufferPool::deallocate(void* p, std::size_t bytes) noexcept {
 }
 
 void BufferPool::deallocate_impl(void* p, std::size_t bytes) noexcept {
-  if (bytes >= kBigBlockBytes) {
-    if (impl_->big_release(p, bytes, active_config().check)) {
-      stats().pool_returns += 1;
-    } else {
-      check_detail::record_buffer_event(
-          check_detail::BufferEventKind::kPoolDoubleRelease,
-          static_cast<std::uint32_t>(bytes));
+  const bool big = is_big(bytes);
+  const bool screen = active_config().check;
+  bool duplicate = false;
+  bool cached = false;     // p went onto its free list
+  bool quiescent = false;  // p was the last live big block ...
+  FreeLists idle;          // ... and these are every cached big block
+  {
+    std::lock_guard<TrackedMutex> lock(impl_->mutex);
+    // Double-release screen (checked mode): a block already on a free list
+    // must not be pushed again (two future allocations would alias), and a
+    // big block released while none is live was freed at quiescence.
+    // Every cached block sits on one of these lists, so the screen is exact.
+    duplicate = screen && ((big && impl_->live_big == 0) ||
+                           impl_->cached(p, bytes));
+    if (!duplicate) {
+      if (big && --impl_->live_big == 0) {
+        quiescent = true;
+        idle = impl_->take_big();
+      } else {
+        cached = impl_->push(p, bytes);
+      }
     }
+  }
+  if (duplicate) {
+    check_detail::record_buffer_event(
+        check_detail::BufferEventKind::kPoolDoubleRelease,
+        static_cast<std::uint32_t>(bytes));
     return;
   }
-
-  Magazine* mag = magazine();
-
-  if (active_config().check) [[unlikely]] {
-    // Double-release screen: a block already sitting on a free list must not
-    // be pushed again (two future allocations would alias).  Report and
-    // drop.  Best effort: other threads' magazines are not scanned.
-    bool duplicate = false;
-    if (mag != nullptr) {
-      if (MagazineSlot* slot = mag->find(bytes)) {
-        for (int i = 0; i < slot->n && !duplicate; ++i) {
-          duplicate = slot->blocks[i] == p;
-        }
-      }
-    }
-    if (!duplicate) duplicate = impl_->depot_contains(p, bytes);
-    if (duplicate) {
-      check_detail::record_buffer_event(
-          check_detail::BufferEventKind::kPoolDoubleRelease,
-          static_cast<std::uint32_t>(bytes));
-      return;
-    }
+  if (!cached) release_to_system(p, bytes);
+  if (quiescent) {
+    impl_->big_freed.fetch_add(release_all(idle) + 1,
+                               std::memory_order_relaxed);
   }
-
   const std::uint64_t returned = stats().pool_returns.fetch_add(1) + 1;
-
-  bool cached = false;
-  if (mag != nullptr) {
-    if (MagazineSlot* slot = mag->find_or_claim(bytes)) {
-      if (slot->n == kMagazineDepth) {
-        // Overflow: spill the older half to the depot, keeping the most
-        // recently released (cache-warm) blocks local.
-        const int spill = kMagazineDepth / 2;
-        try {
-          for (int i = 0; i < spill; ++i) {
-            impl_->depot_push(slot->blocks[i], bytes);
-          }
-        } catch (...) {
-          std::free(p);  // depot map allocation failed: give the block back
-          return;
-        }
-        for (int i = spill; i < slot->n; ++i) {
-          slot->blocks[i - spill] = slot->blocks[i];
-        }
-        slot->n -= spill;
-      }
-      slot->blocks[slot->n++] = p;
-      cached = true;
-    }
-  }
-  if (!cached) {
-    try {
-      impl_->depot_push(p, bytes);
-    } catch (...) {
-      std::free(p);
-      return;
-    }
-  }
-
   if (returned % kPoolAutoTrimInterval == 0) trim();
 }
 
 void BufferPool::trim() {
-  const std::uint64_t now =
-      impl_->epoch.fetch_add(1, std::memory_order_relaxed) + 1;
   std::uint64_t freed = 0;
-  for (Shard& s : impl_->shards) {
-    std::lock_guard<TrackedMutex> lock(s.mutex);
-    for (auto it = s.lists.begin(); it != s.lists.end();) {
-      std::vector<DepotEntry>& list = it->second;
-      std::size_t keep = 0;
-      for (DepotEntry& e : list) {
-        if (e.epoch + 2 <= now) {
-          std::free(e.block);
-          s.cached_bytes -= it->first;
-          ++freed;
-        } else {
-          list[keep++] = e;
-        }
+  {
+    std::lock_guard<TrackedMutex> lock(impl_->mutex);
+    const std::uint64_t now = ++impl_->epoch;
+    const auto big = impl_->lists.lower_bound(kBigBlockBytes);
+    for (auto it = impl_->lists.begin(); it != big;) {
+      // Epochs never decrease along a list, so the idle blocks are a prefix.
+      // A list left empty goes too, so classes no longer in use do not pile
+      // up.
+      std::vector<FreeBlock>& list = it->second;
+      const auto fresh =
+          std::find_if(list.begin(), list.end(), [now](const FreeBlock& b) {
+            return b.epoch + 2 > now;
+          });
+      for (auto b = list.begin(); b != fresh; ++b) {
+        release_to_system(b->block, it->first);
       }
-      list.resize(keep);
-      it = list.empty() ? s.lists.erase(it) : std::next(it);
+      const auto n = static_cast<std::size_t>(fresh - list.begin());
+      impl_->cached_bytes -= n * it->first;
+      freed += n;
+      list.erase(list.begin(), fresh);
+      it = list.empty() ? impl_->lists.erase(it) : std::next(it);
     }
   }
   impl_->trimmed.fetch_add(freed, std::memory_order_relaxed);
 }
 
 void BufferPool::drain() {
-  flush_thread_cache();
-  std::uint64_t freed = 0;
-  for (Shard& s : impl_->shards) {
-    std::lock_guard<TrackedMutex> lock(s.mutex);
-    for (auto& [bytes, list] : s.lists) {
-      (void)bytes;
-      for (DepotEntry& e : list) {
-        std::free(e.block);
-        ++freed;
-      }
-    }
-    s.lists.clear();
-    s.cached_bytes = 0;
-  }
+  FreeLists idle;
   {
-    std::lock_guard<TrackedMutex> lock(impl_->big.mutex);
-    for (const auto& entry : impl_->big.cached) {
-      unmap_big(entry.second, entry.first);
-    }
-    freed += impl_->big.cached.size();
-    impl_->big.cached.clear();
-    impl_->big.cached_bytes = 0;
+    std::lock_guard<TrackedMutex> lock(impl_->mutex);
+    idle.swap(impl_->lists);
+    impl_->cached_bytes = 0;
   }
-  impl_->drained.fetch_add(freed, std::memory_order_relaxed);
-}
-
-void BufferPool::flush_thread_cache() {
-  Magazine* mag = magazine();
-  if (mag == nullptr) return;
-  for (int i = 0; i < mag->used; ++i) {
-    MagazineSlot& slot = mag->slots[i];
-    for (int j = 0; j < slot.n; ++j) {
-      try {
-        impl_->depot_push(slot.blocks[j], slot.bytes);
-      } catch (...) {
-        std::free(slot.blocks[j]);
-      }
-    }
-    slot.n = 0;
-  }
+  impl_->drained.fetch_add(release_all(idle), std::memory_order_relaxed);
 }
 
 BufferPool::Totals BufferPool::totals() const {
@@ -475,22 +276,18 @@ BufferPool::Totals BufferPool::totals() const {
 }
 
 std::uint64_t BufferPool::epoch() const {
-  return impl_->epoch.load(std::memory_order_relaxed);
+  std::lock_guard<TrackedMutex> lock(impl_->mutex);
+  return impl_->epoch;
 }
 
 std::size_t BufferPool::depot_cached_bytes() const {
-  std::size_t total = 0;
-  for (const Shard& s : impl_->shards) {
-    std::lock_guard<TrackedMutex> lock(s.mutex);
-    total += s.cached_bytes;
-  }
-  std::lock_guard<TrackedMutex> lock(impl_->big.mutex);
-  return total + impl_->big.cached_bytes;
+  std::lock_guard<TrackedMutex> lock(impl_->mutex);
+  return impl_->cached_bytes;
 }
 
 std::size_t BufferPool::live_big_blocks() const {
-  std::lock_guard<TrackedMutex> lock(impl_->big.mutex);
-  return impl_->big.live;
+  std::lock_guard<TrackedMutex> lock(impl_->mutex);
+  return impl_->live_big;
 }
 
 }  // namespace sacpp::sac

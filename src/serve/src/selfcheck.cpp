@@ -273,8 +273,8 @@ bool run_lock_check(const SelfCheckOptions& opts,
 
   check::LockOrderSession session;
   {
-    // Class-S serve traffic: admission, dispatch, gang pools, the depot
-    // shards under the solves, and the stop path.
+    // Class-S serve traffic: admission, dispatch, gang pools, the buffer
+    // pool's lock under the solves, and the stop path.
     ServeConfig cfg;
     cfg.total_cores = 2;
     cfg.executors = 2;

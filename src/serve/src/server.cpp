@@ -527,9 +527,10 @@ void SolverService::housekeeping_loop() {
     housekeeping_cv_.wait_for(
         lock, std::chrono::nanoseconds(cfg_.trim_interval_ns));
     if (stopping_.load(std::memory_order_acquire)) break;
-    // Epoch trim releases depot blocks idle for two full epochs; safe under
-    // live traffic (the pool is internally synchronised), so a burst's
-    // arena pages drain back between bursts without stalling jobs.
+    // Epoch trim releases cached pool blocks idle for two full epochs; safe
+    // under live traffic (one short critical section on the pool's lock),
+    // so a burst's arena pages drain back between bursts without stalling
+    // jobs.
     sac::BufferPool::instance().trim();
   }
 }

@@ -29,8 +29,8 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(CheckLockOrder, RegistryDeduplicatesLockClassesByName) {
-  // Instances sharing a constructor name share one graph node: the depot
-  // shards are all one class.
+  // Instances sharing a constructor name share one graph node: the msg
+  // mailboxes are all one class.
   TrackedMutex a("test.dedup");
   TrackedMutex b("test.dedup");
   TrackedMutex c("test.dedup.other");
@@ -99,7 +99,7 @@ TEST(CheckLockOrder, DetectsSeededAbbaInversion) {
 
 TEST(CheckLockOrder, SameClassNestingIsReentryNotACycle) {
   // Instances of one class share a graph node, so nesting two of them
-  // (depot shard A inside depot shard B) is re-entry on that node and
+  // (mailbox A inside mailbox B) is re-entry on that node and
   // records no edge: the graph orders classes, and classes that nest
   // internally must impose their own instance order.
   TrackedMutex first("test.selfedge");

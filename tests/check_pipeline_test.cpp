@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "sacpp/check/check.hpp"
 #include "sacpp/mg/driver.hpp"
@@ -14,6 +18,7 @@
 #include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/config.hpp"
 #include "sacpp/sac/pool.hpp"
+#include "sacpp/sac/stats.hpp"
 
 namespace sacpp::check {
 namespace {
@@ -156,12 +161,60 @@ TEST(CheckPipeline, PoolDoubleReleaseIsReported) {
   // The drop kept the free list consistent: the block is still cached
   // exactly once, so the next same-class allocation reuses it and the one
   // after that is a fresh miss, not the same pointer again.
-  bool hit = false;
-  void* q = pool.allocate(bytes, &hit);
-  EXPECT_TRUE(hit);
+  const std::uint64_t hits = sac::stats().pool_hits;
+  void* q = pool.allocate(bytes);
+  EXPECT_EQ(sac::stats().pool_hits - hits, 1u);
   EXPECT_EQ(q, p);
   void* r = pool.allocate(bytes);
   EXPECT_NE(r, q) << "double release put the block on the free list twice";
+  pool.deallocate(q, bytes);
+  pool.deallocate(r, bytes);
+}
+
+TEST(CheckPipeline, PoolDoubleReleaseAcrossLiveThreadsIsReported) {
+  // The same repeat, split over two threads: A releases the block and waits,
+  // B releases it again while A is still alive, and only then does A exit.
+  // The cached block is on the pool's free list whichever thread released
+  // it, so B's repeat is reported and dropped like a same-thread one.
+  Session session;
+  sac::BufferPool& pool = sac::BufferPool::instance();
+  const std::size_t bytes = sac::pool_block_bytes(512);
+  void* p = nullptr;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  bool repeated = false;
+  std::thread a([&] {
+    void* block = pool.allocate(bytes);
+    pool.deallocate(block, bytes);
+    std::unique_lock<std::mutex> lock(mu);
+    p = block;
+    released = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return repeated; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return released; });
+  }
+  EXPECT_NE(p, nullptr);  // not ASSERT: A must still be joined
+  std::thread([&] { pool.deallocate(p, bytes); }).join();  // deliberate
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    repeated = true;
+  }
+  cv.notify_all();
+  a.join();
+
+  DiagnosticEngine& engine = session.finish();
+  EXPECT_EQ(engine.size(), 1u) << engine.to_ascii();
+  EXPECT_NE(engine.to_ascii().find("released twice"), std::string::npos)
+      << engine.to_ascii();
+
+  // Cached once: the next two same-class allocations are distinct blocks.
+  void* q = pool.allocate(bytes);
+  void* r = pool.allocate(bytes);
+  EXPECT_NE(q, r) << "double release put the block on the free list twice";
   pool.deallocate(q, bytes);
   pool.deallocate(r, bytes);
 }

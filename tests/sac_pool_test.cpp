@@ -75,7 +75,6 @@ bool stamp_intact(const void* p, std::size_t bytes, unsigned char value) {
 //  * the pool's monotonic totals balance the operations performed.
 TEST(BufferPool, RandomizedAllocFreeKeepsBlocksDisjointAndIntact) {
   BufferPool& pool = BufferPool::instance();
-  pool.flush_thread_cache();
   pool.drain();
 
   std::mt19937 rng(0xB0FFE7u);  // fixed seed: deterministic CI failure
@@ -154,15 +153,15 @@ TEST(BufferPool, RecyclesReleasedBlockAsHit) {
   ASSERT_NE(p, nullptr);
   pool.deallocate(p, bytes);
 
-  bool hit = false;
-  void* q = pool.allocate(bytes, &hit);
-  EXPECT_TRUE(hit) << "released block of the same size class was not reused";
-  EXPECT_EQ(q, p) << "magazine should hand back the most recent release";
+  const std::uint64_t hits = stats().pool_hits;
+  void* q = pool.allocate(bytes);
+  EXPECT_EQ(stats().pool_hits - hits, 1u)
+      << "released block of the same size class was not reused";
+  EXPECT_EQ(q, p) << "the free list should hand back the most recent release";
   pool.deallocate(q, bytes);
 
   // A different size class cannot be served by that block.
-  hit = true;
-  void* r = pool.allocate(bytes + kBufferAlignment, &hit);
+  void* r = pool.allocate(bytes + kBufferAlignment);
   ASSERT_NE(r, nullptr);
   EXPECT_NE(r, q);
   pool.deallocate(r, bytes + kBufferAlignment);
@@ -170,7 +169,6 @@ TEST(BufferPool, RecyclesReleasedBlockAsHit) {
 
 TEST(BufferPool, TrimFreesBlocksIdleForTwoEpochs) {
   BufferPool& pool = BufferPool::instance();
-  pool.flush_thread_cache();
   pool.drain();
   ASSERT_EQ(pool.depot_cached_bytes(), 0u);
 
@@ -179,7 +177,6 @@ TEST(BufferPool, TrimFreesBlocksIdleForTwoEpochs) {
   std::vector<void*> blocks;
   for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool.allocate(bytes));
   for (void* p : blocks) pool.deallocate(p, bytes);
-  pool.flush_thread_cache();  // make the magazine contents trimmable
   ASSERT_GE(pool.depot_cached_bytes(), kBlocks * bytes);
 
   const std::uint64_t epoch = pool.epoch();
@@ -205,10 +202,10 @@ TEST(BufferPool, DrainReleasesEverythingCached) {
   EXPECT_GE(after.drained - before.drained, 16u);
 
   // The pool still works after a drain (fresh misses).
-  bool hit = true;
-  void* p = pool.allocate(bytes, &hit);
+  const std::uint64_t misses = stats().pool_misses;
+  void* p = pool.allocate(bytes);
   ASSERT_NE(p, nullptr);
-  EXPECT_FALSE(hit);
+  EXPECT_EQ(stats().pool_misses - misses, 1u);
   pool.deallocate(p, bytes);
 }
 
@@ -270,11 +267,8 @@ TEST(BufferPool, ConcurrentChurnKeepsBlocksPrivate) {
         mine[idx] = mine.back();
         mine.pop_back();
       }
-      // Push blocks through the depot so other threads can steal them.
-      if (i % 256 == 255) pool.flush_thread_cache();
     }
     for (auto [p, bytes] : mine) pool.deallocate(p, bytes);
-    pool.flush_thread_cache();
   };
 
   std::vector<std::thread> threads;
@@ -312,7 +306,6 @@ TEST(BufferPool, BlocksMigrateBetweenThreads) {
       std::lock_guard<std::mutex> lock(mu);
       handoff.push_back(p);
     }
-    pool.flush_thread_cache();
   });
   std::thread consumer([&] {
     int consumed = 0;
@@ -333,40 +326,10 @@ TEST(BufferPool, BlocksMigrateBetweenThreads) {
       pool.deallocate(p, bytes);
       ++consumed;
     }
-    pool.flush_thread_cache();
   });
   producer.join();
   consumer.join();
   EXPECT_FALSE(bad.load());
-}
-
-// The magazine geometry small blocks have always had: eight blocks per
-// size class, the older half spilled to the depot on overflow, and a refill
-// of half a magazine plus one from the depot.  Runs on a fresh thread, whose
-// magazine has every size-class slot free.
-TEST(BufferPool, SmallBlocksKeepTheMagazineDepth) {
-  BufferPool& pool = BufferPool::instance();
-  pool.drain();
-  const std::size_t bytes = pool_block_bytes(4096);
-  std::thread([&pool, bytes] {
-    std::vector<void*> blocks;
-    for (int i = 0; i < 9; ++i) blocks.push_back(pool.allocate(bytes));
-    for (void* p : blocks) pool.deallocate(p, bytes);
-    EXPECT_EQ(pool.depot_cached_bytes(), 4 * bytes)
-        << "the ninth release spills the four oldest blocks";
-
-    blocks.clear();
-    for (int i = 0; i < 5; ++i) blocks.push_back(pool.allocate(bytes));
-    EXPECT_EQ(pool.depot_cached_bytes(), 4 * bytes)
-        << "five blocks stayed in the magazine";
-    bool hit = false;
-    blocks.push_back(pool.allocate(bytes, &hit));
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(pool.depot_cached_bytes(), 0u)
-        << "the refill takes up to five depot blocks";
-    for (void* p : blocks) pool.deallocate(p, bytes);
-  }).join();
-  pool.drain();
 }
 
 // Blocks of at least 8 MB (kBigBlockBytes in pool.cpp) are big.
@@ -411,6 +374,26 @@ TEST(BufferPool, BigBlocksAreTheirOwnMappings) {
       << "a cached big block outlives quiescence";
 }
 
+// From glibc's mmap threshold (128 KiB) up, pool blocks are mappings too:
+// a trimmed one leaves the process instead of raising that threshold and
+// sending later blocks of its size to the heap, which glibc keeps.
+TEST(BufferPool, TrimUnmapsBlocksFromTheMmapThresholdUp) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t bytes = pool_block_bytes(std::size_t{256} << 10);
+  const std::size_t before = malloc_in_use();
+  void* p = pool.allocate(bytes);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % page, 0u);
+  EXPECT_LT(malloc_in_use(), before + bytes) << "the block came from malloc";
+  pool.deallocate(p, bytes);
+  pool.trim();
+  EXPECT_TRUE(mapped(p, bytes)) << "one epoch idle: still cached";
+  pool.trim();
+  EXPECT_FALSE(mapped(p, bytes)) << "two epochs idle: unmapped";
+}
+
 TEST(BufferPool, BigBlockReleasedWhileAnotherIsLiveComesBackAsHit) {
   BufferPool& pool = BufferPool::instance();
   pool.drain();
@@ -424,15 +407,16 @@ TEST(BufferPool, BigBlockReleasedWhileAnotherIsLiveComesBackAsHit) {
   EXPECT_EQ(pool.live_big_blocks(), 1u);
   EXPECT_EQ(pool.depot_cached_bytes(), kBig);
 
-  bool hit = false;
-  void* q = pool.allocate(kBig, &hit);
-  EXPECT_TRUE(hit);
+  std::uint64_t hits = stats().pool_hits;
+  void* q = pool.allocate(kBig);
+  EXPECT_EQ(stats().pool_hits - hits, 1u);
   EXPECT_EQ(q, p);
   EXPECT_EQ(pool.depot_cached_bytes(), 0u);
   // Another size class is not served by a cached block.
   pool.deallocate(q, kBig);
-  void* r = pool.allocate(kBig + kBufferAlignment, &hit);
-  EXPECT_FALSE(hit);
+  hits = stats().pool_hits;
+  void* r = pool.allocate(kBig + kBufferAlignment);
+  EXPECT_EQ(stats().pool_hits, hits);
   pool.deallocate(r, kBig + kBufferAlignment);
   pool.deallocate(keep, kBig);
   EXPECT_EQ(pool.live_big_blocks(), 0u);
@@ -461,9 +445,9 @@ TEST(BufferPool, ReleasingTheLastLiveBigBlockFreesEveryCachedOne) {
   EXPECT_EQ(after.returns - before.returns, 3u);
 
   // The next solve starts cold.
-  bool hit = true;
-  void* d = pool.allocate(kBig, &hit);
-  EXPECT_FALSE(hit);
+  const std::uint64_t hits = stats().pool_hits;
+  void* d = pool.allocate(kBig);
+  EXPECT_EQ(stats().pool_hits, hits);
   pool.deallocate(d, kBig);
 }
 

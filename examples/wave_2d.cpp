@@ -15,7 +15,6 @@
 #include <string>
 
 #include "sacpp/common/cli.hpp"
-#include "sacpp/sac/periodic_stencil.hpp"
 #include "sacpp/sac/sac.hpp"
 
 using namespace sacpp;
@@ -30,7 +29,7 @@ const sac::StencilCoeffs kLaplace{{-4.0, 1.0, 0.0, 0.0}};
 Array<double> step(const Array<double>& u, const Array<double>& u_prev,
                    double c2) {
   // u' = 2u - u_prev + c2 * L u, fused into one traversal
-  auto lap = sac::PeriodicStencilExpr(u, kLaplace);
+  auto lap = sac::StencilExpr::periodic(u, kLaplace);
   return sac::force(sac::ewise(
       sac::ewise(u, u_prev,
                  [](double a, double b) { return 2.0 * a - b; }),

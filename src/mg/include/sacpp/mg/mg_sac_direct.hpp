@@ -3,7 +3,7 @@
 // future-work item realised (Sec. 7).
 //
 // Grids are pure 2^k cubes (no ghost layers); periodic boundary conditions
-// live inside the relaxation kernel (sac::PeriodicStencilExpr), not in the
+// live inside the relaxation kernel (sac::StencilExpr::periodic), not in the
 // data.  The grid-transfer operations collapse to their mathematical form:
 //
 //   Fine2Coarse(r) = condense(2, P(r))          (no embed correction)
@@ -13,10 +13,10 @@
 // paper's Fig. 2 — the "even closer to the mathematical specification"
 // claim.  Results are numerically identical to the ghost-layer
 // implementation (tests assert ≤1e-12 relative agreement on every
-// iteration norm, and the interior stencil evaluation is bitwise equal).
+// iteration norm, and the periodic stencil equals border setup + the
+// fixed-boundary stencil bit for bit, in every mode).
 
 #include "sacpp/mg/spec.hpp"
-#include "sacpp/sac/periodic_stencil.hpp"
 #include "sacpp/sac/sac.hpp"
 
 namespace sacpp::mg {

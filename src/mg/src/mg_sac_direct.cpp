@@ -9,8 +9,8 @@ namespace sacpp::mg {
 
 using sac::Array;
 using sac::force;
-using sac::PeriodicStencilExpr;
 using sac::relax_kernel_periodic;
+using sac::StencilExpr;
 
 namespace {
 
@@ -56,7 +56,7 @@ Array<double> MgSacDirect::fine2coarse(const Array<double>& r) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "rprj3");
   if (sac::active_config().folding) {
     // One with-loop: the P stencil evaluated at the condensed points only.
-    return force(sac::lazy_condense(2, PeriodicStencilExpr(r, spec_.p),
+    return force(sac::lazy_condense(2, StencilExpr::periodic(r, spec_.p),
                                     kPhase));
   }
   return force(sac::lazy_condense(2, relax_kernel_periodic(r, spec_.p),
@@ -74,7 +74,7 @@ Array<double> MgSacDirect::residual(const Array<double>& v,
   SACPP_REQUIRE(v.shape() == u.shape(), "residual shape mismatch");
   if (sac::active_config().folding) {
     return force(
-        sac::ewise(v, PeriodicStencilExpr(u, spec_.a), std::minus<>{}));
+        sac::ewise(v, StencilExpr::periodic(u, spec_.a), std::minus<>{}));
   }
   return v - resid(u);
 }
@@ -92,12 +92,12 @@ Array<double> MgSacDirect::vcycle(const Array<double>& r) const {
     Array<double> z = coarse2fine(zn);
     Array<double> r2 =
         sac::active_config().folding
-            ? force(sac::ewise(r, PeriodicStencilExpr(z, spec_.a),
+            ? force(sac::ewise(r, StencilExpr::periodic(z, spec_.a),
                                std::minus<>{}))
             : r - resid(z);
     if (sac::active_config().folding) {
-      return force(sac::ewise(z, PeriodicStencilExpr(std::move(r2), spec_.s),
-                              std::plus<>{}));
+      return force(sac::ewise(
+          z, StencilExpr::periodic(std::move(r2), spec_.s), std::plus<>{}));
     }
     return std::move(z) + smooth(r2);
   }

@@ -57,6 +57,11 @@ void write_prometheus(std::ostream& out);
 bool write_chrome_trace_file(const std::string& path);
 bool write_prometheus_file(const std::string& path);
 
+// `s` escaped for the inside of a JSON string (quote, backslash, control
+// characters): the one escaper of every obs JSON writer — the Chrome trace,
+// the retained-trace export and the flight recorder's dump.
+std::string json_escape(std::string_view s);
+
 // -- summary aggregation ------------------------------------------------------
 
 // Spans aggregated by name across all rings, sorted by total time

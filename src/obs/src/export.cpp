@@ -28,6 +28,8 @@ CollectorList& collector_list() {
   return *l;
 }
 
+}  // namespace
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -49,8 +51,6 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
 
 void register_collector(Collector collector) {
   CollectorList& l = collector_list();

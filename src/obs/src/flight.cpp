@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "sacpp/obs/export.hpp"
 #include "sacpp/obs/obs.hpp"
 #include "sacpp/obs/trace.hpp"
 
@@ -35,30 +35,8 @@ FlightState& flight_state() {
   return *s;
 }
 
-std::string flight_json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_dump(std::ostream& out, const char* reason, std::uint64_t seq) {
-  out << "{\"reason\":\"" << flight_json_escape(reason == nullptr ? "" : reason)
+  out << "{\"reason\":\"" << json_escape(reason == nullptr ? "" : reason)
       << "\",\"dump_seq\":" << seq << ",\"uptime_ns\":" << now_ns();
 
   out << ",\"threads\":[";
@@ -66,7 +44,7 @@ void write_dump(std::ostream& out, const char* reason, std::uint64_t seq) {
   for (const ThreadSpans& t : snapshot_spans()) {
     if (!first_thread) out << ",";
     first_thread = false;
-    out << "{\"name\":\"" << flight_json_escape(t.name)
+    out << "{\"name\":\"" << json_escape(t.name)
         << "\",\"recorded\":" << t.recorded
         << ",\"overwritten\":" << t.overwritten << ",\"recent_spans\":[";
     const std::size_t n = t.spans.size();
@@ -77,7 +55,7 @@ void write_dump(std::ostream& out, const char* reason, std::uint64_t seq) {
       const SpanRecord& s = t.spans[i];
       if (!first_span) out << ",";
       first_span = false;
-      out << "{\"name\":\"" << flight_json_escape(s.name) << "\",\"kind\":\""
+      out << "{\"name\":\"" << json_escape(s.name) << "\",\"kind\":\""
           << span_kind_name(s.kind) << "\",\"start_ns\":" << s.start_ns
           << ",\"dur_ns\":" << s.dur_ns << ",\"arg\":" << s.arg;
       if (s.trace != 0) out << ",\"trace_id\":\"" << s.trace << "\"";
@@ -109,7 +87,7 @@ void write_dump(std::ostream& out, const char* reason, std::uint64_t seq) {
     } catch (...) {
       value = "\"<provider threw>\"";
     }
-    out << "\"" << flight_json_escape(name)
+    out << "\"" << json_escape(name)
         << "\":" << (value.empty() ? "null" : value);
   }
   out << "}}\n";

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <mutex>
 #include <ostream>
 #include <string_view>
 
+#include "sacpp/obs/export.hpp"
 #include "sacpp/obs/obs.hpp"
 
 namespace sacpp::obs {
@@ -200,32 +200,6 @@ bool validate_trace(const RetainedTrace& t, bool completed, std::string* why) {
 // Export
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::string trace_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void write_traces_json(std::ostream& out) {
   const std::vector<RetainedTrace> traces = retained_traces();
   out << "{\"retained\":" << traces.size()
@@ -239,7 +213,7 @@ void write_traces_json(std::ostream& out) {
     out << "{\"trace_id\":\"" << m.trace_id << "\""
         << ",\"request_id\":" << m.request_id
         << ",\"reason\":\"" << retain_reason_name(m.reason) << "\""
-        << ",\"status\":\"" << trace_json_escape(m.status) << "\""
+        << ",\"status\":\"" << json_escape(m.status) << "\""
         << ",\"priority\":" << m.priority
         << ",\"gang\":" << m.gang
         << ",\"flags\":" << static_cast<int>(m.flags)
@@ -259,9 +233,9 @@ void write_traces_json(std::ostream& out) {
     for (const TraceSpan& s : t.spans) {
       if (!first_span) out << ",";
       first_span = false;
-      out << "{\"name\":\"" << trace_json_escape(s.span.name) << "\""
+      out << "{\"name\":\"" << json_escape(s.span.name) << "\""
           << ",\"kind\":\"" << span_kind_name(s.span.kind) << "\""
-          << ",\"thread\":\"" << trace_json_escape(s.thread) << "\""
+          << ",\"thread\":\"" << json_escape(s.thread) << "\""
           << ",\"start_ns\":" << s.span.start_ns
           << ",\"dur_ns\":" << s.span.dur_ns
           << ",\"arg\":" << s.span.arg;

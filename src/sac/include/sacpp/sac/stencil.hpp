@@ -30,10 +30,17 @@
 // and reads a view argument (array.hpp) without forcing it: every operand
 // is taken through the view's index maps, in the same order as over the
 // forced array, so the values are bitwise the same.
+//
+// StencilExpr::periodic is the periodic form over a ghost-free grid, the
+// paper's Sec. 7 relaxation with the boundary inside the stencil: every
+// point is evaluated, its neighbours read through per-axis maps that wrap
+// -1 to n-1 and n to 0.  It runs the view readers, so each value keeps the
+// association order of border setup + the fixed-boundary form.
 
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -126,52 +133,20 @@ class StencilTable {
   std::vector<Entry> entries_;
 };
 
-// Lazy stencil application over a concrete array: interior points evaluate
-// the weighted neighbour sum, boundary points are 0.
+// Lazy stencil application: interior points evaluate the weighted
+// neighbour sum, boundary points are 0; the periodic form evaluates every
+// point.
 class StencilExpr {
  public:
   StencilExpr(Array<double> a, const StencilCoeffs& coeffs,
               StencilMode mode = active_config().stencil_mode)
-      : a_(std::move(a)), c_(coeffs), mode_(mode), be_(&active_backend()) {
-    const Shape& shp = a_.shape();
-    // One coefficient per distance class: classes 0..3 cover ranks 1..3.
-    SACPP_REQUIRE(shp.rank() >= 1 && shp.rank() <= 3,
-                  "stencil needs rank 1, 2 or 3");
-    extent_t min_extent = shp.extent(0);
-    for (std::size_t d = 0; d < shp.rank(); ++d) {
-      SACPP_REQUIRE(shp.extent(d) >= 3,
-                    "stencil needs extent >= 3 in every dimension");
-      min_extent = std::min(min_extent, shp.extent(d));
-    }
-    const IndexVec strides = shp.strides();
-    for (const auto& e : StencilTable::for_rank(shp.rank()).entries()) {
-      extent_t lin = 0;
-      for (std::size_t d = 0; d < strides.size(); ++d) {
-        lin += e.offset[d] * strides[d];
-      }
-      by_class_[static_cast<std::size_t>(e.cls)].push_back(lin);
-    }
-    if (shp.rank() == 3) {
-      s0_ = strides[0];
-      s1_ = strides[1];
-      // Small-grid cutover: below it the scratch setup costs more than the
-      // shared additions save, so kPlanes degrades to kGrouped per point.
-      planes_rows_ = mode_ == StencilMode::kPlanes &&
-                     min_extent >= active_config().stencil_planes_cutover;
-    }
-    // Over a view, the output positions whose centre-row reads include a
-    // moved last-axis position: the row path combines them one by one.
-    if (const auto* v = a_.view_map()) {
-      const extent_t n = shp.extent(shp.rank() - 1);
-      for (const extent_t m : v->moved_last()) {
-        for (extent_t k = std::max<extent_t>(m - 1, 1);
-             k <= std::min(m + 1, n - 2); ++k) {
-          if (view_points_.empty() || view_points_.back() < k) {
-            view_points_.push_back(k);
-          }
-        }
-      }
-    }
+      : StencilExpr(std::move(a), coeffs, mode, /*periodic=*/false) {}
+
+  // The periodic form: every point, neighbours wrapped.  Extent >= 2 on
+  // every axis; a view argument is forced.
+  static StencilExpr periodic(Array<double> a, const StencilCoeffs& coeffs,
+                              StencilMode mode = active_config().stencil_mode) {
+    return StencilExpr(std::move(a), coeffs, mode, /*periodic=*/true);
   }
 
   const Shape& shape() const { return a_.shape(); }
@@ -181,7 +156,7 @@ class StencilExpr {
   bool is_interior(const IndexVec& iv) const {
     const Shape& shp = a_.shape();
     for (std::size_t d = 0; d < iv.size(); ++d) {
-      if (iv[d] < 1 || iv[d] >= shp.extent(d) - 1) return false;
+      if (iv[d] < margin_ || iv[d] >= shp.extent(d) - margin_) return false;
     }
     return true;
   }
@@ -193,7 +168,7 @@ class StencilExpr {
     // kPlanes evaluated per point (below the cutover, or through a fused
     // expression with no row path) uses the grouped association tree.
     const bool unrolled = mode_ != StencilMode::kNaive && iv.size() == 3;
-    if (a_.is_view()) [[unlikely]] {
+    if (mapped()) [[unlikely]] {
       return unrolled ? view_at3(iv[0], iv[1], iv[2]) : view_at(iv);
     }
     if (unrolled) return at_linear3(a_.shape().linearize(iv));
@@ -203,10 +178,11 @@ class StencilExpr {
   double operator()(extent_t i, extent_t j, extent_t k) const {
     SACPP_ASSERT(a_.rank() == 3, "rank-3 stencil access on non-rank-3 array");
     const Shape& shp = a_.shape();
-    if (i < 1 || i >= shp[0] - 1 || j < 1 || j >= shp[1] - 1 || k < 1 ||
-        k >= shp[2] - 1)
+    const extent_t m = margin_;
+    if (i < m || i >= shp[0] - m || j < m || j >= shp[1] - m || k < m ||
+        k >= shp[2] - m)
       return 0.0;
-    if (a_.is_view()) [[unlikely]] {
+    if (mapped()) [[unlikely]] {
       return mode_ != StencilMode::kNaive ? view_at3(i, j, k)
                                           : view_at(IndexVec{i, j, k});
     }
@@ -229,7 +205,7 @@ class StencilExpr {
   bool row_fill_enabled() const { return planes_rows_; }
 
   PlaneScratch make_row_state() const {
-    return PlaneScratch(a_.shape().extent(2));
+    return PlaneScratch(a_.shape().extent(2) + 2 * pad());
   }
 
   // Assign-form row fill: boundary rows and boundary k positions get the
@@ -237,15 +213,16 @@ class StencilExpr {
   void fill_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                 extent_t k_lo, extent_t k_hi) const {
     const Shape& shp = a_.shape();
-    if (i < 1 || i >= shp[0] - 1 || j < 1 || j >= shp[1] - 1) {
+    const extent_t m = margin_;
+    if (i < m || i >= shp[0] - m || j < m || j >= shp[1] - m) {
       be_->fill_row(out, k_lo, k_hi, 0.0);
       return;
     }
     const extent_t n2 = shp[2];
-    if (k_lo < 1) out[0] = 0.0;
-    if (k_hi > n2 - 1) out[n2 - 1] = 0.0;
-    fused_row(st, i, j, out, std::max<extent_t>(k_lo, 1),
-              std::min<extent_t>(k_hi, n2 - 1), /*accumulate=*/false);
+    if (k_lo < m) out[0] = 0.0;
+    if (k_hi > n2 - m) out[n2 - 1] = 0.0;
+    fused_row(st, i, j, out, std::max(k_lo, m), std::min(k_hi, n2 - m),
+              /*accumulate=*/false);
     st.rows += 1;
   }
 
@@ -256,13 +233,105 @@ class StencilExpr {
   void accumulate_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                       extent_t k_lo, extent_t k_hi) const {
     const Shape& shp = a_.shape();
-    if (i < 1 || i >= shp[0] - 1 || j < 1 || j >= shp[1] - 1) return;
-    fused_row(st, i, j, out, std::max<extent_t>(k_lo, 1),
-              std::min<extent_t>(k_hi, shp[2] - 1), /*accumulate=*/true);
+    const extent_t m = margin_;
+    if (i < m || i >= shp[0] - m || j < m || j >= shp[1] - m) return;
+    fused_row(st, i, j, out, std::max(k_lo, m), std::min(k_hi, shp[2] - m),
+              /*accumulate=*/true);
     st.rows += 1;
   }
 
  private:
+  // The periodic form's index maps: for an axis of extent n, the base
+  // offsets of positions -1..n, the identity with -1 wrapped to n-1 and n
+  // to 0.  Readable like a view's map (detail::ViewMap), one level of
+  // padding at each end.
+  class WrapMaps {
+   public:
+    explicit WrapMaps(const Shape& shp);
+    const extent_t* axis(std::size_t d) const noexcept {
+      return axes_[d].data() + 1;
+    }
+    // The last axis's wrapped positions, -1 and n.
+    const std::vector<extent_t>& moved_last() const noexcept {
+      return moved_;
+    }
+
+   private:
+    std::vector<std::vector<extent_t>> axes_;
+    std::vector<extent_t> moved_;
+  };
+
+  StencilExpr(Array<double> a, const StencilCoeffs& coeffs, StencilMode mode,
+              bool periodic)
+      : a_(std::move(a)),
+        c_(coeffs),
+        mode_(mode),
+        be_(&active_backend()),
+        margin_(periodic ? 0 : 1) {
+    const Shape& shp = a_.shape();
+    // One coefficient per distance class: classes 0..3 cover ranks 1..3.
+    SACPP_REQUIRE(shp.rank() >= 1 && shp.rank() <= 3,
+                  "stencil needs rank 1, 2 or 3");
+    extent_t min_extent = shp.extent(0);
+    for (std::size_t d = 0; d < shp.rank(); ++d) {
+      SACPP_REQUIRE(shp.extent(d) >= 2 + margin_,
+                    periodic ? "periodic stencil needs extent >= 2 per axis"
+                             : "stencil needs extent >= 3 in every dimension");
+      min_extent = std::min(min_extent, shp.extent(d));
+    }
+    if (periodic) {
+      a_.materialise();  // the map readers take raw rows on the workers
+      wrap_ = std::make_shared<const WrapMaps>(shp);
+    }
+    const IndexVec strides = shp.strides();
+    for (const auto& e : StencilTable::for_rank(shp.rank()).entries()) {
+      extent_t lin = 0;
+      for (std::size_t d = 0; d < strides.size(); ++d) {
+        lin += e.offset[d] * strides[d];
+      }
+      by_class_[static_cast<std::size_t>(e.cls)].push_back(lin);
+    }
+    if (shp.rank() == 3) {
+      s0_ = strides[0];
+      s1_ = strides[1];
+      // Small-grid cutover: below it the scratch setup costs more than the
+      // shared additions save, so kPlanes degrades to kGrouped per point.
+      planes_rows_ = mode_ == StencilMode::kPlanes &&
+                     min_extent >= active_config().stencil_planes_cutover;
+    }
+    // Over maps, the output positions whose centre-row reads include a
+    // moved last-axis position: the row path combines them one by one.
+    if (mapped()) {
+      const extent_t n = shp.extent(shp.rank() - 1);
+      for (const extent_t m : moved_last()) {
+        for (extent_t k = std::max(m - 1, margin_);
+             k <= std::min(m + 1, n - 1 - margin_); ++k) {
+          if (view_points_.empty() || view_points_.back() < k) {
+            view_points_.push_back(k);
+          }
+        }
+      }
+    }
+  }
+
+  // Operands are read through index maps: the periodic form's wrap maps,
+  // or a view argument's own.
+  bool mapped() const noexcept { return wrap_ != nullptr || a_.is_view(); }
+  const extent_t* axis(std::size_t d) const noexcept {
+    return wrap_ != nullptr ? wrap_->axis(d) : a_.view_map()->axis(d);
+  }
+  const std::vector<extent_t>& moved_last() const noexcept {
+    return wrap_ != nullptr ? wrap_->moved_last()
+                            : a_.view_map()->moved_last();
+  }
+  // The periodic form's scratch rows start one cache line in, which leaves
+  // room for the sums at -1 and n and keeps the rows' alignment.
+  extent_t pad() const noexcept {
+    return wrap_ != nullptr
+               ? static_cast<extent_t>(kBufferAlignment / sizeof(double))
+               : 0;
+  }
+
   // Unrolled grouped evaluation for rank 3 (the dominant path): nine row
   // pointers with compile-time +-1 offsets, 4 multiplications, 26 additions
   // — the form sac2c's optimiser reaches implicitly (paper Sec. 5).
@@ -313,7 +382,7 @@ class StencilExpr {
   // (docs/backends.md, docs/jit.md).
   void fused_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                  extent_t k_lo, extent_t k_hi, bool accumulate) const {
-    if (a_.is_view()) [[unlikely]] {
+    if (mapped()) [[unlikely]] {
       view_row(st, i, j, out, k_lo, k_hi, accumulate);
       return;
     }
@@ -327,18 +396,20 @@ class StencilExpr {
                      a_.shape().extent(2), accumulate);
   }
 
-  // -- view readers -----------------------------------------------------------
+  // -- map readers ------------------------------------------------------------
+  //
+  // A view argument's maps cover its own extent; the wrap maps also cover
+  // -1 and n, so the periodic form reads every point's neighbours.
 
-  // The nine source rows of output row (i, j) over a view: the centre row,
-  // then im, ip, jm, jp and the diagonals imm, imp, ipm, ipp (the order of
-  // Backend::stencil_row), each remapped through the axis-0/1 maps.
+  // The nine source rows of output row (i, j) through the maps: the centre
+  // row, then im, ip, jm, jp and the diagonals imm, imp, ipm, ipp (the order
+  // of Backend::stencil_row), each remapped through the axis-0/1 maps.
   struct ViewRows {
     const double* r[9];
   };
   ViewRows view_rows(extent_t i, extent_t j) const {
-    const detail::ViewMap<double>& v = *a_.view_map();
-    const extent_t* m0 = v.axis(0);
-    const extent_t* m1 = v.axis(1);
+    const extent_t* m0 = axis(0);
+    const extent_t* m1 = axis(1);
     const double* b = a_.base_data();
     return ViewRows{{b + m0[i] + m1[j], b + m0[i - 1] + m1[j],
                      b + m0[i + 1] + m1[j], b + m0[i] + m1[j - 1],
@@ -347,14 +418,14 @@ class StencilExpr {
                      b + m0[i + 1] + m1[j + 1]}};
   }
 
-  // at_linear3 over a view: the same operands in the same order, each k
-  // position taken through the last axis's map.
+  // at_linear3 through the maps: the same operands in the same order, each
+  // k position taken through the last axis's map.
   double view_at3(extent_t i, extent_t j, extent_t k) const {
     const ViewRows rows = view_rows(i, j);
     const double *c = rows.r[0], *im = rows.r[1], *ip = rows.r[2],
                  *jm = rows.r[3], *jp = rows.r[4], *imm = rows.r[5],
                  *imp = rows.r[6], *ipm = rows.r[7], *ipp = rows.r[8];
-    const extent_t* m2 = a_.view_map()->axis(2);
+    const extent_t* m2 = axis(2);
     const extent_t km = m2[k - 1], k0 = m2[k], kp = m2[k + 1];
     const double faces = im[k0] + ip[k0] + jm[k0] + jp[k0] + c[km] + c[kp];
     const double edges = imm[k0] + imp[k0] + ipm[k0] + ipp[k0] + im[km] +
@@ -365,16 +436,15 @@ class StencilExpr {
     return c_[0] * c[k0] + c_[1] * faces + c_[2] * edges + c_[3] * corners;
   }
 
-  // at_linear over a view (any rank): the class sums visit the offsets in
-  // by_class_ order, which is the stencil table's order within a class.
+  // at_linear through the maps (any rank): the class sums visit the offsets
+  // in by_class_ order, which is the stencil table's order within a class.
   double view_at(const IndexVec& iv) const {
-    const detail::ViewMap<double>& v = *a_.view_map();
     const double* b = a_.base_data();
     const auto& entries = StencilTable::for_rank(iv.size()).entries();
     auto operand = [&](const StencilTable::Entry& e) {
       extent_t off = 0;
       for (std::size_t d = 0; d < iv.size(); ++d) {
-        off += v.axis(d)[iv[d] + e.offset[d]];
+        off += axis(d)[iv[d] + e.offset[d]];
       }
       return b[off];
     };
@@ -396,24 +466,23 @@ class StencilExpr {
     return acc;
   }
 
-  // fused_row over a view, as the backend's plane_sums + combine_row pair
-  // that stencil_row stands for.  The plane sums run over the remapped
+  // fused_row through the maps, as the backend's plane_sums + combine_row
+  // pair that stencil_row stands for.  The plane sums run over the remapped
   // rows, then the sums at the moved k positions are redone from remapped
-  // operands, so the scratch holds the forced view's sums exactly.  The
-  // combine runs on the backend between the output points that read a
-  // moved position of the centre row; those repeat its arithmetic on the
-  // remapped centre values.
+  // operands, so the scratch holds the forced view's sums exactly (for the
+  // periodic form: the wrapped sums at -1 and n).  The combine runs on the
+  // backend between the output points that read a moved position of the
+  // centre row; those repeat its arithmetic on the remapped centre values.
   void view_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                 extent_t k_lo, extent_t k_hi, bool accumulate) const {
     const ViewRows rows = view_rows(i, j);
     const double* const* r = rows.r;
-    const detail::ViewMap<double>& v = *a_.view_map();
-    const extent_t* m2 = v.axis(2);
-    double* u1 = st.u1();
-    double* u2 = st.u2();
+    const extent_t* m2 = axis(2);
+    double* u1 = st.u1() + pad();
+    double* u2 = st.u2() + pad();
     be_->plane_sums(r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8], u1, u2,
                     a_.shape().extent(2));
-    for (const extent_t p : v.moved_last()) {
+    for (const extent_t p : moved_last()) {
       const extent_t x = m2[p];
       u1[p] = ((r[1][x] + r[2][x]) + r[3][x]) + r[4][x];
       u2[p] = ((r[5][x] + r[6][x]) + r[7][x]) + r[8][x];
@@ -450,11 +519,13 @@ class StencilExpr {
   StencilCoeffs c_;
   StencilMode mode_;
   const Backend* be_;  // row-primitive engine, snapshotted at construction
+  extent_t margin_;    // evaluated points: [margin_, n - margin_) per axis
+  std::shared_ptr<const WrapMaps> wrap_;  // the periodic form's; shared
   std::array<std::vector<extent_t>, 4> by_class_;
   extent_t s0_ = 0;  // rank-3 row strides for the unrolled evaluator
   extent_t s1_ = 0;
   bool planes_rows_ = false;  // kPlanes row path active (rank 3, >= cutover)
-  std::vector<extent_t> view_points_;  // sorted; empty unless a_ is a view
+  std::vector<extent_t> view_points_;  // sorted; empty unless mapped()
 };
 
 // Eager RelaxKernel: one with-loop over the interior, zero boundary ring —
@@ -462,5 +533,11 @@ class StencilExpr {
 // mode is the process-wide SacConfig::stencil_mode (evaluated per call).
 Array<double> relax_kernel(const Array<double>& a, const StencilCoeffs& coeffs,
                            StencilMode mode = active_config().stencil_mode);
+
+// Eager periodic relaxation over a ghost-free grid: one with-loop over the
+// whole grid (StencilExpr::periodic).
+Array<double> relax_kernel_periodic(
+    const Array<double>& a, const StencilCoeffs& coeffs,
+    StencilMode mode = active_config().stencil_mode);
 
 }  // namespace sacpp::sac

@@ -34,6 +34,19 @@ const StencilTable& StencilTable::for_rank(std::size_t rank) {
   return *slot;
 }
 
+StencilExpr::WrapMaps::WrapMaps(const Shape& shp) : axes_(shp.rank()) {
+  const IndexVec strides = shp.strides();
+  for (std::size_t d = 0; d < shp.rank(); ++d) {
+    const extent_t n = shp.extent(d);
+    std::vector<extent_t>& m = axes_[d];
+    m.reserve(static_cast<std::size_t>(n + 2));
+    m.push_back((n - 1) * strides[d]);
+    for (extent_t x = 0; x < n; ++x) m.push_back(x * strides[d]);
+    m.push_back(0);
+  }
+  moved_ = {-1, shp.extent(shp.rank() - 1)};
+}
+
 Array<double> relax_kernel(const Array<double>& a, const StencilCoeffs& coeffs,
                            StencilMode mode) {
   // The expression itself is the loop body: it offers index-vector, unpacked
@@ -42,6 +55,13 @@ Array<double> relax_kernel(const Array<double>& a, const StencilCoeffs& coeffs,
   // best form available.
   const StencilExpr st(a, coeffs, mode);
   return with_genarray<double>(a.shape(), gen_interior(a.shape()), st, 0.0);
+}
+
+Array<double> relax_kernel_periodic(const Array<double>& a,
+                                    const StencilCoeffs& coeffs,
+                                    StencilMode mode) {
+  const StencilExpr st = StencilExpr::periodic(a, coeffs, mode);
+  return with_genarray<double>(a.shape(), gen_all(), st, 0.0);
 }
 
 }  // namespace sacpp::sac

@@ -12,7 +12,6 @@
 #include "sacpp/mg/mg_sac.hpp"
 #include "sacpp/mg/mg_sac_direct.hpp"
 #include "sacpp/mg/problem.hpp"
-#include "sacpp/sac/periodic_stencil.hpp"
 
 namespace sacpp::mg {
 namespace {
@@ -40,18 +39,31 @@ constexpr sac::StencilCoeffs kC{{-0.5, 0.125, 0.0625, 0.03125}};
 
 class PeriodicRank : public ::testing::TestWithParam<int> {};
 
+// The periodic stencil and border setup + the fixed-boundary stencil read
+// the same operands in the same order, so they agree bit for bit in every
+// mode, kPlanes rows included (cutover 0), down to the coarsest extent 2.
 TEST_P(PeriodicRank, PeriodicRelaxEqualsBorderSetupPlusFixedRelax) {
   const int rank = GetParam();
-  const Shape shp = cube_shape(static_cast<std::size_t>(rank), 8);
-  auto pure = random_pure(shp, 1);
-  // ghost-free path
-  auto direct = sac::relax_kernel_periodic(pure, kC);
-  // ghost-layer path: extend, border-setup, fixed relax, strip
-  auto viaGhosts =
-      MgSacDirect::strip_ghosts(sac::relax_kernel(add_ghosts(pure), kC));
-  ASSERT_EQ(direct.shape(), viaGhosts.shape());
-  for (extent_t i = 0; i < direct.elem_count(); ++i) {
-    ASSERT_NEAR(direct.at_linear(i), viaGhosts.at_linear(i), 1e-14) << i;
+  sac::SacConfig cfg = sac::config();
+  cfg.stencil_planes_cutover = 0;
+  sac::ScopedConfig guard(cfg);
+  for (const sac::StencilMode mode :
+       {sac::StencilMode::kNaive, sac::StencilMode::kGrouped,
+        sac::StencilMode::kPlanes}) {
+    for (const extent_t n : {2, 4, 8, 20}) {
+      const Shape shp = cube_shape(static_cast<std::size_t>(rank), n);
+      auto pure = random_pure(shp, 1);
+      // ghost-free path
+      auto direct = sac::relax_kernel_periodic(pure, kC, mode);
+      // ghost-layer path: extend, border-setup, fixed relax, strip
+      auto viaGhosts = MgSacDirect::strip_ghosts(
+          sac::relax_kernel(add_ghosts(pure), kC, mode));
+      ASSERT_EQ(direct.shape(), viaGhosts.shape());
+      for (extent_t i = 0; i < direct.elem_count(); ++i) {
+        ASSERT_EQ(direct.at_linear(i), viaGhosts.at_linear(i))
+            << sac::stencil_mode_name(mode) << " n=" << n << " at " << i;
+      }
+    }
   }
 }
 
@@ -60,8 +72,8 @@ INSTANTIATE_TEST_SUITE_P(Ranks, PeriodicRank, ::testing::Values(1, 2, 3));
 TEST(PeriodicStencil, InteriorIsBitwiseEqualToFixedStencil) {
   const Shape shp{8, 8, 8};
   auto pure = random_pure(shp, 2);
-  sac::PeriodicStencilExpr per(pure, kC);
-  sac::StencilExpr fixed(pure, kC);
+  const auto per = sac::StencilExpr::periodic(pure, kC);
+  const sac::StencilExpr fixed(pure, kC);
   for (extent_t i = 1; i < 7; ++i) {
     for (extent_t j = 1; j < 7; ++j) {
       for (extent_t k = 1; k < 7; ++k) {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "json_balanced.hpp"
 #include "sacpp/obs/export.hpp"
 #include "sacpp/obs/histogram.hpp"
 #include "sacpp/obs/obs.hpp"
@@ -18,33 +19,6 @@ namespace {
 
 bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
-}
-
-// Rough structural validation: balanced braces/brackets outside strings.
-bool json_balanced(const std::string& s) {
-  int braces = 0, brackets = 0;
-  bool in_string = false, escaped = false;
-  for (char c : s) {
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (in_string) {
-      if (c == '\\') escaped = true;
-      if (c == '"') in_string = false;
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': ++braces; break;
-      case '}': --braces; break;
-      case '[': ++brackets; break;
-      case ']': --brackets; break;
-      default: break;
-    }
-    if (braces < 0 || brackets < 0) return false;
-  }
-  return braces == 0 && brackets == 0 && !in_string;
 }
 
 class ExportFixture : public ::testing::Test {

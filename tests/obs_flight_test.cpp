@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "json_balanced.hpp"
 #include "sacpp/obs/flight.hpp"
 #include "sacpp/obs/obs.hpp"
 #include "sacpp/obs/trace.hpp"
@@ -46,6 +47,7 @@ TEST(FlightRecorder, DumpEmbedsSpansTracesAndProviderState) {
   {
     TraceBinding bind({id, 0, kTraceForced});
     record_span(SpanKind::kPhase, "flight_probe_span", 10, 5);
+    record_span(SpanKind::kPhase, "quote\"back\\slash", 20, 1);
   }
   set_enabled(false);
   TraceMeta meta;
@@ -73,6 +75,8 @@ TEST(FlightRecorder, DumpEmbedsSpansTracesAndProviderState) {
   EXPECT_NE(json.find("\"flight_test_probe\":{\"answer\":42}"),
             std::string::npos);
   EXPECT_NE(json.find("\"threads\":["), std::string::npos);
+  EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
+  EXPECT_TRUE(json_balanced(json)) << json;
 
   reset();
   clear_retained_traces();

@@ -33,7 +33,6 @@
 
 #include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/jit.hpp"
-#include "sacpp/sac/periodic_stencil.hpp"
 #include "sacpp/sac/sac.hpp"
 #include "sacpp/sac/stats.hpp"
 

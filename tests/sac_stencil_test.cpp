@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sacpp/sac/backend.hpp"
-#include "sacpp/sac/periodic_stencil.hpp"
 #include "sacpp/sac/sac.hpp"
 
 namespace sacpp::sac {
@@ -161,23 +160,32 @@ TEST(Planes, FusedEwiseLandsOnRowPathAndMatchesGrouped) {
 
 TEST(Planes, MultithreadedSweepBitIdenticalToSerial) {
   // Rows are computed independently, so the planes sweep must not depend on
-  // the chunking: MT and serial results are bitwise equal.
+  // the chunking: MT and serial results are bitwise equal, for the
+  // fixed-boundary and the periodic form.
   const Shape shp{24, 24, 24};
   auto a = random_array(shp, 47);
-  SacConfig cfg = config();
-  cfg.stencil_planes_cutover = 0;
-  Array<double> serial;
-  {
+  for (const bool periodic : {false, true}) {
+    auto sweep = [&] {
+      return periodic
+                 ? relax_kernel_periodic(a, kTestCoeffs, StencilMode::kPlanes)
+                 : relax_kernel(a, kTestCoeffs, StencilMode::kPlanes);
+    };
+    SacConfig cfg = config();
+    cfg.stencil_planes_cutover = 0;
+    Array<double> serial;
+    {
+      ScopedConfig guard(cfg);
+      serial = sweep();
+    }
+    cfg.mt_enabled = true;
+    cfg.mt_threads = 4;
+    cfg.mt_threshold = 1;
     ScopedConfig guard(cfg);
-    serial = relax_kernel(a, kTestCoeffs, StencilMode::kPlanes);
-  }
-  cfg.mt_enabled = true;
-  cfg.mt_threads = 4;
-  cfg.mt_threshold = 1;
-  ScopedConfig guard(cfg);
-  auto mt = relax_kernel(a, kTestCoeffs, StencilMode::kPlanes);
-  for (extent_t i = 0; i < serial.elem_count(); ++i) {
-    ASSERT_DOUBLE_EQ(serial.at_linear(i), mt.at_linear(i)) << i;
+    auto mt = sweep();
+    for (extent_t i = 0; i < serial.elem_count(); ++i) {
+      ASSERT_DOUBLE_EQ(serial.at_linear(i), mt.at_linear(i))
+          << (periodic ? "periodic " : "fixed ") << i;
+    }
   }
 }
 
@@ -195,14 +203,15 @@ TEST(PlanesPeriodic, MatchesGroupedEverywhereIncludingBoundary) {
 }
 
 TEST(PlanesPeriodic, WrappedRowsMatchGenericReference) {
-  // Cross-check the wrapped row pointers and the k-wrap peel against the
-  // rank-generic modular evaluator on every point, boundary ring included.
+  // Cross-check the wrapped rows and the special combine at k = 0 and
+  // k = n-1 against the per-point periodic evaluator on every point,
+  // boundary ring included.
   const Shape shp{6, 7, 9};
   auto a = random_array(shp, 59);
   SacConfig cfg = config();
   cfg.stencil_planes_cutover = 0;
   ScopedConfig guard(cfg);
-  const PeriodicStencilExpr ref(a, kTestCoeffs, StencilMode::kGrouped);
+  const auto ref = StencilExpr::periodic(a, kTestCoeffs, StencilMode::kGrouped);
   auto planes = relax_kernel_periodic(a, kTestCoeffs, StencilMode::kPlanes);
   for_each_index(shp, [&](const IndexVec& iv) {
     ASSERT_NEAR(planes[iv], ref(iv), 1e-12);

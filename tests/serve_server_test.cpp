@@ -45,7 +45,8 @@ SolveRequest class_s_request(std::uint64_t id,
 }
 
 // Reference norm for one stencil engine, computed serially outside any
-// service (the ground truth the concurrent runs must reproduce bit-exactly).
+// service (the ground truth the concurrent runs must reproduce bit-exactly)
+// under the process config's backend, which the requests below carry too.
 double serial_norm(sac::StencilMode mode) {
   sac::SacConfig cfg = sac::config();
   cfg.stencil_mode = mode;
@@ -83,8 +84,10 @@ TEST(ServeServer, ConcurrentJobsWithDifferentStencilModesStayIsolated) {
   for (int i = 0; i < kRounds; ++i) {
     SolveRequest g = class_s_request(1000 + i);
     g.stencil_mode = sac::StencilMode::kGrouped;
+    g.backend = sac::config().backend;
     SolveRequest p = class_s_request(2000 + i);
     p.stencil_mode = sac::StencilMode::kPlanes;
+    p.backend = sac::config().backend;
     grouped.push_back(service.submit(g));
     planes.push_back(service.submit(p));
   }

@@ -22,6 +22,8 @@
 // checker — without the benchmark run; each pass is independently
 // CI-failable (exit status 2 on findings).
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -266,6 +268,13 @@ int main(int argc, char** argv) {
     std::printf(" Buffer pool         = on (%llu hits, %llu misses)\n",
                 static_cast<unsigned long long>(st.pool_hits),
                 static_cast<unsigned long long>(st.pool_misses));
+  }
+  // The process's resident high-water mark so far (ru_maxrss, in KiB on
+  // Linux); pages still on the kernel's zero page do not count.
+  struct rusage ru {};
+  if (::getrusage(RUSAGE_SELF, &ru) == 0) {
+    std::printf(" Peak memory         = %.1f MB\n",
+                static_cast<double>(ru.ru_maxrss) / 1024.0);
   }
   if (variant == Variant::kOpenMp) {
     std::printf(" OpenMP threads      = %d\n", MgOmp::omp_team_size());

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "sacpp/common/shape.hpp"
+#include "sacpp/sac/array.hpp"
 
 namespace sacpp::mg {
 
@@ -50,6 +51,13 @@ void fill_rhs_planes(std::span<double> planes, extent_t nx, extent_t first,
 // The whole extended right-hand side: fill_rhs_planes over all nx+2 planes.
 // `v_ext` must have size (nx+2)^3.
 void fill_rhs(std::span<double> v_ext, extent_t nx);
+
+// The right-hand side as an array: the extended (nx+2)^3 cube when `lo` is
+// 0, its nx^3 interior when `lo` is 1 (the ghost-free grids of
+// mg_sac_direct).  A zero genarray_const with the charges' images written
+// in place: on a freshly mapped block only the pages holding a charge are
+// ever written, so the rest stay off the resident set (docs/memory.md).
+sac::Array<double> rhs_array(extent_t nx, extent_t lo);
 
 // Apply periodic boundary conditions to an extended cube in place: each
 // ghost layer receives the opposite interior layer, one axis after the

@@ -1,7 +1,6 @@
 #include "sacpp/mg/driver.hpp"
 
 #include <cmath>
-#include <span>
 #include <utility>
 
 #include "sacpp/common/error.hpp"
@@ -147,21 +146,6 @@ MgResult measure(Variant variant, const MgSpec& spec, const RunOptions& opts,
   res.final_norm = norm();
   res.mflops = elapsed > 0.0 ? nominal_flops(spec) / elapsed / 1e6 : 0.0;
   return res;
-}
-
-// The benchmark right-hand side as an array: the extended cube, or its
-// interior when `lo` is 1 (the ghost-free grids of mg_sac_direct).  The raw
-// cube is freed on return, before the solve allocates anything.
-sac::Array<double> rhs_array(extent_t nx, extent_t lo) {
-  const extent_t n = nx + 2;
-  std::vector<double> v_raw(static_cast<std::size_t>(n * n * n));
-  fill_rhs(std::span<double>(v_raw), nx);
-  return sac::with_genarray<double>(
-      cube_shape(3, n - 2 * lo),
-      sac::rank3_body([&](extent_t i, extent_t j, extent_t k) {
-        return v_raw[static_cast<std::size_t>(
-            ((i + lo) * n + (j + lo)) * n + (k + lo))];
-      }));
 }
 
 MgResult run_sac(const MgSpec& spec, const RunOptions& opts) {

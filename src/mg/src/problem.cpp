@@ -7,6 +7,7 @@
 
 #include "sacpp/common/error.hpp"
 #include "sacpp/nasrand/nasrand.hpp"
+#include "sacpp/sac/array_lib.hpp"
 
 namespace sacpp::mg {
 
@@ -73,6 +74,27 @@ Images images(extent_t c, extent_t nx) {
   return im;
 }
 
+// Call put(i, j, k, value) at every periodic image, in extended
+// coordinates, of each charge of the nx^3 field: the +1 charges first, so a
+// -1 wins a point that both reach (nx^3 < 20).
+template <typename Put>
+void place_charges(extent_t nx, Put put) {
+  const Charges ch = zran3_charges(nx);
+  auto place = [&](const IndexVec& c, double value) {
+    const Images is = images(c[0], nx), js = images(c[1], nx),
+                 ks = images(c[2], nx);
+    for (int a = 0; a < is.n; ++a) {
+      for (int b = 0; b < js.n; ++b) {
+        for (int d = 0; d < ks.n; ++d) {
+          put(is.at[a], js.at[b], ks.at[d], value);
+        }
+      }
+    }
+  };
+  for (const auto& p : ch.plus) place(p, +1.0);
+  for (const auto& m : ch.minus) place(m, -1.0);
+}
+
 }  // namespace
 
 Charges zran3_charges(extent_t nx) {
@@ -100,28 +122,32 @@ void fill_rhs_planes(std::span<double> planes, extent_t nx, extent_t first,
   SACPP_REQUIRE(planes.size() == static_cast<std::size_t>(count * n * n),
                 "RHS plane buffer size mismatch");
   std::fill(planes.begin(), planes.end(), 0.0);
-
-  const Charges ch = zran3_charges(nx);
-  auto place = [&](const IndexVec& c, double value) {
-    const Images is = images(c[0], nx), js = images(c[1], nx),
-                 ks = images(c[2], nx);
-    for (int a = 0; a < is.n; ++a) {
-      const extent_t i = is.at[a] - first;
-      if (i < 0 || i >= count) continue;
-      for (int b = 0; b < js.n; ++b) {
-        for (int d = 0; d < ks.n; ++d) {
-          planes[static_cast<std::size_t>((i * n + js.at[b]) * n +
-                                          ks.at[d])] = value;
-        }
-      }
+  place_charges(nx, [&](extent_t i, extent_t j, extent_t k, double value) {
+    i -= first;
+    if (i >= 0 && i < count) {
+      planes[static_cast<std::size_t>((i * n + j) * n + k)] = value;
     }
-  };
-  for (const auto& p : ch.plus) place(p, +1.0);
-  for (const auto& m : ch.minus) place(m, -1.0);
+  });
 }
 
 void fill_rhs(std::span<double> v_ext, extent_t nx) {
   fill_rhs_planes(v_ext, nx, 0, nx + 2);
+}
+
+sac::Array<double> rhs_array(extent_t nx, extent_t lo) {
+  SACPP_REQUIRE(lo == 0 || lo == 1, "rhs_array: lo must be 0 or 1");
+  const extent_t n = nx + 2 - 2 * lo;
+  sac::Array<double> v = sac::genarray_const(cube_shape(3, n), 0.0);
+  double* data = v.mutable_data();
+  place_charges(nx, [&](extent_t i, extent_t j, extent_t k, double value) {
+    i -= lo;
+    j -= lo;
+    k -= lo;
+    if (i >= 0 && i < n && j >= 0 && j < n && k >= 0 && k < n) {
+      data[static_cast<std::size_t>((i * n + j) * n + k)] = value;
+    }
+  });
+  return v;
 }
 
 void periodic_border_3d(std::span<double> a, extent_t n) {

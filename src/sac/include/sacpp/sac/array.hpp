@@ -112,7 +112,12 @@ class Array {
   }
 
   // Uninitialised array of a given shape (with-loop engine fills it).
-  static Array uninitialized(const Shape& shape) { return Array(shape); }
+  // `zeroed`, when given, is set to whether every element already reads as
+  // +0: the pool mapped a fresh block for it (genarray_const's shortcut).
+  static Array uninitialized(const Shape& shape, bool* zeroed = nullptr) {
+    return Array(shape, Buffer<T>(static_cast<std::size_t>(shape.elem_count()),
+                                  zeroed));
+  }
 
   // Constant array of a given shape.
   Array(const Shape& shape, T fill) : Array(shape) {

@@ -9,6 +9,7 @@
 // the specialised rank-3 execution path.
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 
@@ -25,11 +26,21 @@ namespace sacpp::sac {
 
 // genarray(shp, val): constant array of shape shp.  The body takes unpacked
 // rank-3 indices as well as an index vector, so rank 3 runs on the
-// specialised loop nest.
+// specialised loop nest.  calloc's rule: when val is all zero bytes (+0.0,
+// not -0.0) and the pool has just mapped the block, the block already
+// holds the result and no with-loop runs, so pages nobody writes later stay
+// off the resident set (docs/memory.md).  Any other block is filled.
 template <typename T>
 Array<T> genarray_const(const Shape& shp, T val) {
-  return with_genarray<T>(shp, gen_all(),
-                          [val](const auto&...) { return val; });
+  bool zeroed = false;
+  Array<T> out = Array<T>::uninitialized(shp, &zeroed);
+  const T zero{};
+  if (zeroed && std::memcmp(&val, &zero, sizeof(T)) == 0) return out;
+  // with_genarray over gen_all(), on the block allocated above.
+  detail::execute_assign(out.raw_data_unchecked(), shp,
+                         detail::resolve(gen_all(), shp),
+                         [val](const auto&...) { return val; });
+  return out;
 }
 
 // iota(n): the vector [0, 1, ..., n-1].

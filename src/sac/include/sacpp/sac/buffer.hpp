@@ -46,9 +46,12 @@ class Buffer {
  public:
   Buffer() = default;
 
-  explicit Buffer(std::size_t count) {
+  // `count` elements, not initialised.  `zeroed`, when given, is set to
+  // whether they already read as zero (the pool mapped a fresh block for
+  // them, pool.hpp); only the creator can ask, and only now.
+  explicit Buffer(std::size_t count, bool* zeroed = nullptr) {
     if (count == 0) count = 1;  // rank-0 arrays still hold one element
-    ctrl_ = new Control(count);
+    ctrl_ = new Control(count, zeroed);
     stats().allocations += 1;
     stats().bytes_allocated += count * sizeof(T);
   }
@@ -109,7 +112,8 @@ class Buffer {
     // then served from recycled blocks instead of std::aligned_alloc.  The
     // block goes back the way it came, whatever the flag says at release,
     // so toggling mid-lifetime keeps the pool's live count exact.
-    explicit Control(std::size_t n) : count(n), pooled(active_config().pool) {
+    Control(std::size_t n, bool* zeroed)
+        : count(n), pooled(active_config().pool) {
       const std::size_t bytes = pool_block_bytes(n * sizeof(T));
       if (obs::enabled()) [[unlikely]] {
         obs::observe(obs::Hist::kAllocBytes, n * sizeof(T));
@@ -117,9 +121,10 @@ class Buffer {
       void* raw = nullptr;
       if (pooled) {
         // The pool maintains the stats().pool_hits/misses gauges itself.
-        raw = BufferPool::instance().allocate(bytes);
+        raw = BufferPool::instance().allocate(bytes, zeroed);
       } else {
         raw = std::aligned_alloc(kBufferAlignment, bytes);
+        if (zeroed != nullptr) *zeroed = false;
       }
       SACPP_REQUIRE(raw != nullptr, "array buffer allocation failed");
       elems = static_cast<T*>(raw);

@@ -31,11 +31,11 @@
 // (glibc's default mmap threshold) are std::aligned_alloc allocations; from
 // there up each block is its own anonymous mapping (mmap/munmap), so its
 // pages leave the process when trim or quiescence frees it instead of
-// staying in the malloc heap (docs/memory.md).  A block must go back the way
-// it came — into the pool when the pool allocated it, to std::free
-// otherwise — so the live count of big blocks stays exact; Buffer and
-// PlaneScratch remember which, so SacConfig::pool / SACPP_POOL may flip at
-// any time.
+// staying in the malloc heap (docs/memory.md); a fresh one reads as zero,
+// and allocate() says so.  A block must go back the way it came — into the
+// pool when the pool allocated it, to std::free otherwise — so the live
+// count of big blocks stays exact; Buffer and PlaneScratch remember which,
+// so SacConfig::pool / SACPP_POOL may flip at any time.
 //
 // Checked mode (SacConfig::check): releasing a block that already sits on a
 // free list, or a big block while none is live (it was freed at quiescence),
@@ -85,7 +85,13 @@ class BufferPool {
   // be a pool_block_bytes() value: the size class's most recently released
   // block, else a fresh one from the system.  Returns nullptr only when the
   // system is out of memory.
-  void* allocate(std::size_t bytes);
+  //
+  // `zeroed`, when given, is set to whether every byte of the block reads
+  // as zero: true only for a fresh mapping (a miss from 128 KiB up), false
+  // for a recycled or heap block.  It is a fact about the block at
+  // allocation, read once by its creator to skip a zero fill that would
+  // make every page resident (genarray_const, docs/memory.md).
+  void* allocate(std::size_t bytes, bool* zeroed = nullptr);
 
   // Release a block this pool allocated with `bytes = pool_block_bytes(..)`
   // onto its class's free list; the last live big block is freed instead,
@@ -120,7 +126,7 @@ class BufferPool {
   // The real alloc/release paths; the public entry points only bracket them
   // with telemetry when obs is enabled, so the untraced path carries no
   // span-object frame cost.
-  void* allocate_impl(std::size_t bytes);
+  void* allocate_impl(std::size_t bytes, bool* zeroed);
   void deallocate_impl(void* p, std::size_t bytes) noexcept;
 
   Impl* impl_;

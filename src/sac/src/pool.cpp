@@ -146,16 +146,16 @@ BufferPool& BufferPool::instance() {
   return *pool;
 }
 
-void* BufferPool::allocate(std::size_t bytes) {
-  if (!obs::enabled()) [[likely]] return allocate_impl(bytes);
+void* BufferPool::allocate(std::size_t bytes, bool* zeroed) {
+  if (!obs::enabled()) [[likely]] return allocate_impl(bytes, zeroed);
   const std::int64_t t0 = obs::now_ns();
-  void* p = allocate_impl(bytes);
+  void* p = allocate_impl(bytes, zeroed);
   obs::record_span(obs::SpanKind::kPoolAlloc, "pool_alloc", t0,
                    obs::now_ns() - t0, static_cast<std::int64_t>(bytes));
   return p;
 }
 
-void* BufferPool::allocate_impl(std::size_t bytes) {
+void* BufferPool::allocate_impl(std::size_t bytes, bool* zeroed) {
   const bool big = is_big(bytes);
   void* p = nullptr;
   bool hit = false;
@@ -171,11 +171,15 @@ void* BufferPool::allocate_impl(std::size_t bytes) {
     }
   }
   if (hit) {
+    if (zeroed != nullptr) *zeroed = false;
     stats().pool_hits += 1;
     return p;
   }
   stats().pool_misses += 1;
-  return big ? p : acquire_from_system(bytes);
+  if (!big) p = acquire_from_system(bytes);
+  // mmap hands out zero pages; malloc promises nothing.
+  if (zeroed != nullptr) *zeroed = p != nullptr && bytes >= kMappedBlockBytes;
+  return p;
 }
 
 void BufferPool::deallocate(void* p, std::size_t bytes) noexcept {

@@ -3,16 +3,24 @@
 // it replaced: the stored nx^3 deviate field, sorted for its charges, then
 // the charges placed and the borders exchanged.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 
 #include "sacpp/mg/problem.hpp"
 #include "sacpp/nasrand/nasrand.hpp"
+#include "sacpp/sac/array_lib.hpp"
+#include "sacpp/sac/config.hpp"
+#include "sacpp/sac/pool.hpp"
 
 namespace sacpp::mg {
 namespace {
@@ -321,6 +329,112 @@ TEST(FillRhs, PlaneRangeOutsideTheCubeThrows) {
   EXPECT_THROW(fill_rhs_planes(planes, 8, 9, 2), ContractError);
   EXPECT_THROW(fill_rhs_planes(planes, 8, -1, 2), ContractError);
   EXPECT_THROW(fill_rhs_planes(planes, 8, 0, 3), ContractError);
+}
+
+// -- the right-hand side as an array ------------------------------------------
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// The oracle cube's interior, (nx)^3 values.
+std::vector<double> interior(const std::vector<double>& cube, extent_t nx) {
+  const extent_t n = nx + 2;
+  std::vector<double> out;
+  for (extent_t i = 1; i <= nx; ++i) {
+    for (extent_t j = 1; j <= nx; ++j) {
+      const auto row = cube.begin() + (i * n + j) * n;
+      out.insert(out.end(), row + 1, row + 1 + nx);
+    }
+  }
+  return out;
+}
+
+// rhs_array equals the oracle bit for bit, as the cube (lo 0) and as its
+// interior (lo 1), whatever block it lands on: a fresh one (after drain()),
+// a recycled one dirtied with NaNs, or one taken with the pool off.  At nx 1
+// and 2 every point is a charge; the larger grids have charges on faces and
+// edges, whose ghost images lo 0 must write.
+TEST(RhsArray, EqualsTheOracleBitForBit) {
+  for (const extent_t nx : {1, 2, 3, 8, 32}) {
+    const std::vector<double> cube = oracle_rhs(nx);
+    const std::vector<double> inner = interior(cube, nx);
+    for (const extent_t lo : {0, 1}) {
+      const std::vector<double>& want = lo == 0 ? cube : inner;
+      const Shape shp = cube_shape(3, nx + 2 - 2 * lo);
+      sac::SacConfig cfg = sac::config();
+      for (const bool pooled : {true, false}) {
+        cfg.pool = pooled;
+        sac::ScopedConfig guard(cfg);
+        sac::BufferPool::instance().drain();
+        const sac::Array<double> fresh = rhs_array(nx, lo);
+        ASSERT_EQ(fresh.shape(), shp);
+        EXPECT_TRUE(same_bits(fresh.data(), want.data(), want.size()))
+            << "nx " << nx << " lo " << lo << " pool " << pooled;
+        {
+          const sac::Array<double> dirty = sac::genarray_const(
+              shp, std::numeric_limits<double>::quiet_NaN());
+        }
+        const sac::Array<double> recycled = rhs_array(nx, lo);
+        EXPECT_TRUE(same_bits(recycled.data(), want.data(), want.size()))
+            << "nx " << nx << " lo " << lo << " pool " << pooled
+            << " after NaNs";
+      }
+    }
+  }
+}
+
+// Pages of [p, p + bytes) that hold memory of their own: present in
+// /proc/self/pagemap and mapped by this process alone (bit 56).  A page on
+// the kernel's shared zero page is present but not exclusive.  mincore
+// counts such a page as resident, and smaps' Rss, which does not, covers
+// the whole merged mapping the kernel makes of adjacent anonymous blocks.
+std::size_t private_pages(const void* p, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const int fd = ::open("/proc/self/pagemap", O_RDONLY);
+  if (fd < 0) return SIZE_MAX;
+  const std::uintptr_t first = reinterpret_cast<std::uintptr_t>(p) / page;
+  const std::uintptr_t last =
+      (reinterpret_cast<std::uintptr_t>(p) + bytes - 1) / page;
+  std::size_t n = 0;
+  for (std::uintptr_t pg = first; pg <= last; ++pg) {
+    std::uint64_t entry = 0;
+    if (::pread(fd, &entry, sizeof(entry),
+                static_cast<off_t>(pg * sizeof(entry))) != sizeof(entry)) {
+      n = SIZE_MAX;
+      break;
+    }
+    if ((entry >> 63 & 1) != 0 && (entry >> 56 & 1) != 0) ++n;
+  }
+  ::close(fd);
+  return n;
+}
+
+// On a drained pool the right-hand side's block is a fresh mapping, and
+// only the pages holding a charge are written: after a full read at most a
+// quarter of the block holds memory of its own.  Both blocks are under
+// 2 MiB, so only a huge page spanning a merged neighbour could back one
+// (THP `always`).
+TEST(RhsArray, WritesOnlyTheChargedPagesOfAFreshBlock) {
+  sac::SacConfig cfg = sac::config();
+  cfg.pool = true;
+  sac::ScopedConfig guard(cfg);
+  for (const extent_t lo : {0, 1}) {
+    sac::BufferPool::instance().drain();
+    const sac::Array<double> v = rhs_array(40, lo);
+    const double* d = v.data();
+    double charge = 0.0;
+    for (extent_t i = 0; i < v.elem_count(); ++i) charge += std::abs(d[i]);
+    EXPECT_GE(charge, 20.0);
+    const std::size_t bytes =
+        static_cast<std::size_t>(v.elem_count()) * sizeof(double);
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t written = private_pages(d, bytes);
+    ASSERT_NE(written, SIZE_MAX) << "cannot read /proc/self/pagemap";
+    EXPECT_LE(written * page, bytes / 4)
+        << "lo " << lo << ": " << written << " of "
+        << (bytes + page - 1) / page << " pages written";
+  }
 }
 
 }  // namespace

@@ -14,8 +14,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -23,10 +25,12 @@
 #include <thread>
 #include <vector>
 
+#include "sacpp/sac/array_lib.hpp"
 #include "sacpp/sac/buffer.hpp"
 #include "sacpp/sac/check_events.hpp"
 #include "sacpp/sac/config.hpp"
 #include "sacpp/sac/pool.hpp"
+#include "sacpp/sac/runtime.hpp"
 #include "sacpp/sac/stats.hpp"
 
 namespace sacpp::sac {
@@ -572,6 +576,136 @@ TEST(BufferPool, ConcurrentBigBlocksStayPrivateAndAllGoAtQuiescence) {
   EXPECT_FALSE(failed.load()) << "a live big block was handed out twice";
   EXPECT_EQ(pool.live_big_blocks(), 0u);
   EXPECT_EQ(pool.depot_cached_bytes(), 0u);
+}
+
+// -- zero on fresh ------------------------------------------------------------
+
+// Only a fresh mapping — a miss from 128 KiB up — reports that it reads as
+// zero.  A recycled block holds its last owner's bytes, a heap-size block
+// what malloc left there, and a block taken with the pool off comes from
+// std::aligned_alloc.
+TEST(BufferPool, OnlyAFreshMappingReportsZeroed) {
+  BufferPool& pool = BufferPool::instance();
+  pool.drain();
+  const std::size_t mid = pool_block_bytes(std::size_t{256} << 10);
+  bool zeroed = false;
+  void* p = pool.allocate(mid, &zeroed);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(zeroed) << "a block mapped after drain()";
+  EXPECT_TRUE(stamp_intact(p, mid, 0));
+  stamp(p, mid, 0xA5);
+  pool.deallocate(p, mid);
+  void* q = pool.allocate(mid, &zeroed);
+  EXPECT_EQ(q, p);
+  EXPECT_FALSE(zeroed) << "a recycled block";
+  pool.deallocate(q, mid);
+
+  pool.drain();
+  const std::size_t heap = pool_block_bytes(4096);
+  zeroed = true;
+  void* h = pool.allocate(heap, &zeroed);
+  EXPECT_FALSE(zeroed) << "a heap-size block";
+  pool.deallocate(h, heap);
+
+  // Big blocks are fresh until one is cached, which needs another live.
+  pool.drain();
+  void* keep = pool.allocate(kBig, &zeroed);
+  EXPECT_TRUE(zeroed);
+  void* b = pool.allocate(kBig, &zeroed);
+  EXPECT_TRUE(zeroed);
+  pool.deallocate(b, kBig);
+  void* c = pool.allocate(kBig, &zeroed);
+  EXPECT_EQ(c, b);
+  EXPECT_FALSE(zeroed) << "a big block recycled while another is live";
+  pool.deallocate(c, kBig);
+  pool.deallocate(keep, kBig);
+
+  // Buffer passes the bit on; with the pool off it is never set.
+  SacConfig cfg = config();
+  for (const bool pooled : {true, false}) {
+    cfg.pool = pooled;
+    ScopedConfig guard(cfg);
+    pool.drain();
+    for (const std::size_t bytes : {mid, kBig}) {
+      zeroed = !pooled;
+      { const Buffer<double> buf(bytes / sizeof(double), &zeroed); }
+      EXPECT_EQ(zeroed, pooled) << bytes << " bytes, pool " << pooled;
+    }
+    zeroed = true;
+    { const Buffer<double> buf(16, &zeroed); }
+    EXPECT_FALSE(zeroed) << "a heap-size buffer, pool " << pooled;
+  }
+}
+
+// Whether every element of `a` has the bit pattern `bits`.
+bool all_bits(const Array<double>& a, std::uint64_t bits) {
+  const double* d = a.data();
+  for (extent_t i = 0; i < a.elem_count(); ++i) {
+    if (std::bit_cast<std::uint64_t>(d[i]) != bits) return false;
+  }
+  return true;
+}
+
+constexpr std::uint64_t kNegativeZero = std::uint64_t{1} << 63;
+
+// On a recycled block genarray_const(shape, 0.0) writes every element,
+// whatever the block held: a heap-size shape, a mapped mid-size one and a
+// big one recycled while another big block is live, on 1 and 4 threads.
+TEST(GenarrayConstOnPool, ZeroFillsARecycledDirtyBlock) {
+  const Shape shapes[] = {Shape{16, 16, 16}, Shape{40, 40, 40},
+                          Shape{130, 130, 130}};
+  for (const unsigned threads : {1u, 4u}) {
+    SacConfig cfg = config();
+    cfg.pool = true;
+    cfg.mt_enabled = threads > 1;
+    cfg.mt_threads = threads;
+    ScopedConfig guard(cfg);
+    for (const Shape& shp : shapes) {
+      BufferPool::instance().drain();
+      const Array<double> keep = genarray_const(
+          Shape{static_cast<extent_t>(kBig / sizeof(double))}, 0.0);
+      const double* dirty_at = nullptr;
+      {
+        const Array<double> dirty =
+            genarray_const(shp, std::numeric_limits<double>::quiet_NaN());
+        dirty_at = dirty.data();
+      }
+      const Array<double> a = genarray_const(shp, 0.0);
+      EXPECT_EQ(a.data(), dirty_at) << "not the recycled block";
+      EXPECT_TRUE(all_bits(a, 0))
+          << shp.elem_count() << " elements, " << threads << " threads";
+    }
+  }
+  shutdown_runtime();
+}
+
+// calloc's rule: +0.0 on a fresh mapping is the block as it comes, so no
+// with-loop runs.  A heap-size block still takes its with-loop.
+TEST(GenarrayConstOnPool, ZeroOnAFreshMappingRunsNoWithLoop) {
+  SacConfig cfg = config();
+  cfg.pool = true;
+  ScopedConfig guard(cfg);
+  BufferPool::instance().drain();
+  std::uint64_t loops = stats().with_loops;
+  const Array<double> fresh = genarray_const(Shape{40, 40, 40}, 0.0);
+  EXPECT_EQ(stats().with_loops, loops);
+  EXPECT_TRUE(all_bits(fresh, 0));
+  loops = stats().with_loops;
+  const Array<double> heap = genarray_const(Shape{16, 16, 16}, 0.0);
+  EXPECT_EQ(stats().with_loops - loops, 1u);
+  EXPECT_TRUE(all_bits(heap, 0));
+}
+
+// -0.0 == +0.0, but a fresh page holds +0.0: the sign bit must be written.
+TEST(GenarrayConstOnPool, NegativeZeroIsWrittenOnAFreshMapping) {
+  SacConfig cfg = config();
+  cfg.pool = true;
+  ScopedConfig guard(cfg);
+  BufferPool::instance().drain();
+  const std::uint64_t misses = stats().pool_misses;
+  const Array<double> a = genarray_const(Shape{40, 40, 40}, -0.0);
+  EXPECT_EQ(stats().pool_misses - misses, 1u) << "not a fresh mapping";
+  EXPECT_TRUE(all_bits(a, kNegativeZero));
 }
 
 }  // namespace

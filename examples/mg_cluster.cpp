@@ -20,10 +20,8 @@
 // exit 9 after surfacing the peer-death ContractError diagnostic — a hang
 // is a launcher timeout and a test failure.
 
-#include <sys/socket.h>
+#include <fcntl.h>
 #include <sys/wait.h>
-#include <netinet/in.h>
-#include <arpa/inet.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -126,26 +124,6 @@ int run_worker(const Cli& cli) {
 // Launcher mode.
 // ---------------------------------------------------------------------------
 
-int make_loopback_listener(int* port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, 16) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  *port = ntohs(addr.sin_port);
-  return fd;
-}
-
 struct Rank0Report {
   double final_norm = 0.0;
   double seconds = 0.0;
@@ -202,11 +180,11 @@ int run_launcher(const Cli& cli, const char* self) {
   std::vector<int> fds(static_cast<std::size_t>(ranks));
   std::string hosts;
   for (int r = 0; r < ranks; ++r) {
-    int port = 0;
-    fds[static_cast<std::size_t>(r)] = make_loopback_listener(&port);
-    if (fds[static_cast<std::size_t>(r)] < 0) {
-      std::fprintf(stderr, "mg_cluster: cannot bind listener for rank %d\n",
-                   r);
+    std::uint16_t port = 0;
+    try {
+      fds[static_cast<std::size_t>(r)] = net::create_listener(0, &port);
+    } catch (const ContractError& e) {
+      std::fprintf(stderr, "mg_cluster: rank %d: %s\n", r, e.what());
       return 1;
     }
     if (r > 0) hosts += ',';
@@ -225,10 +203,12 @@ int run_launcher(const Cli& cli, const char* self) {
       return 1;
     }
     if (pid == 0) {
-      // Child: keep only this rank's listener, then become a worker.
+      // Child: keep only this rank's listener, open across the exec, then
+      // become a worker.
       for (int j = 0; j < ranks; ++j) {
         if (j != r) ::close(fds[static_cast<std::size_t>(j)]);
       }
+      ::fcntl(fds[static_cast<std::size_t>(r)], F_SETFD, 0);
       std::vector<std::string> args = {
           self,
           "--worker-rank=" + std::to_string(r),

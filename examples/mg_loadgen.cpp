@@ -25,15 +25,14 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "sacpp/common/cli.hpp"
+#include "sacpp/common/error.hpp"
 #include "sacpp/common/table.hpp"
 #include "sacpp/mg/driver.hpp"
 #include "sacpp/net/codec.hpp"
+#include "sacpp/net/tcp_transport.hpp"
 #include "sacpp/obs/obs.hpp"
 #include "sacpp/obs/trace.hpp"
 #include "sacpp/serve/server.hpp"
@@ -171,24 +170,6 @@ void print_trace_summary() {
     std::printf("mg_loadgen: first stitch failure: %s\n",
                 first_failure.c_str());
   }
-}
-
-int connect_to(const std::string& endpoint) {
-  const std::size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) return -1;
-  const std::string host = endpoint.substr(0, colon);
-  const int port = std::stoi(endpoint.substr(colon + 1));
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
 }
 
 }  // namespace
@@ -334,7 +315,15 @@ int main(int argc, char** argv) {
       }
     }
   } else {
-    const int fd = connect_to(endpoint);
+    std::string host;
+    std::uint16_t port = 0;
+    try {
+      net::parse_endpoint(endpoint, &host, &port);
+    } catch (const ContractError& e) {
+      std::fprintf(stderr, "mg_loadgen: %s\n", e.what());
+      return 1;
+    }
+    const int fd = net::try_connect(host, port);
     if (fd < 0) {
       std::fprintf(stderr, "mg_loadgen: cannot connect to %s\n",
                    endpoint.c_str());

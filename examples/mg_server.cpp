@@ -13,7 +13,6 @@
 // With --obs the run records spans/histograms and the exit summary includes
 // a Prometheus metrics dump with the sacpp_serve_* gauges.
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -32,7 +31,9 @@
 
 #include "sacpp/check/diagnostics.hpp"
 #include "sacpp/common/cli.hpp"
+#include "sacpp/common/error.hpp"
 #include "sacpp/net/codec.hpp"
+#include "sacpp/net/tcp_transport.hpp"
 #include "sacpp/obs/export.hpp"
 #include "sacpp/obs/obs.hpp"
 #include "sacpp/obs/trace.hpp"
@@ -145,26 +146,6 @@ void serve_connection(int fd, serve::SolverService& service) {
   ::close(fd);
 }
 
-int make_listener(int port, int* bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, 16) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  *bound_port = ntohs(addr.sin_port);
-  return fd;
-}
-
 void print_summary(const serve::SolverService& service) {
   const serve::ServerSnapshot snap = service.snapshot();
   std::printf(
@@ -190,14 +171,11 @@ void print_summary(const serve::SolverService& service) {
 
 // Loopback round trip: spawn a client that sends three requests over TCP and
 // checks the answers come back verified and in order.
-int run_selftest(serve::SolverService& service, int listen_fd, int port) {
+int run_selftest(serve::SolverService& service, int listen_fd,
+                 std::uint16_t port) {
   std::thread client([port] {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    const int fd = net::try_connect("127.0.0.1", port);
+    if (fd < 0) {
       std::fprintf(stderr, "mg_server selftest: connect failed\n");
       std::exit(1);
     }
@@ -342,12 +320,20 @@ int main(int argc, char** argv) {
   }
   serve::SolverService service(cfg);
 
-  int port = static_cast<int>(cli.get_int("port"));
+  long long port = cli.get_int("port");
   if (cli.get_flag("selftest")) port = 0;  // never collide in CI
-  int bound_port = 0;
-  const int listen_fd = make_listener(port, &bound_port);
-  if (listen_fd < 0) {
-    std::fprintf(stderr, "mg_server: cannot listen on port %d\n", port);
+  if (port < 0 || port > 65535) {
+    std::fprintf(stderr, "mg_server: --port %lld is not in [0, 65535]\n",
+                 port);
+    return 1;
+  }
+  std::uint16_t bound_port = 0;
+  int listen_fd = -1;
+  try {
+    listen_fd = net::create_listener(static_cast<std::uint16_t>(port),
+                                     &bound_port);
+  } catch (const ContractError& e) {
+    std::fprintf(stderr, "mg_server: %s\n", e.what());
     return 1;
   }
   g_listen_fd.store(listen_fd);

@@ -31,7 +31,9 @@ class MgSacDirect {
   // v is a ghost-free 2^k cube of any rank.
   sac::Array<double> mgrid(const sac::Array<double>& v, int iter) const;
 
-  sac::Array<double> vcycle(const sac::Array<double>& r) const;
+  // Consumes r like MgSac::vcycle: passed its last reference, the cycle
+  // writes r - A z into r and then z + S r into z, both in place.
+  sac::Array<double> vcycle(sac::Array<double> r) const;
 
   // Operator application A u with built-in periodicity (no border setup).
   sac::Array<double> resid(const sac::Array<double>& u) const;

@@ -204,7 +204,7 @@ MgResult run_sac_direct(const MgSpec& spec, const RunOptions& opts) {
     r = solver.residual(v, u);
   };
   auto step = [&] {
-    u = std::move(u) + solver.vcycle(r);
+    u = std::move(u) + solver.vcycle(std::move(r));  // as run_sac's
     r = solver.residual(v, u);
   };
   auto norm = [&] {

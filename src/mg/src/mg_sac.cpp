@@ -30,80 +30,6 @@ void check_extended(const Array<double>& a) {
   }
 }
 
-// Loop body of add_smooth_fused: z[i,j,k] + (S r)[i,j,k], reading the output
-// array in place.  Carries the kPlanes row protocol by delegating to
-// StencilExpr::accumulate_row — the output row is z's own row, which the
-// stencil never reads (it reads the bordered residual), so accumulating in
-// place is alias-safe and boundary positions simply keep their z value.
-struct AddSmoothBody {
-  const StencilExpr& st;
-  const double* self;
-  extent_t e1, e2;
-
-  double operator()(extent_t i, extent_t j, extent_t k) const {
-    return self[(i * e1 + j) * e2 + k] + st(i, j, k);
-  }
-  double operator()(const IndexVec& iv) const {
-    return (*this)(iv[0], iv[1], iv[2]);
-  }
-  bool row_fill_enabled() const { return st.row_fill_enabled(); }
-  sac::PlaneScratch make_row_state() const { return st.make_row_state(); }
-  void fill_row(sac::PlaneScratch& s, extent_t i, extent_t j, double* out,
-                extent_t k_lo, extent_t k_hi) const {
-    st.accumulate_row(s, i, j, out, k_lo, k_hi);
-  }
-};
-
-// Loop body of sub_resid_fused in place: v[i,j,k] - (A u)[i,j,k], written
-// into v's own buffer.  A kPlanes row cannot land on the v row it is
-// subtracted from, so it goes to a scratch row, v - row is formed there and
-// copied back: the arithmetic of the out-of-place ewise(v, A u, minus) rows.
-struct SubResidBody {
-  const StencilExpr& st;
-  const double* self;
-  extent_t e1, e2;
-
-  double operator()(extent_t i, extent_t j, extent_t k) const {
-    return self[(i * e1 + j) * e2 + k] - st(i, j, k);
-  }
-  double operator()(const IndexVec& iv) const {
-    return (*this)(iv[0], iv[1], iv[2]);
-  }
-  struct RowState {
-    sac::PlaneScratch planes;
-    std::vector<double> row;
-  };
-  bool row_fill_enabled() const { return st.row_fill_enabled(); }
-  RowState make_row_state() const {
-    return RowState{st.make_row_state(),
-                    std::vector<double>(static_cast<std::size_t>(e2))};
-  }
-  void fill_row(RowState& s, extent_t i, extent_t j, double* out,
-                extent_t k_lo, extent_t k_hi) const {
-    double* row = s.row.data();
-    st.fill_row(s.planes, i, j, row, k_lo, k_hi);
-    const sac::Backend& be = sac::active_backend();
-    be.sub_into_row(out, row, k_lo, k_hi);
-    be.copy_row(out, row + k_lo, k_lo, k_hi);
-  }
-};
-
-// self = self <op> st over the whole of `self`, in place: Body3 (one of the
-// bodies above) on rank 3, the index-vector form on other ranks.
-template <typename Body3, typename Op>
-void update_in_place(double* self, const Shape& shp, const StencilExpr& st,
-                     Op op) {
-  const auto g = sac::detail::resolve(sac::gen_all(), shp);
-  if (shp.rank() == 3) {
-    sac::detail::execute_assign(
-        self, shp, g, Body3{st, self, shp.extent(1), shp.extent(2)});
-  } else {
-    sac::detail::execute_assign(self, shp, g, [&](const IndexVec& iv) {
-      return op(self[shp.linearize(iv)], st(iv));
-    });
-  }
-}
-
 }  // namespace
 
 // One shift partition per ghost face: the iv[d] == 0 face receives interior
@@ -167,29 +93,23 @@ Array<double> MgSac::coarse2fine(const Array<double>& rn) const {
 
 // -- fused forms (with-loop folding on) --------------------------------------
 
+// r - A u and z + S r are ewise expressions whose left array, when it is
+// the caller's last reference, takes the result in place (force's reuse
+// rule, D2): the V-cycle passes its r and z that way.
 Array<double> MgSac::sub_resid_fused(Array<double> v,
                                      const Array<double>& u) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "resid");
-  Array<double> ub = setup_periodic_border(u);
-  StencilExpr st(std::move(ub), spec_.a);
-  if (!v.unique() || !sac::active_config().reuse) {
-    return force(sac::ewise(std::move(v), std::move(st), std::minus<>{}));
-  }
-  const Shape shp = v.shape();
-  double* self = v.mutable_data();  // the last reference: reused in place
-  update_in_place<SubResidBody>(self, shp, st, std::minus<>{});
-  return v;
+  return force(sac::ewise(std::move(v),
+                          StencilExpr(setup_periodic_border(u), spec_.a),
+                          std::minus<>{}));
 }
 
 Array<double> MgSac::add_smooth_fused(Array<double> z,
                                       const Array<double>& r) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "psinv");
-  Array<double> rb = setup_periodic_border(r);
-  const StencilExpr st(std::move(rb), spec_.s);
-  const Shape shp = z.shape();
-  double* self = z.mutable_data();  // in place when uniquely owned
-  update_in_place<AddSmoothBody>(self, shp, st, std::plus<>{});
-  return z;
+  return force(sac::ewise(std::move(z),
+                          StencilExpr(setup_periodic_border(r), spec_.s),
+                          std::plus<>{}));
 }
 
 Array<double> MgSac::fine2coarse_fused(const Array<double>& r) const {

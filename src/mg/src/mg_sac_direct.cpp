@@ -79,7 +79,7 @@ Array<double> MgSacDirect::residual(const Array<double>& v,
   return v - resid(u);
 }
 
-Array<double> MgSacDirect::vcycle(const Array<double>& r) const {
+Array<double> MgSacDirect::vcycle(Array<double> r) const {
   const int level = level_of(r);
   if (r.shape().extent(0) > 2) {
     Array<double> rn;
@@ -87,18 +87,18 @@ Array<double> MgSacDirect::vcycle(const Array<double>& r) const {
       LevelScope scope(level);  // this level's work, recursion excluded
       rn = fine2coarse(r);
     }
-    Array<double> zn = vcycle(rn);
+    Array<double> zn = vcycle(std::move(rn));
     LevelScope scope(level);
     Array<double> z = coarse2fine(zn);
-    Array<double> r2 =
-        sac::active_config().folding
-            ? force(sac::ewise(r, StencilExpr::periodic(z, spec_.a),
-                               std::minus<>{}))
-            : r - resid(z);
     if (sac::active_config().folding) {
-      return force(sac::ewise(
-          z, StencilExpr::periodic(std::move(r2), spec_.s), std::plus<>{}));
+      // r's and then z's last use: each update is written in place.
+      Array<double> r2 = force(sac::ewise(
+          std::move(r), StencilExpr::periodic(z, spec_.a), std::minus<>{}));
+      return force(sac::ewise(std::move(z),
+                              StencilExpr::periodic(std::move(r2), spec_.s),
+                              std::plus<>{}));
     }
+    Array<double> r2 = r - resid(z);
     return std::move(z) + smooth(r2);
   }
   LevelScope scope(level);
@@ -110,7 +110,7 @@ Array<double> MgSacDirect::mgrid(const Array<double>& v, int iter) const {
   Array<double> u = sac::genarray_const(v.shape(), 0.0);
   for (int i = 0; i < iter; ++i) {
     Array<double> r = residual(v, u);
-    u = std::move(u) + vcycle(r);
+    u = std::move(u) + vcycle(std::move(r));
   }
   return u;
 }

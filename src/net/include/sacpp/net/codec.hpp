@@ -5,17 +5,13 @@
 // little-endian length prefix counting the bytes AFTER the field, then the
 // payload.  serve's SRQ1/SRS1 frames (src/serve/wire.hpp) follow it, the
 // socket transport's tagged message frames (tcp_transport.hpp) follow it,
-// and mg_server / mg_loadgen used to carry private copies of the same
-// reassembly loop — this header is the one implementation all of them share.
+// and this header is the one reassembly all of them share.
 //
-// Two reassembly policies exist for a lying length prefix:
-//   * serve::frame_size CLAMPS an oversized length so the stream reader
-//     surfaces the corruption through decode_* (legacy behaviour, kept).
-//   * FrameAssembler REJECTS it: the assembler poisons itself and reports
-//     kMalformed from then on, because a stream that has lied about a frame
-//     boundary has no trustworthy resync point.  The transport and the
-//     examples use this strict policy; the malformed-frame and
-//     lying-length-header negatives live in tests/net_codec_test.cpp.
+// A lying length prefix is REJECTED: the assembler poisons itself and
+// reports kMalformed from then on, because a stream that has lied about a
+// frame boundary has no trustworthy resync point.  The malformed-frame and
+// lying-length-header negatives live in tests/net_codec_test.cpp, and
+// tests/serve_wire_test.cpp runs serve's frames through it.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,8 +28,8 @@ enum class FrameResult : std::uint8_t {
 };
 
 // Incremental reassembler: feed() stream chunks in, next() peels complete
-// frames (length prefix INCLUDED, matching serve::frame_size delimiting so
-// serve::decode_* consume the result unchanged) off the front.
+// frames (length prefix INCLUDED, so serve::decode_* consume the result
+// unchanged) off the front.
 class FrameAssembler {
  public:
   // `max_frame_bytes` caps the frame BODY (bytes after the prefix), the

@@ -60,6 +60,19 @@ enum class FrameType : std::uint8_t {
   kBye = 4,
 };
 
+// Socket set-up, the rendezvous's own and every other TCP user's.
+// parse_endpoint splits "host:port"; a ContractError names a malformed one.
+void parse_endpoint(const std::string& endpoint, std::string* host,
+                    std::uint16_t* port);
+// A close-on-exec listener on `port` (0: the kernel picks, reported in
+// *bound_port) of loopback, or of every interface for the transport's own;
+// a ContractError names the port and the cause.
+int create_listener(std::uint16_t port, std::uint16_t* bound_port = nullptr,
+                    bool any_interface = false);
+// One dial attempt: a connected close-on-exec socket, or -1 when the host
+// does not resolve or nothing accepts on the port yet.
+int try_connect(const std::string& host, std::uint16_t port);
+
 struct TcpOptions {
   int rank = 0;
   // One "host:port" endpoint per rank; the vector's size is the world size.

@@ -105,20 +105,6 @@ std::vector<std::uint8_t> build_bye_frame(std::uint32_t sender) {
   return frame;
 }
 
-void parse_endpoint(const std::string& endpoint, std::string* host,
-                    std::uint16_t* port) {
-  const std::size_t colon = endpoint.rfind(':');
-  SACPP_REQUIRE(colon != std::string::npos && colon > 0 &&
-                    colon + 1 < endpoint.size(),
-                "net: endpoint must be host:port, got '" + endpoint + "'");
-  *host = endpoint.substr(0, colon);
-  char* end = nullptr;
-  const long p = std::strtol(endpoint.c_str() + colon + 1, &end, 10);
-  SACPP_REQUIRE(end != nullptr && *end == '\0' && p >= 0 && p <= 65535,
-                "net: bad port in endpoint '" + endpoint + "'");
-  *port = static_cast<std::uint16_t>(p);
-}
-
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   SACPP_REQUIRE(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
@@ -135,48 +121,6 @@ void set_recv_timeout(int fd, int ms) {
   tv.tv_sec = ms / 1000;
   tv.tv_usec = (ms % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-}
-
-int create_listener(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  SACPP_REQUIRE(fd >= 0, "net: cannot create listening socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 64) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    SACPP_REQUIRE(false, "net: cannot listen on port " +
-                             std::to_string(port) + ": " + why);
-  }
-  return fd;
-}
-
-// One dial attempt; -1 when the peer is not accepting yet.
-int try_connect(const std::string& host, std::uint16_t port) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
-                    &res) != 0) {
-    return -1;
-  }
-  int fd = -1;
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                  ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  return fd;
 }
 
 struct Handshake {
@@ -313,6 +257,69 @@ void unregister_transport(const TcpTransport* t) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// Socket set-up
+// ---------------------------------------------------------------------------
+
+void parse_endpoint(const std::string& endpoint, std::string* host,
+                    std::uint16_t* port) {
+  const std::size_t colon = endpoint.rfind(':');
+  SACPP_REQUIRE(colon != std::string::npos && colon > 0 &&
+                    colon + 1 < endpoint.size(),
+                "net: endpoint must be host:port, got '" + endpoint + "'");
+  *host = endpoint.substr(0, colon);
+  char* end = nullptr;
+  const long p = std::strtol(endpoint.c_str() + colon + 1, &end, 10);
+  SACPP_REQUIRE(end != nullptr && *end == '\0' && p >= 0 && p <= 65535,
+                "net: bad port in endpoint '" + endpoint + "'");
+  *port = static_cast<std::uint16_t>(p);
+}
+
+int create_listener(std::uint16_t port, std::uint16_t* bound_port,
+                    bool any_interface) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  SACPP_REQUIRE(fd >= 0, "net: cannot create listening socket");
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(any_interface ? INADDR_ANY : INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  socklen_t len = sizeof addr;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, 64) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    const std::string why = std::strerror(errno);
+    ::close(fd);
+    SACPP_REQUIRE(false, "net: cannot listen on port " +
+                             std::to_string(port) + ": " + why);
+  }
+  if (bound_port != nullptr) *bound_port = ntohs(addr.sin_port);
+  return fd;
+}
+
+int try_connect(const std::string& host, std::uint16_t port) {
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* res = nullptr;
+  if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
+                    &res) != 0) {
+    return -1;
+  }
+  int fd = -1;
+  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
+                  ai->ai_protocol);
+    if (fd < 0) continue;
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(res);
+  return fd;
+}
+
+// ---------------------------------------------------------------------------
 // Construction / rendezvous
 // ---------------------------------------------------------------------------
 
@@ -386,7 +393,7 @@ void TcpTransport::rendezvous_() {
                   "net: rank " + std::to_string(self) +
                       " has port 0 and no pre-bound listener — a peer "
                       "could never find it");
-    listen_fd_ = create_listener(port);
+    listen_fd_ = create_listener(port, nullptr, /*any_interface=*/true);
   }
 
   const auto deadline =

@@ -84,48 +84,23 @@ Array<T> operator/(const Array<T>& a, const Array<T>& b) {
   return zip(a, b, std::divides<>{});
 }
 
-// Move-qualified forms: when the left operand is an expiring value the
-// result is computed in place in its buffer — C++ move semantics standing
-// in for SAC's compile-time reference counting, which reuses an argument
-// buffer whenever its reference count drops to one at the operation
-// (e.g. `u = u + VCycle(r)` updates u in place in compiled SAC code).
-namespace detail {
-template <typename T, typename Op>
-Array<T> zip_into(Array<T> a, const Array<T>& b, Op op) {
-  SACPP_REQUIRE(a.shape() == b.shape(),
-                "element-wise operation needs equal shapes");
-  const Shape shp = a.shape();
-  T* self = a.mutable_data();  // in place when uniquely owned
-  const T* other = b.data();
-  const auto g = resolve(gen_all(), shp);
-  if (shp.rank() == 3) {
-    const extent_t e1 = shp.extent(1), e2 = shp.extent(2);
-    execute_assign(self, shp, g,
-                   rank3_body([=](extent_t i, extent_t j, extent_t k) {
-                     const extent_t off = (i * e1 + j) * e2 + k;
-                     return op(self[off], other[off]);
-                   }));
-  } else {
-    execute_assign(self, shp, g, [&](const IndexVec& iv) {
-      const extent_t off = shp.linearize(iv);
-      return op(self[off], other[off]);
-    });
-  }
-  return a;
-}
-}  // namespace detail
-
+// Move-qualified forms: an expiring left operand that holds its buffer
+// alone takes the result in place (force's in-place rule, expr.hpp) — C++
+// move semantics standing in for SAC's compile-time reference counting,
+// which reuses an argument buffer whenever its reference count drops to
+// one at the operation (e.g. `u = u + VCycle(r)` updates u in place in
+// compiled SAC code).
 template <typename T>
 Array<T> operator+(Array<T>&& a, const Array<T>& b) {
-  return detail::zip_into(std::move(a), b, std::plus<>{});
+  return force(ewise(std::move(a), b, std::plus<>{}));
 }
 template <typename T>
 Array<T> operator-(Array<T>&& a, const Array<T>& b) {
-  return detail::zip_into(std::move(a), b, std::minus<>{});
+  return force(ewise(std::move(a), b, std::minus<>{}));
 }
 template <typename T>
 Array<T> operator*(Array<T>&& a, const Array<T>& b) {
-  return detail::zip_into(std::move(a), b, std::multiplies<>{});
+  return force(ewise(std::move(a), b, std::multiplies<>{}));
 }
 
 template <typename T>

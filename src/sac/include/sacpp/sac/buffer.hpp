@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <utility>
 
@@ -173,5 +174,33 @@ class Buffer {
 
   Control* ctrl_ = nullptr;
 };
+
+// One with-loop chunk's row scratch: `count` doubles from the pool when
+// SacConfig::pool is on, returned the way they came.  NOT a Buffer<T>:
+// chunk states live and die on worker threads and Buffer ownership is
+// coordinator-only, while the pool is thread-safe (docs/memory.md).  Not
+// an array, so stats().allocations does not count it.
+struct ScratchRelease {
+  std::size_t bytes = 0;
+  bool pooled = false;
+  void operator()(double* p) const noexcept {
+    if (pooled) {
+      BufferPool::instance().deallocate(p, bytes);
+    } else {
+      std::free(p);
+    }
+  }
+};
+using ScratchBlock = std::unique_ptr<double[], ScratchRelease>;
+
+inline ScratchBlock scratch_block(std::size_t count) {
+  const ScratchRelease release{pool_block_bytes(count * sizeof(double)),
+                               active_config().pool};
+  void* raw = release.pooled
+                  ? BufferPool::instance().allocate(release.bytes)
+                  : std::aligned_alloc(kBufferAlignment, release.bytes);
+  SACPP_REQUIRE(raw != nullptr, "row scratch allocation failed");
+  return ScratchBlock(static_cast<double*>(raw), release);
+}
 
 }  // namespace sacpp::sac

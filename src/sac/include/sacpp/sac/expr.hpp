@@ -33,6 +33,8 @@
 
 namespace sacpp::sac {
 
+class StencilExpr;  // stencil.hpp
+
 namespace detail {
 
 // Signed floor/ceil division (b > 0) for the gather row-range algebra.
@@ -42,6 +44,23 @@ inline extent_t floor_div(extent_t a, extent_t b) {
 }
 inline extent_t ceil_div(extent_t a, extent_t b) {
   return -floor_div(-a, b);
+}
+
+// out[k] = op(a[k], out[k]) for k in [lo, hi): + - * through the backend
+// row primitives (element-parallel, so bit-identical on every backend),
+// any other op per point.
+template <typename Op>
+void ewise_into_row(const Op& op, const double* a, double* out, extent_t lo,
+                    extent_t hi) {
+  if constexpr (std::is_same_v<Op, std::plus<>>) {
+    active_backend().add_into_row(a, out, lo, hi);
+  } else if constexpr (std::is_same_v<Op, std::minus<>>) {
+    active_backend().sub_into_row(a, out, lo, hi);
+  } else if constexpr (std::is_same_v<Op, std::multiplies<>>) {
+    active_backend().mul_into_row(a, out, lo, hi);
+  } else {
+    for (extent_t k = lo; k < hi; ++k) out[k] = op(a[k], out[k]);
+  }
 }
 
 }  // namespace detail
@@ -89,8 +108,9 @@ struct EwiseBinaryExpr {
   // the kPlanes row path (a stencil over a concrete array — the only shape
   // the folding heuristic allows), the fused with-loop still lands on it.
   // The rhs row goes into the output row first, then the combine reads it
-  // back per point — safe because force()/genarray materialise into a fresh
-  // buffer, so the output row cannot alias either operand.
+  // back per point — safe because this form writes a fresh buffer, so the
+  // output row cannot alias either operand (force's in-place form has rows
+  // of its own, detail::InPlaceEwise).
   bool row_fill_enabled() const
     requires(Rank3Expr<L> && detail::RowFillBody<R, double>)
   {
@@ -109,23 +129,10 @@ struct EwiseBinaryExpr {
     requires(Rank3Expr<L> && detail::RowFillBody<R, double>)
   {
     rhs.fill_row(st, i, j, out, k_lo, k_hi);
-    // The combine is element-parallel with identical arithmetic per point,
-    // so dispatching it through the backend row primitive is bit-identical
-    // for every backend — no golden impact, full-width SIMD under kSimd.
-    if constexpr (std::is_same_v<L, Array<double>> &&
-                  (std::is_same_v<Op, std::plus<>> ||
-                   std::is_same_v<Op, std::minus<>> ||
-                   std::is_same_v<Op, std::multiplies<>>)) {
+    if constexpr (std::is_same_v<L, Array<double>>) {
       const Shape& ls = lhs.shape();
-      const double* a = lhs.data() + (i * ls[1] + j) * ls[2];
-      const Backend& be = active_backend();
-      if constexpr (std::is_same_v<Op, std::plus<>>) {
-        be.add_into_row(a, out, k_lo, k_hi);
-      } else if constexpr (std::is_same_v<Op, std::minus<>>) {
-        be.sub_into_row(a, out, k_lo, k_hi);
-      } else {
-        be.mul_into_row(a, out, k_lo, k_hi);
-      }
+      detail::ewise_into_row(op, lhs.data() + (i * ls[1] + j) * ls[2], out,
+                             k_lo, k_hi);
     } else {
       for (extent_t k = k_lo; k < k_hi; ++k) {
         out[k] = op(lhs(i, j, k), out[k]);
@@ -486,6 +493,109 @@ Array<expr_value_t<E>> force(const E& e) {
 template <typename T>
 Array<T> force(const Array<T>& a) {
   return a;
+}
+
+namespace detail {
+
+// Loop body of force's in-place form: `e` written over `self`, its left
+// array's buffer.  Per point op(self, rhs), each point reading its own
+// element (and an array rhs's, raw) before the write.  The output row is
+// self's, so a rhs row goes to per-chunk scratch, is combined with it and
+// copied back, except that `self + stencil` accumulates into it in one
+// pass — where a fixed-boundary stencil is 0 that keeps self, which is
+// self + 0 up to the sign of a zero.
+template <typename T, typename R, typename Op>
+struct InPlaceEwise {
+  static constexpr bool kArray = std::is_same_v<R, Array<T>>;
+  static constexpr bool kRows =
+      std::is_same_v<T, double> && RowFillBody<R, double>;
+  static constexpr bool kAccumulate =
+      std::is_same_v<R, StencilExpr> && std::is_same_v<Op, std::plus<>>;
+
+  const EwiseBinaryExpr<Array<T>, R, Op>& e;
+  T* self;
+  const T* other;   // an array right operand's elements, else nullptr
+  extent_t e1, e2;  // extents of axes 1 and 2 at rank 3
+
+  // The right operand at linear offset `off`, which is index `idx...`.
+  auto rhs_at(extent_t off, const auto&... idx) const {
+    if constexpr (kArray) {
+      return other[off];
+    } else {
+      return e.rhs(idx...);
+    }
+  }
+
+  T operator()(const IndexVec& iv) const {
+    const extent_t off = e.shape().linearize(iv);
+    return e.op(self[off], rhs_at(off, iv));
+  }
+  T operator()(extent_t i, extent_t j, extent_t k) const
+    requires Rank3Expr<R>
+  {
+    const extent_t off = (i * e1 + j) * e2 + k;
+    return e.op(self[off], rhs_at(off, i, j, k));
+  }
+
+  bool row_fill_enabled() const
+    requires kRows
+  {
+    return e.rhs.row_fill_enabled();
+  }
+
+  auto make_row_state() const
+    requires kRows
+  {
+    if constexpr (kAccumulate) {
+      return e.rhs.make_row_state();
+    } else {
+      struct State {
+        decltype(e.rhs.make_row_state()) st;
+        ScratchBlock row;
+      };
+      return State{e.rhs.make_row_state(),
+                   scratch_block(static_cast<std::size_t>(e2))};
+    }
+  }
+
+  template <typename State>
+  void fill_row(State& st, extent_t i, extent_t j, double* out,
+                extent_t k_lo, extent_t k_hi) const
+    requires kRows
+  {
+    if constexpr (kAccumulate) {
+      e.rhs.accumulate_row(st, i, j, out, k_lo, k_hi);
+    } else {
+      double* row = st.row.get();
+      e.rhs.fill_row(st.st, i, j, row, k_lo, k_hi);
+      ewise_into_row(e.op, out, row, k_lo, k_hi);
+      active_backend().copy_row(out, row + k_lo, k_lo, k_hi);
+    }
+  }
+};
+
+}  // namespace detail
+
+// Forcing an expiring ewise over a left array that holds its buffer alone,
+// with reuse (D2) on, writes the result into that buffer — SAC's
+// reference-counting reuse, which runs `u = u + VCycle(r)` in place.
+// Nodes hold their arrays by value, so no operand can read such a buffer.
+// mutable_data() counts the reuse as with_modarray does; a view array rhs
+// is forced (the node's own handle).  Otherwise a fresh array, as above.
+template <typename T, ArrayExpr R, typename Op>
+  requires std::same_as<expr_value_t<EwiseBinaryExpr<Array<T>, R, Op>>, T>
+Array<T> force(EwiseBinaryExpr<Array<T>, R, Op>&& e) {
+  if (!e.lhs.unique() || !active_config().reuse) return force(std::as_const(e));
+  const Shape shp = e.lhs.shape();
+  const T* other = nullptr;
+  if constexpr (std::is_same_v<R, Array<T>>) other = e.rhs.data();
+  T* self = e.lhs.mutable_data();
+  const bool rank3 = shp.rank() == 3;
+  detail::execute_assign(
+      self, shp, detail::resolve(gen_all(), shp),
+      detail::InPlaceEwise<T, R, Op>{e, self, other, rank3 ? shp[1] : 0,
+                                     rank3 ? shp[2] : 0});
+  return std::move(e.lhs);
 }
 
 }  // namespace sacpp::sac

@@ -34,7 +34,7 @@
 // staying in the malloc heap (docs/memory.md); a fresh one reads as zero,
 // and allocate() says so.  A block must go back the way it came — into the
 // pool when the pool allocated it, to std::free otherwise — so the live
-// count of big blocks stays exact; Buffer and PlaneScratch remember which,
+// count of big blocks stays exact; Buffer and ScratchBlock remember which,
 // so SacConfig::pool / SACPP_POOL may flip at any time.
 //
 // Checked mode (SacConfig::check): releasing a block that already sits on a

@@ -62,58 +62,29 @@ struct StencilCoeffs {
   double operator[](std::size_t cls) const { return c[cls]; }
 };
 
-// Per-chunk scratch of the kPlanes row path: one block holding the u1
-// (class-1) and u2 (class-2) partial-sum rows, plus the tally flushed into
-// stats().stencil_rows_reused on destruction (once per chunk, so the hot
-// loop never touches the shared counter).  Deliberately NOT a Buffer<T>:
-// chunk states live and die on worker threads, and Buffer ownership is
-// coordinator-only by contract (buffer.hpp) — BufferPool itself is
-// thread-safe (one lock over its free lists), which is exactly what keeps
-// bottom-of-V-cycle levels from re-allocating scratch (docs/memory.md).
+// Per-chunk scratch of the kPlanes row path: one pooled block holding the
+// u1 (class-1) and u2 (class-2) partial-sum rows (ScratchBlock,
+// buffer.hpp), plus the tally flushed into stats().stencil_rows_reused on
+// destruction (once per chunk, so the hot loop never touches the shared
+// counter).
 class PlaneScratch {
  public:
-  explicit PlaneScratch(extent_t row_len) {
-    bytes_ = pool_block_bytes(2 * static_cast<std::size_t>(row_len) *
-                              sizeof(double));
-    pooled_ = active_config().pool;
-    void* raw = pooled_ ? BufferPool::instance().allocate(bytes_)
-                        : std::aligned_alloc(kBufferAlignment, bytes_);
-    SACPP_REQUIRE(raw != nullptr, "stencil plane scratch allocation failed");
-    u1_ = static_cast<double*>(raw);
-    u2_ = u1_ + row_len;
-  }
-  PlaneScratch(PlaneScratch&& o) noexcept
-      : rows(std::exchange(o.rows, 0)),
-        u1_(std::exchange(o.u1_, nullptr)),
-        u2_(std::exchange(o.u2_, nullptr)),
-        bytes_(o.bytes_),
-        pooled_(o.pooled_) {}
-  PlaneScratch(const PlaneScratch&) = delete;
-  PlaneScratch& operator=(const PlaneScratch&) = delete;
-  PlaneScratch& operator=(PlaneScratch&&) = delete;
+  explicit PlaneScratch(extent_t row_len)
+      : block_(scratch_block(2 * static_cast<std::size_t>(row_len))),
+        row_len_(row_len) {}
+  PlaneScratch(PlaneScratch&&) noexcept = default;
   ~PlaneScratch() {
-    if (u1_ != nullptr) {
-      if (pooled_) {
-        BufferPool::instance().deallocate(u1_, bytes_);
-      } else {
-        std::free(u1_);
-      }
-    }
-    if (rows != 0) stats().stencil_rows_reused += rows;
+    if (block_ != nullptr && rows != 0) stats().stencil_rows_reused += rows;
   }
 
-  double* u1() noexcept { return u1_; }
-  double* u2() noexcept { return u2_; }
-  const double* u1() const noexcept { return u1_; }
-  const double* u2() const noexcept { return u2_; }
+  double* u1() noexcept { return block_.get(); }
+  double* u2() noexcept { return block_.get() + row_len_; }
 
   std::uint64_t rows = 0;  // output rows filled with this scratch
 
  private:
-  double* u1_ = nullptr;
-  double* u2_ = nullptr;
-  std::size_t bytes_ = 0;
-  bool pooled_ = false;
+  ScratchBlock block_;
+  extent_t row_len_;
 };
 
 // All offsets in {-1, 0, 1}^rank with their distance class; cached per rank.

@@ -57,19 +57,13 @@ struct ServeConfig {
   unsigned executors = 0;
   std::size_t queue_capacity = 64;
   // Gang policy: per-request `gang` wins (clamped to max_gang); otherwise
-  // classes S/W get gang_small and A/B/C get gang_large.  0 entries fall
-  // back to 1 and half the budget respectively.
+  // classes S/W run on 1 core and A/B/C on half the budget.
   unsigned max_gang = 0;  // 0 = total_cores
-  unsigned gang_small = 1;
-  unsigned gang_large = 0;
   // Applied when a request carries no deadline; 0 = unbounded.
   std::int64_t default_deadline_ns = 0;
   // Housekeeping cadence: pool epoch-trim between jobs so a burst's arena
   // pages drain back after the burst passes.  0 disables.
   std::int64_t trim_interval_ns = 250'000'000;
-  // NPB warm-up iteration per job (off: serving measures end-to-end time,
-  // not the benchmark protocol).
-  bool warmup = false;
   // Request tracing (obs/trace.hpp).  > 0 mints a TraceContext for every
   // untraced submit; the value is the head-sampling rate (0..1) fed to the
   // tail sampler — anomalies (sheds, errors, deadline misses, slow tail)

@@ -45,14 +45,9 @@ inline constexpr std::size_t kMaxFrameBytes = 4096;
 std::vector<std::uint8_t> encode_request(const SolveRequest& req);
 std::vector<std::uint8_t> encode_result(const SolveResult& res);
 
-// Bytes the complete frame starting at data[0] occupies (length prefix
-// included), or 0 if `data` does not yet hold the full frame — the caller
-// keeps reading.  A length prefix above kMaxFrameBytes is reported through
-// decode_* (frame_size still returns the nominal size, clamped).
-std::size_t frame_size(std::span<const std::uint8_t> data) noexcept;
-
-// Decode one complete frame (as delimited by frame_size).  On failure the
-// output is untouched and `error` (if non-null) gets a diagnostic.
+// Decode one complete frame, length prefix included (as a byte stream's
+// net::FrameAssembler delimits it).  On failure the output is untouched
+// and `error` (if non-null) gets a diagnostic.
 bool decode_request(std::span<const std::uint8_t> frame, SolveRequest* out,
                     std::string* error = nullptr);
 bool decode_result(std::span<const std::uint8_t> frame, SolveResult* out,

@@ -98,10 +98,6 @@ SolverService::SolverService(const ServeConfig& cfg)
   if (cfg_.max_gang == 0 || cfg_.max_gang > cfg_.total_cores) {
     cfg_.max_gang = cfg_.total_cores;
   }
-  if (cfg_.gang_small == 0) cfg_.gang_small = 1;
-  if (cfg_.gang_large == 0) {
-    cfg_.gang_large = std::max(1u, cfg_.total_cores / 2);
-  }
   cores_free_ = cfg_.total_cores;
   start_ns_ = obs::now_ns();
 
@@ -242,7 +238,7 @@ unsigned SolverService::resolve_gang(const SolveRequest& req) const {
   unsigned gang = req.gang;
   if (gang == 0) {
     const bool small = req.cls == mg::MgClass::S || req.cls == mg::MgClass::W;
-    gang = small ? cfg_.gang_small : cfg_.gang_large;
+    gang = small ? 1u : std::max(1u, cfg_.total_cores / 2);
   }
   return std::clamp(gang, 1u, cfg_.max_gang);
 }
@@ -372,7 +368,7 @@ void SolverService::run_job(QueuedJob job) {
     mg::MgSpec spec = mg::MgSpec::for_class(job.request.cls);
     if (job.request.nit != 0) spec.nit = static_cast<int>(job.request.nit);
     mg::RunOptions opts;
-    opts.warmup = cfg_.warmup;
+    opts.warmup = false;  // serving times the solve, not the NPB protocol
     opts.record_norms = job.request.record_norms;
     try {
       const mg::MgResult run = mg::run_benchmark(job.request.variant, spec,

@@ -289,20 +289,6 @@ std::vector<std::uint8_t> encode_result(const SolveResult& res) {
 // Decode
 // ---------------------------------------------------------------------------
 
-std::size_t frame_size(std::span<const std::uint8_t> data) noexcept {
-  if (data.size() < sizeof(std::uint32_t)) return 0;
-  std::uint32_t body = 0;
-  for (int i = 0; i < 4; ++i) {
-    body |= static_cast<std::uint32_t>(data[static_cast<std::size_t>(i)])
-            << (8 * i);
-  }
-  // Corrupt lengths are clamped so stream readers detect the problem via
-  // decode_* instead of waiting forever for gigabytes that never come.
-  if (body > kMaxFrameBytes) body = static_cast<std::uint32_t>(kMaxFrameBytes);
-  const std::size_t total = sizeof(std::uint32_t) + body;
-  return data.size() >= total ? total : 0;
-}
-
 bool decode_request(std::span<const std::uint8_t> frame, SolveRequest* out,
                     std::string* error) {
   Reader r;

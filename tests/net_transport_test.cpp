@@ -11,9 +11,6 @@
 #include "sacpp/net/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -47,21 +44,9 @@ struct World {
 
   explicit World(int ranks) {
     for (int r = 0; r < ranks; ++r) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      EXPECT_GE(fd, 0);
-      const int one = 1;
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = 0;
-      EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-                0);
-      EXPECT_EQ(::listen(fd, 16), 0);
-      socklen_t len = sizeof addr;
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-      fds.push_back(fd);
-      hosts.push_back("127.0.0.1:" + std::to_string(ntohs(addr.sin_port)));
+      std::uint16_t port = 0;
+      fds.push_back(create_listener(0, &port));
+      hosts.push_back("127.0.0.1:" + std::to_string(port));
     }
   }
 
@@ -270,15 +255,11 @@ TEST(NetTransport, RendezvousRejectsWorldSizeMismatch) {
     }
   });
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  std::string host;
+  std::uint16_t port = 0;
+  parse_endpoint(w.hosts[0], &host, &port);
+  const int fd = try_connect(host, port);
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const std::string& ep = w.hosts[0];
-  addr.sin_port =
-      htons(static_cast<std::uint16_t>(std::stoi(ep.substr(ep.find(':') + 1))));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
   std::vector<std::uint8_t> hello;
   put_u32(hello, kMsgMagic);
   hello.push_back(static_cast<std::uint8_t>(FrameType::kHello));

@@ -10,10 +10,6 @@
 // worlds) and 1e-12 relative agreement for full class-S MG norms.
 
 #include <gtest/gtest.h>
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
@@ -36,21 +32,9 @@ struct Listeners {
 
   explicit Listeners(int ranks) {
     for (int r = 0; r < ranks; ++r) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      EXPECT_GE(fd, 0);
-      const int one = 1;
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = 0;
-      EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-                0);
-      EXPECT_EQ(::listen(fd, 16), 0);
-      socklen_t len = sizeof addr;
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-      fds.push_back(fd);
-      hosts.push_back("127.0.0.1:" + std::to_string(ntohs(addr.sin_port)));
+      std::uint16_t port = 0;
+      fds.push_back(net::create_listener(0, &port));
+      hosts.push_back("127.0.0.1:" + std::to_string(port));
     }
   }
 

@@ -1,11 +1,14 @@
-// Copy-free views (array.hpp, with_loop.hpp): the differential battery.
+// Copy-free views (array.hpp, with_loop.hpp) and force's in-place ewise
+// (expr.hpp): the differential batteries.
 //
 // A periodic border over a shared base is a view.  Every reader of views —
 // the stencil's per-point evaluators and kPlanes rows, the gather rows of a
 // concrete array, the element accessors — and every eager operation that
 // forces one must give, bitwise, what the same expression gives over the
 // forced view, on every engine, stencil mode and thread count, while the
-// shared base keeps its values.
+// shared base keeps its values.  Likewise force(ewise(std::move(a), rhs,
+// op)) must give what the out-of-place force gives, in a's own buffer
+// exactly when a held it alone with reuse on.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "sacpp/check/runtime_check.hpp"
 #include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/sac.hpp"
 
@@ -118,41 +122,12 @@ std::vector<ReadingPartition<double>> periodic_parts(const Shape& shp) {
   return parts;
 }
 
-// psinv's in-place update z + S r (mg_sac.cpp's AddSmoothBody): the
-// kPlanes rows accumulate into z's own rows.
-struct AddSmoothBody {
-  const StencilExpr& st;
-  const double* self;
-  extent_t e1, e2;
-
-  double operator()(extent_t i, extent_t j, extent_t k) const {
-    return self[(i * e1 + j) * e2 + k] + st(i, j, k);
-  }
-  double operator()(const IndexVec& iv) const {
-    return (*this)(iv[0], iv[1], iv[2]);
-  }
-  bool row_fill_enabled() const { return st.row_fill_enabled(); }
-  PlaneScratch make_row_state() const { return st.make_row_state(); }
-  void fill_row(PlaneScratch& s, extent_t i, extent_t j, double* out,
-                extent_t k_lo, extent_t k_hi) const {
-    st.accumulate_row(s, i, j, out, k_lo, k_hi);
-  }
-};
-
+// psinv's in-place update z + S r, as mg_sac writes it: z's private copy
+// is its last reference, so force writes the sum into z's own buffer, the
+// kPlanes rows accumulating into z's rows.
 Array<double> add_smooth(Array<double> z, const Array<double>& r) {
-  const StencilExpr st(r, kSmoother);
-  const Shape shp = z.shape();
-  double* self = z.mutable_data();
-  const auto g = detail::resolve(gen_all(), shp);
-  if (shp.rank() == 3) {
-    detail::execute_assign(
-        self, shp, g, AddSmoothBody{st, self, shp.extent(1), shp.extent(2)});
-  } else {
-    detail::execute_assign(self, shp, g, [&](const IndexVec& iv) {
-      return self[shp.linearize(iv)] + st(iv);
-    });
-  }
-  return z;
+  (void)z.mutable_data();  // copy-on-write: z now holds its buffer alone
+  return force(ewise(std::move(z), StencilExpr(r, kSmoother), std::plus<>{}));
 }
 
 // Row-protocol calls on sub-ranges of a row, which the with-loop engine
@@ -237,7 +212,7 @@ void check_views(const Shape& shp, unsigned seed, const Combo& c) {
   // Eager operations: some read the view per element, the others force
   // their own handle of it, never the caller's.
   same("zip", [&](A x) { return x - w; });
-  same("zip_into", [&](A x) {
+  same("move-qualified +", [&](A x) {
     Array<double> own = x;
     return std::move(own) + w;
   });
@@ -317,6 +292,127 @@ TEST(ViewBattery, CubicExtents3To66) {
     check_views(cube_shape(3, n), 600 + static_cast<unsigned>(n),
                 Combo{StencilMode::kPlanes, {BackendKind::kSimd},
                       n % 2 == 0 ? 4u : 1u, 18});
+  }
+  shutdown_runtime();
+}
+
+// -- force's in-place ewise --------------------------------------------------
+
+// How the left operand reaches force(ewise(std::move(a), rhs, op)).
+enum class Lhs { kUnique, kShared, kView, kNoReuse };
+
+const char* lhs_name(Lhs l) {
+  switch (l) {
+    case Lhs::kUnique: return "unique";
+    case Lhs::kShared: return "shared";
+    case Lhs::kView: return "view";
+    case Lhs::kNoReuse: return "reuse off";
+  }
+  return "?";
+}
+
+// One left operand state against one right operand: bit for bit the
+// out-of-place force of the same expression, in a's own buffer exactly
+// when a was unique with reuse on — then with no allocation but the
+// forced copy of an array view on the right; a second holder and a view's
+// base keep their values.
+template <typename MakeRhs, typename Op>
+void check_in_place(const Array<double>& base, Lhs lhs, const MakeRhs& rhs,
+                    Op op, const std::string& where) {
+  bool rhs_view = false;
+  if constexpr (std::is_same_v<decltype(rhs()), Array<double>>) {
+    rhs_view = rhs().is_view();
+  }
+  const Shape& shp = base.shape();
+  const std::vector<double> before(base.data(),
+                                   base.data() + base.elem_count());
+  Array<double> a = base;
+  if (lhs == Lhs::kView) {
+    a = with_modarray_reading(base, periodic_parts(shp));
+    ASSERT_TRUE(a.is_view()) << where;
+  } else if (lhs != Lhs::kShared) {
+    (void)a.mutable_data();  // a private copy: a holds its buffer alone
+  }
+  Array<double> want;
+  {
+    const auto e = ewise(a, rhs(), op);
+    want = force(e);
+  }
+  SacConfig cfg = config();
+  cfg.reuse = lhs != Lhs::kNoReuse;
+  ScopedConfig guard(cfg);
+  const double* own = a.base_data();
+  const RuntimeStats st0 = stats();
+  const Array<double> got = force(ewise(std::move(a), rhs(), op));
+  const bool in_place = lhs == Lhs::kUnique;
+  EXPECT_TRUE(same_bits(got, want)) << where;
+  EXPECT_EQ(got.base_data() == own, in_place) << where;
+  if (lhs != Lhs::kView) {
+    EXPECT_EQ(stats().allocations - st0.allocations,
+              in_place && !rhs_view ? 0u : 1u)
+        << where;
+    EXPECT_EQ(stats().reuses - st0.reuses, in_place ? 1u : 0u) << where;
+  }
+  EXPECT_EQ(std::memcmp(base.data(), before.data(),
+                        before.size() * sizeof(double)),
+            0)
+      << "the held array changed, " << where;
+}
+
+// Every left operand state, right operand and op over one shape.
+void check_in_place_all(const Shape& shp, unsigned seed, const Combo& c) {
+  // The inputs first: random_array's generator must run sequentially.
+  const Array<double> base = random_array(shp, seed);
+  const Array<double> w = random_array(shp, seed + 1);
+  check::Session session;
+  {
+    SacConfig cfg = config();
+    cfg.stencil_mode = c.mode;
+    cfg.backend = c.engine.kind;
+    cfg.mt_enabled = c.threads > 1;
+    cfg.mt_threads = c.threads;
+    cfg.mt_threshold = 1;
+    cfg.stencil_planes_cutover = c.cutover;
+    ScopedConfig guard(cfg);
+    const detail::ScopedSimdOverride pin(c.engine.pin);
+    const Array<double> wv = with_modarray_reading(w, periodic_parts(shp));
+    auto each_rhs = [&](auto check) {
+      check("array", [&] { return w; });
+      check("view", [&] { return wv; });
+      check("stencil", [&] { return StencilExpr(w, kSmoother); });
+      check("stencil over the view", [&] { return StencilExpr(wv, kSmoother); });
+      check("periodic stencil",
+            [&] { return StencilExpr::periodic(w, kSmoother); });
+    };
+    auto each_op = [&](auto check) {
+      check("+", std::plus<>{});
+      check("-", std::minus<>{});
+      check("*", std::multiplies<>{});
+    };
+    for (const Lhs lhs : {Lhs::kUnique, Lhs::kShared, Lhs::kView,
+                          Lhs::kNoReuse}) {
+      each_rhs([&](const char* rhs_name, const auto& rhs) {
+        each_op([&](const char* op_name, auto op) {
+          check_in_place(base, lhs, rhs, op,
+                         std::string(lhs_name(lhs)) + " " + op_name + " " +
+                             rhs_name + ", " + label(shp, c));
+        });
+      });
+    }
+  }
+  const check::DiagnosticEngine& diags = session.finish();
+  EXPECT_TRUE(diags.empty()) << label(shp, c) << "\n" << diags.to_ascii();
+}
+
+TEST(InPlaceEwise, EveryRhsOpEngineModeAndThreadCount) {
+  const std::vector<Shape> shapes{Shape{9}, Shape{7, 12}, Shape{5, 18, 7},
+                                  cube_shape(3, 20)};
+  unsigned seed = 900;
+  for (const Combo& c : all_combos()) {
+    for (const Shape& shp : shapes) {
+      check_in_place_all(shp, seed, c);
+      seed += 2;
+    }
   }
   shutdown_runtime();
 }

@@ -1,5 +1,6 @@
-// Wire framing tests: request/result round trips, stream reassembly,
-// malformed-frame rejection, and the double-packed msg::World transport.
+// Wire framing tests: request/result round trips, stream reassembly on the
+// shared codec (net::FrameAssembler), malformed-frame rejection, and the
+// double-packed msg::World transport.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "sacpp/common/error.hpp"
 #include "sacpp/msg/msg.hpp"
+#include "sacpp/net/codec.hpp"
 #include "sacpp/serve/wire.hpp"
 
 using namespace sacpp;
@@ -31,6 +33,21 @@ SolveRequest sample_request() {
   return req;
 }
 
+using Frames = std::vector<std::vector<std::uint8_t>>;
+
+// The complete frames a byte stream's assembler peels off `stream`, up to
+// the first incomplete one.
+Frames peel(std::span<const std::uint8_t> stream) {
+  net::FrameAssembler assembler(kMaxFrameBytes);
+  assembler.feed(stream);
+  Frames frames;
+  std::vector<std::uint8_t> frame;
+  while (assembler.next(&frame) == net::FrameResult::kFrame) {
+    frames.push_back(frame);
+  }
+  return frames;
+}
+
 SolveResult sample_result() {
   SolveResult res;
   res.id = 42;
@@ -48,7 +65,7 @@ SolveResult sample_result() {
 TEST(ServeWire, RequestRoundTrip) {
   const SolveRequest req = sample_request();
   const std::vector<std::uint8_t> frame = encode_request(req);
-  ASSERT_EQ(frame_size(frame), frame.size());
+  ASSERT_EQ(peel(frame), Frames{frame});
 
   SolveRequest back;
   std::string error;
@@ -68,7 +85,7 @@ TEST(ServeWire, RequestRoundTrip) {
 TEST(ServeWire, ResultRoundTrip) {
   const SolveResult res = sample_result();
   const std::vector<std::uint8_t> frame = encode_result(res);
-  ASSERT_EQ(frame_size(frame), frame.size());
+  ASSERT_EQ(peel(frame), Frames{frame});
 
   SolveResult back;
   std::string error;
@@ -85,20 +102,16 @@ TEST(ServeWire, ResultRoundTrip) {
 }
 
 TEST(ServeWire, StreamReassembly) {
-  // Two frames concatenated: frame_size peels them one at a time, and a
-  // partial prefix reports "incomplete" instead of guessing.
+  // Two frames concatenated: the assembler peels them one at a time, and a
+  // partial frame reports "need more" instead of guessing.
   const std::vector<std::uint8_t> a = encode_request(sample_request());
   const std::vector<std::uint8_t> b = encode_result(sample_result());
   std::vector<std::uint8_t> stream = a;
   stream.insert(stream.end(), b.begin(), b.end());
-
-  ASSERT_EQ(frame_size(stream), a.size());
-  const std::span<const std::uint8_t> rest =
-      std::span<const std::uint8_t>(stream).subspan(a.size());
-  ASSERT_EQ(frame_size(rest), b.size());
+  ASSERT_EQ(peel(stream), (Frames{a, b}));
 
   for (std::size_t cut = 0; cut < a.size(); ++cut) {
-    EXPECT_EQ(frame_size(std::span<const std::uint8_t>(a.data(), cut)), 0u)
+    EXPECT_TRUE(peel(std::span<const std::uint8_t>(a.data(), cut)).empty())
         << "prefix of " << cut << " bytes should be incomplete";
   }
 }
@@ -131,13 +144,18 @@ TEST(ServeWire, RejectsTruncatedAndOversized) {
   EXPECT_FALSE(decode_request(
       std::span<const std::uint8_t>(frame.data(), frame.size() - 1), &out,
       &error));
-  // Length prefix beyond the cap: frame_size clamps, decode reports.
+  // Length prefix beyond the cap: decode reports it, and a stream's
+  // assembler refuses the frame rather than wait for its bytes.
   std::vector<std::uint8_t> huge = frame;
   huge[0] = 0xff;
   huge[1] = 0xff;
   huge[2] = 0xff;
   huge[3] = 0x7f;
   EXPECT_FALSE(decode_request(huge, &out, &error));
+  net::FrameAssembler assembler(kMaxFrameBytes);
+  assembler.feed(huge);
+  std::vector<std::uint8_t> peeled;
+  EXPECT_EQ(assembler.next(&peeled), net::FrameResult::kMalformed);
 }
 
 TEST(ServeWire, RejectsOutOfRangeEnums) {

@@ -29,7 +29,8 @@ namespace sacpp::check {
 //    engine per-point evaluation to 1e-12;
 //  * relaxes coarse2fine's take(scatter(.)) of an array or of a view of one
 //    straight from the source (scatter_stencil.hpp) in every stencil mode,
-//    against the relaxation of the forced gather, equal under ==.
+//    against the relaxation of the forced gather, equal under ==; and
+//    likewise mg_sac_direct's periodic relaxation of the whole scatter(.).
 struct BackendFuzzReport {
   int rows_checked = 0;     // primitive (engine, row) comparisons performed
   int exprs_checked = 0;    // whole-expression backend comparisons performed
@@ -39,8 +40,8 @@ struct BackendFuzzReport {
   int stencil_chains_checked = 0;
   // Of exprs_checked, the chains over a copy-free view of a shared base.
   int view_chains_checked = 0;
-  // Of exprs_checked, the stencils over take(scatter(.)) read straight from
-  // the scattered array.
+  // Of exprs_checked, the stencils over take(scatter(.)) or a whole
+  // scatter(.) read straight from the scattered array.
   int scatter_stencils_checked = 0;
 
   bool clean() const { return mismatches == 0 && fold_mismatches == 0; }

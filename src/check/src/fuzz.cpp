@@ -521,8 +521,10 @@ void fuzz_view_chains(Rng& rng, BackendFuzzReport* stats) {
 
 // coarse2fine's stencil over take(scatter(.)), read straight from a random
 // array or from a view of one, against the stencil over the forced gather
-// on every engine and stencil mode.  Equal under ==: the exact-zero taps it
-// drops can flip the sign of a zero, nothing else.
+// on every engine and stencil mode; and mg_sac_direct's periodic stencil
+// over the whole scatter(.) of the same source, against the periodic stencil
+// over the forced scatter.  Equal under ==: the exact-zero taps they drop
+// can flip the sign of a zero, nothing else.
 void fuzz_scatter_stencils(Rng& rng, BackendFuzzReport* stats) {
   const Shape coarse{rng.range(3, 6), rng.range(3, 6),
                      fuzz_row_length(rng) / 2 + 3};
@@ -540,20 +542,24 @@ void fuzz_scatter_stencils(Rng& rng, BackendFuzzReport* stats) {
   cfg.stencil_planes_cutover = 0;
   sac::ScopedConfig guard(cfg);
   const auto gather = sac::lazy_take(ts, sac::lazy_scatter(2, src, phase));
+  const auto scatter = sac::lazy_scatter(2, src, phase);
   // Coefficients that round, so that each mode's association order shows.
   constexpr sac::StencilCoeffs kRounding{{-8.0 / 3.0, 0.3, 1.0 / 6.0, 0.1}};
+  auto check = [&](const sac::Array<double>& got,
+                   const sac::Array<double>& want) {
+    stats->exprs_checked += 1;
+    stats->scatter_stencils_checked += 1;
+    if (!arrays_equal_values(got, want)) stats->mismatches += 1;
+  };
   for (const sac::StencilMode mode :
        {sac::StencilMode::kNaive, sac::StencilMode::kGrouped,
         sac::StencilMode::kPlanes}) {
     for (const FuzzKind& k : fuzz_kinds()) {
       const UseKind use(k);
-      stats->exprs_checked += 1;
-      stats->scatter_stencils_checked += 1;
-      if (!arrays_equal_values(
-              sac::relax_kernel(gather, kRounding, mode),
-              sac::relax_kernel(sac::force(gather), kRounding, mode))) {
-        stats->mismatches += 1;
-      }
+      check(sac::relax_kernel(gather, kRounding, mode),
+            sac::relax_kernel(sac::force(gather), kRounding, mode));
+      check(sac::relax_kernel_periodic(scatter, kRounding, mode),
+            sac::relax_kernel_periodic(sac::force(scatter), kRounding, mode));
     }
   }
 }

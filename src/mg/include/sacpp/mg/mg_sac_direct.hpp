@@ -11,7 +11,10 @@
 //
 // and the V-cycle reads exactly like the mathematical specification of the
 // paper's Fig. 2 — the "even closer to the mathematical specification"
-// claim.  Results are numerically identical to the ghost-layer
+// claim.  With folding (D1) on, Coarse2Fine never builds the scattered
+// grid: Q is read straight from z as parity sub-stencils with wrapped taps
+// (sac::ScatterStencilExpr::periodic), bit for bit the values of Q over the
+// forced scatter.  Results are numerically identical to the ghost-layer
 // implementation (tests assert ≤1e-12 relative agreement on every
 // iteration norm, and the periodic stencil equals border setup + the
 // fixed-boundary stencil bit for bit, in every mode).

@@ -65,8 +65,13 @@ Array<double> MgSacDirect::fine2coarse(const Array<double>& r) const {
 
 Array<double> MgSacDirect::coarse2fine(const Array<double>& zn) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "interp");
-  Array<double> scattered = force(sac::lazy_scatter(2, zn, kPhase));
-  return relax_kernel_periodic(scattered, spec_.q);
+  const auto scattered = sac::lazy_scatter(2, zn, kPhase);
+  if (sac::active_config().folding) {
+    // One with-loop: Q read straight from zn, the scattered grid never
+    // built.
+    return relax_kernel_periodic(scattered, spec_.q);
+  }
+  return relax_kernel_periodic(force(scattered), spec_.q);
 }
 
 Array<double> MgSacDirect::residual(const Array<double>& v,

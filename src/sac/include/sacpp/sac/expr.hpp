@@ -16,8 +16,9 @@
 // unmaterialised stencil would multiply work.  The API mirrors sac2c's
 // heuristic by allowing StencilExpr only over concrete arrays.  The one
 // exception is a stencil over a stride-2 scatter (relax_kernel over
-// take(scatter(2, a)), scatter_stencil.hpp): read straight from `a` it
-// drops 7/8 of the taps, so that fold divides the work instead.
+// take(scatter(2, a)), relax_kernel_periodic over scatter(2, a);
+// scatter_stencil.hpp): read straight from `a` it drops 7/8 of the taps,
+// so that fold divides the work instead.
 
 #include <algorithm>
 #include <concepts>

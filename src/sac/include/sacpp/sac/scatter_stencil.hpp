@@ -1,7 +1,8 @@
 #pragma once
 // A coefficient-class stencil over a stride-2 scatter, read straight from
 // the scattered array: the paper's Coarse2Fine,
-// RelaxKernel(take(scatter(2, zn)), Q), without the scattered grid.
+// RelaxKernel(take(scatter(2, zn)), Q), without the scattered grid; and its
+// periodic form, the ghost-free Coarse2Fine(z) = Q(scatter(2, z)) (Sec. 7).
 //
 // The scattered grid is 7/8 gaps.  Along an axis, fine index x holds source
 // element (x - phase)/2 when x - phase is even and 0 otherwise, so among the
@@ -24,6 +25,15 @@
 //    parities of k (Backend::interp_row).
 // The source may be a view (a periodic border): it is read through the
 // view's index maps, never forced.
+//
+// The periodic form covers the whole scatter, 2m points on an axis of m
+// source elements, and evaluates every point.  Its taps are read through
+// per-axis wrap maps of the source, position -1 at m-1 and m at 0, as
+// StencilExpr::periodic reads its grid.  The fine extent is even, so a
+// wrapped neighbour keeps its parity and the sub-stencils are the same.
+// One point per axis has a tap pair that straddles the ends, (m-1, 0): the
+// first point on phase 1, the last on phase 0.  On the last axis the row
+// path writes that point itself, from the two wrapped row sums.
 
 #include <algorithm>
 #include <optional>
@@ -52,40 +62,14 @@ class ScatterStencilExpr {
  public:
   ScatterStencilExpr(ScatterSource s, const StencilCoeffs& coeffs,
                      StencilMode mode = active_config().stencil_mode)
-      : src_(std::move(s.src)),
-        phase_(s.phase),
-        shp_(std::move(s.shape)),
-        c_(coeffs),
-        be_(&active_backend()) {
-    const std::size_t rank = shp_.rank();
-    SACPP_REQUIRE(rank >= 1 && rank <= 3 && src_.rank() == rank,
-                  "scatter stencil needs rank 1, 2 or 3");
-    SACPP_REQUIRE(phase_ == 0 || phase_ == 1,
-                  "scatter stencil phase must be 0 or 1");
-    extent_t min_extent = shp_.extent(0);
-    for (std::size_t d = 0; d < rank; ++d) {
-      SACPP_REQUIRE(shp_.extent(d) >= 3,
-                    "stencil needs extent >= 3 in every dimension");
-      SACPP_REQUIRE(shp_.extent(d) <= 2 * src_.shape().extent(d),
-                    "scatter stencil shape exceeds the scatter");
-      min_extent = std::min(min_extent, shp_.extent(d));
-    }
-    // The per-point form of each mode, as in StencilExpr: below rank 3 the
-    // planes mode evaluates like the naive one.
-    naive_ = mode == StencilMode::kNaive ||
-             (mode == StencilMode::kPlanes && rank < 3);
-    planes_rows_ = rank == 3 && mode == StencilMode::kPlanes &&
-                   min_extent >= active_config().stencil_planes_cutover;
-    // A concrete source's positions as base offsets, like a view's maps.
-    if (!src_.is_view()) {
-      const IndexVec strides = src_.shape().strides();
-      for (std::size_t d = 0; d < rank; ++d) {
-        own_[d].resize(static_cast<std::size_t>(src_.shape().extent(d)));
-        for (std::size_t t = 0; t < own_[d].size(); ++t) {
-          own_[d][t] = static_cast<extent_t>(t) * strides[d];
-        }
-      }
-    }
+      : ScatterStencilExpr(std::move(s), coeffs, mode, /*periodic=*/false) {}
+
+  // The periodic form: s.shape is twice the source's extents, every point
+  // is evaluated and its taps wrap.
+  static ScatterStencilExpr periodic(
+      ScatterSource s, const StencilCoeffs& coeffs,
+      StencilMode mode = active_config().stencil_mode) {
+    return ScatterStencilExpr(std::move(s), coeffs, mode, /*periodic=*/true);
   }
 
   const Shape& shape() const { return shp_; }
@@ -93,15 +77,16 @@ class ScatterStencilExpr {
   double operator()(const IndexVec& iv) const {
     Taps ax[3];
     for (std::size_t d = 0; d < iv.size(); ++d) {
-      if (iv[d] < 1 || iv[d] >= shp_.extent(d) - 1) return 0.0;
+      if (iv[d] < margin_ || iv[d] >= shp_.extent(d) - margin_) return 0.0;
       ax[d] = taps(d, iv[d]);
     }
     return eval(ax);
   }
 
   double operator()(extent_t i, extent_t j, extent_t k) const {
-    if (i < 1 || i >= shp_[0] - 1 || j < 1 || j >= shp_[1] - 1 || k < 1 ||
-        k >= shp_[2] - 1)
+    const extent_t e = margin_;
+    if (i < e || i >= shp_[0] - e || j < e || j >= shp_[1] - e || k < e ||
+        k >= shp_[2] - e)
       return 0.0;
     const Taps ax[3] = {taps(0, i), taps(1, j), taps(2, k)};
     return eval(ax);
@@ -117,7 +102,8 @@ class ScatterStencilExpr {
   // zero otherwise.  Call that sum, or the one source row, w: the combine
   // reduces to ca * w[t] on the coarse points and cb * (w[t] + w[t+1])
   // between them, ca and cb the coefficients of the row's class and the
-  // next.
+  // next.  The periodic form fills every row; its one point whose pair
+  // straddles the row ends, cb * (w[m-1] + w[0]), is written here.
 
   bool row_fill_enabled() const { return planes_rows_; }
 
@@ -127,28 +113,29 @@ class ScatterStencilExpr {
 
   void fill_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                 extent_t k_lo, extent_t k_hi) const {
-    if (i < 1 || i >= shp_[0] - 1 || j < 1 || j >= shp_[1] - 1) {
+    const extent_t e = margin_;
+    if (i < e || i >= shp_[0] - e || j < e || j >= shp_[1] - e) {
       be_->fill_row(out, k_lo, k_hi, 0.0);
       return;
     }
     const extent_t n2 = shp_[2];
-    if (k_lo < 1 && k_hi > 0) out[0] = 0.0;
-    if (k_lo < n2 && k_hi > n2 - 1) out[n2 - 1] = 0.0;
-    const extent_t lo = std::max<extent_t>(k_lo, 1);
-    const extent_t hi = std::min<extent_t>(k_hi, n2 - 1);
+    if (k_lo < e && k_hi > 0) out[0] = 0.0;
+    if (k_lo < n2 && k_hi > n2 - e) out[n2 - 1] = 0.0;
+    extent_t lo = std::max(k_lo, e);
+    extent_t hi = std::min(k_hi, n2 - e);
     if (lo >= hi) return;
     const Taps ti = taps(0, i), tj = taps(1, j);
     const double* b = src_.base_data();
     const double* r[4] = {};
     int m = 0;
     for (int a = 0; a < ti.n; ++a) {
-      for (int e = 0; e < tj.n; ++e) r[m++] = b + ti.off[a] + tj.off[e];
+      for (int f = 0; f < tj.n; ++f) r[m++] = b + ti.off[a] + tj.off[f];
     }
     const int cls = (ti.n - 1) + (tj.n - 1);
+    const extent_t nc = src_.shape().extent(2);
     const double* w = r[0];
     const detail::ViewMap<double>* v = src_.view_map();
     if (m > 1 || (v != nullptr && !v->moved_last().empty())) {
-      const extent_t nc = src_.shape().extent(2);
       double* ws = st.u1();
       if (m == 1) {
         be_->copy_row(ws, r[0], 0, nc);
@@ -169,26 +156,39 @@ class ScatterStencilExpr {
       }
       w = ws;
     }
-    be_->interp_row(c_[static_cast<std::size_t>(cls)],
-                    c_[static_cast<std::size_t>(cls + 1)], w, out + phase_,
-                    lo - phase_, hi - phase_);
+    const double ca = c_[static_cast<std::size_t>(cls)];
+    const double cb = c_[static_cast<std::size_t>(cls + 1)];
+    if (e == 0) {
+      const extent_t kw = phase_ == 1 ? 0 : n2 - 1;
+      if (kw >= lo && kw < hi) {
+        out[kw] = cb * (w[nc - 1] + w[0]);
+        if (phase_ == 1) {
+          ++lo;
+        } else {
+          --hi;
+        }
+      }
+    }
+    if (lo < hi) {
+      be_->interp_row(ca, cb, w, out + phase_, lo - phase_, hi - phase_);
+    }
     st.rows += 1;
   }
 
  private:
   // The taps of fine index x along axis d: the base offsets of one or two
-  // source positions, in increasing order.
+  // source positions, in offset order (x - 1's before x + 1's).
   struct Taps {
     extent_t off[2] = {0, 0};
     int n = 1;
   };
 
   Taps taps(std::size_t d, extent_t x) const {
-    const extent_t rel = x - phase_;  // >= 0 on interior points
-    const detail::ViewMap<double>* v = src_.view_map();
-    const extent_t* m = v != nullptr ? v->axis(d) : own_[d].data();
-    if (rel % 2 == 0) return Taps{{m[rel / 2], 0}, 1};
-    return Taps{{m[rel / 2], m[rel / 2 + 1]}, 2};
+    const extent_t* pos = maps_[d].data() + 1;  // positions -1..m
+    const extent_t rel = x - phase_;  // -1 only on the periodic form
+    if (rel % 2 == 0) return Taps{{pos[rel / 2], 0}, 1};
+    const extent_t h = (rel - 1) / 2;  // x - 1's source position
+    return Taps{{pos[h], pos[h + 1]}, 2};
   }
 
   // The taps in lexicographic order; axes past the rank hold one zero tap.
@@ -208,42 +208,122 @@ class ScatterStencilExpr {
     return naive_ ? acc : c * acc;
   }
 
+  ScatterStencilExpr(ScatterSource s, const StencilCoeffs& coeffs,
+                     StencilMode mode, bool periodic)
+      : src_(std::move(s.src)),
+        phase_(s.phase),
+        shp_(std::move(s.shape)),
+        c_(coeffs),
+        be_(&active_backend()),
+        margin_(periodic ? 0 : 1) {
+    const std::size_t rank = shp_.rank();
+    SACPP_REQUIRE(rank >= 1 && rank <= 3 && src_.rank() == rank,
+                  "scatter stencil needs rank 1, 2 or 3");
+    SACPP_REQUIRE(phase_ == 0 || phase_ == 1,
+                  "scatter stencil phase must be 0 or 1");
+    extent_t min_extent = shp_.extent(0);
+    for (std::size_t d = 0; d < rank; ++d) {
+      const extent_t n = shp_.extent(d);
+      const extent_t m = src_.shape().extent(d);
+      if (periodic) {
+        SACPP_REQUIRE(n == 2 * m && n >= 2,
+                      "periodic scatter stencil needs the whole scatter, "
+                      "extent >= 2");
+      } else {
+        SACPP_REQUIRE(n >= 3, "stencil needs extent >= 3 in every dimension");
+        SACPP_REQUIRE(n <= 2 * m, "scatter stencil shape exceeds the scatter");
+      }
+      min_extent = std::min(min_extent, n);
+    }
+    // The per-point form of each mode, as in StencilExpr: below rank 3 the
+    // planes mode evaluates like the naive one.
+    naive_ = mode == StencilMode::kNaive ||
+             (mode == StencilMode::kPlanes && rank < 3);
+    planes_rows_ = rank == 3 && mode == StencilMode::kPlanes &&
+                   min_extent >= active_config().stencil_planes_cutover;
+    // Source positions -1..m as base offsets, a view's through its maps;
+    // -1 and m wrap to m-1 and 0, which only the periodic form reads.
+    const detail::ViewMap<double>* v = src_.view_map();
+    const IndexVec strides = src_.shape().strides();
+    for (std::size_t d = 0; d < rank; ++d) {
+      const extent_t m = src_.shape().extent(d);
+      std::vector<extent_t>& pos = maps_[d];
+      pos.resize(static_cast<std::size_t>(m + 2));
+      for (extent_t t = 0; t < m; ++t) {
+        pos[static_cast<std::size_t>(t + 1)] =
+            v != nullptr ? v->axis(d)[t] : t * strides[d];
+      }
+      pos.front() = pos[static_cast<std::size_t>(m)];
+      pos.back() = pos[1];
+    }
+  }
+
   Array<double> src_;
   extent_t phase_;
   Shape shp_;
   StencilCoeffs c_;
   const Backend* be_;  // row-primitive engine, snapshotted at construction
+  extent_t margin_;    // evaluated points: [margin_, n - margin_) per axis
   bool naive_ = false;
   bool planes_rows_ = false;
-  std::vector<extent_t> own_[3];  // a concrete source's maps
+  std::vector<extent_t> maps_[3];  // source positions -1..m, base offsets
 };
 
 namespace detail {
 
-// `g` as take(shape, scatter(2, src, phase)): a take of at most the
-// scatter's shape over a stride-2 scatter of an array with phase 0 or 1 and
-// +-0 gaps; or nothing.
-inline std::optional<ScatterSource> scatter_source(
-    const GatherExpr<GatherExpr<Array<double>>>& g) {
-  const GatherExpr<Array<double>>& sc = g.inner;
-  if (g.scale_num != 1 || g.scale_den != 1 || g.pre != 0 || g.dflt != 0.0 ||
-      sc.scale_num != 1 || sc.scale_den != 2 || (sc.pre != 0 && sc.pre != -1) ||
-      sc.dflt != 0.0 || g.shp.rank() != sc.inner.rank() ||
-      sc.shp.rank() != sc.inner.rank()) {
+// `sc` as scatter(2, src, phase): a stride-2 scatter of an array with
+// phase 0 or 1, +-0 gaps and at most twice its extents; or nothing.
+inline std::optional<ScatterSource> stride2_scatter(
+    const GatherExpr<Array<double>>& sc) {
+  if (sc.scale_num != 1 || sc.scale_den != 2 || (sc.pre != 0 && sc.pre != -1) ||
+      sc.dflt != 0.0 || sc.shp.rank() != sc.inner.rank()) {
     return std::nullopt;
   }
-  for (std::size_t d = 0; d < g.shp.rank(); ++d) {
-    if (g.offset[d] != 0 || sc.offset[d] != 0 ||
-        g.shp.extent(d) > sc.shp.extent(d) ||
+  for (std::size_t d = 0; d < sc.shp.rank(); ++d) {
+    if (sc.offset[d] != 0 ||
         sc.shp.extent(d) > 2 * sc.inner.shape().extent(d)) {
       return std::nullopt;
     }
   }
-  return ScatterSource{sc.inner, -sc.pre, g.shp};
+  return ScatterSource{sc.inner, -sc.pre, sc.shp};
+}
+
+// `g` as take(shape, scatter(2, src, phase)), a take of at most the
+// scatter's shape; or nothing.
+inline std::optional<ScatterSource> scatter_source(
+    const GatherExpr<GatherExpr<Array<double>>>& g) {
+  std::optional<ScatterSource> s = stride2_scatter(g.inner);
+  if (!s || g.scale_num != 1 || g.scale_den != 1 || g.pre != 0 ||
+      g.dflt != 0.0 || g.shp.rank() != s->shape.rank()) {
+    return std::nullopt;
+  }
+  for (std::size_t d = 0; d < g.shp.rank(); ++d) {
+    if (g.offset[d] != 0 || g.shp.extent(d) > s->shape.extent(d)) {
+      return std::nullopt;
+    }
+  }
+  s->shape = g.shp;
+  return s;
 }
 
 template <typename E>
 std::optional<ScatterSource> scatter_source(const GatherExpr<E>&) {
+  return std::nullopt;
+}
+
+// `g` as scatter(2, src, phase) over its whole shape, twice src's extents;
+// or nothing.
+inline std::optional<ScatterSource> periodic_scatter_source(
+    const GatherExpr<Array<double>>& g) {
+  std::optional<ScatterSource> s = stride2_scatter(g);
+  if (!s || s->shape != Shape(2 * s->src.shape().extents())) {
+    return std::nullopt;
+  }
+  return s;
+}
+
+template <typename E>
+std::optional<ScatterSource> periodic_scatter_source(const GatherExpr<E>&) {
   return std::nullopt;
 }
 
@@ -263,6 +343,22 @@ Array<double> relax_kernel(const GatherExpr<E>& g, const StencilCoeffs& coeffs,
                                  0.0);
   }
   return relax_kernel(force(g), coeffs, mode);
+}
+
+// Eager periodic RelaxKernel over a gather.  A stride-2 scatter of an array
+// over its whole shape is evaluated straight from that array
+// (ScatterStencilExpr::periodic), mg_sac_direct's Coarse2Fine; any other
+// gather is forced first.
+template <typename E>
+Array<double> relax_kernel_periodic(
+    const GatherExpr<E>& g, const StencilCoeffs& coeffs,
+    StencilMode mode = active_config().stencil_mode) {
+  if (auto s = detail::periodic_scatter_source(g)) {
+    const ScatterStencilExpr st =
+        ScatterStencilExpr::periodic(std::move(*s), coeffs, mode);
+    return with_genarray<double>(st.shape(), gen_all(), st, 0.0);
+  }
+  return relax_kernel_periodic(force(g), coeffs, mode);
 }
 
 }  // namespace sacpp::sac

@@ -452,12 +452,8 @@ std::string scatter_label(const Shape& fine, const Combo& c, bool view,
   return os.str();
 }
 
-void check_scatter_stencil(const Shape& fine, unsigned seed, const Combo& c,
-                           bool view, extent_t phase,
-                           const StencilCoeffs& q = kQ) {
-  // The input first: random_array's generator must run sequentially.
-  const Shape coarse = scatter_source_shape(fine);
-  const Array<double> base = random_array(coarse, seed);
+// A combination's configuration; every with-loop may go parallel.
+SacConfig combo_config(const Combo& c) {
   SacConfig cfg = config();
   cfg.stencil_mode = c.mode;
   cfg.backend = c.engine.kind;
@@ -465,7 +461,16 @@ void check_scatter_stencil(const Shape& fine, unsigned seed, const Combo& c,
   cfg.mt_threads = c.threads;
   cfg.mt_threshold = 1;
   cfg.stencil_planes_cutover = c.cutover;
-  ScopedConfig guard(cfg);
+  return cfg;
+}
+
+void check_scatter_stencil(const Shape& fine, unsigned seed, const Combo& c,
+                           bool view, extent_t phase,
+                           const StencilCoeffs& q = kQ) {
+  // The input first: random_array's generator must run sequentially.
+  const Shape coarse = scatter_source_shape(fine);
+  const Array<double> base = random_array(coarse, seed);
+  const ScopedConfig guard(combo_config(c));
   const detail::ScopedSimdOverride pin(c.engine.pin);
   const std::string where = scatter_label(fine, c, view, phase, q);
 
@@ -526,43 +531,61 @@ TEST(ScatterStencil, CubicExtents3To66) {
   shutdown_runtime();
 }
 
+// Every sub-range of every row of `st` writes `want`'s values there and
+// nothing outside itself.
+void check_row_sub_ranges(const ScatterStencilExpr& st,
+                          const Array<double>& want, const std::string& where) {
+  ASSERT_TRUE(st.row_fill_enabled()) << where;
+  const Shape& fine = st.shape();
+  auto state = st.make_row_state();
+  const extent_t n2 = fine.extent(2);
+  for (extent_t i = 0; i < fine.extent(0); ++i) {
+    for (extent_t j = 0; j < fine.extent(1); ++j) {
+      for (extent_t lo = 0; lo <= n2; ++lo) {
+        for (extent_t hi = lo; hi <= n2; ++hi) {
+          std::vector<double> row(static_cast<std::size_t>(n2), -7.0);
+          st.fill_row(state, i, j, row.data(), lo, hi);
+          for (extent_t k = 0; k < n2; ++k) {
+            const double expect =
+                k >= lo && k < hi ? want[IndexVec{i, j, k}] : -7.0;
+            ASSERT_EQ(row[static_cast<std::size_t>(k)], expect)
+                << "row (" << i << ", " << j << ") [" << lo << ", " << hi
+                << ") k " << k << ", " << where;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The row protocol on sub-ranges, which a gather over the expression may
-// issue: each range writes the materialised stencil's values and nothing
-// outside itself.
+// request; the periodic form's include the point that wraps.
 TEST(ScatterStencil, RowSubRangesWriteOnlyTheirRange) {
   SacConfig cfg = config();
   cfg.stencil_mode = StencilMode::kPlanes;
   cfg.stencil_planes_cutover = 0;
   cfg.backend = BackendKind::kSimd;
   ScopedConfig guard(cfg);
-  for (const Shape& fine : {Shape{6, 7, 12}, Shape{5, 4, 9}}) {
-    for (const extent_t phase : {0, 1}) {
+  for (const extent_t phase : {0, 1}) {
+    const std::string where = "phase " + std::to_string(phase);
+    for (const Shape& fine : {Shape{6, 7, 12}, Shape{5, 4, 9}}) {
       const Array<double> src = random_array(scatter_source_shape(fine), 3);
-      const ScatterStencilExpr st(ScatterSource{src, phase, fine}, kQ);
-      ASSERT_TRUE(st.row_fill_enabled());
-      const Array<double> want =
-          relax_kernel(force(lazy_take(fine.extents(),
-                                       lazy_scatter(2, src, phase))),
-                       kQ);
-      auto state = st.make_row_state();
-      const extent_t n2 = fine.extent(2);
-      for (extent_t i = 0; i < fine.extent(0); ++i) {
-        for (extent_t j = 0; j < fine.extent(1); ++j) {
-          for (extent_t lo = 0; lo <= n2; ++lo) {
-            for (extent_t hi = lo; hi <= n2; ++hi) {
-              std::vector<double> row(static_cast<std::size_t>(n2), -7.0);
-              st.fill_row(state, i, j, row.data(), lo, hi);
-              for (extent_t k = 0; k < n2; ++k) {
-                const double expect =
-                    k >= lo && k < hi ? want[IndexVec{i, j, k}] : -7.0;
-                ASSERT_EQ(row[static_cast<std::size_t>(k)], expect)
-                    << "row (" << i << ", " << j << ") [" << lo << ", " << hi
-                    << ") k " << k << " phase " << phase;
-              }
-            }
-          }
-        }
-      }
+      check_row_sub_ranges(
+          ScatterStencilExpr(ScatterSource{src, phase, fine}, kQ),
+          relax_kernel(
+              force(lazy_take(fine.extents(), lazy_scatter(2, src, phase))),
+              kQ),
+          where);
+    }
+    for (const Shape& coarse : {Shape{3, 2, 5}, Shape{2, 3, 1}}) {
+      const Array<double> src = random_array(coarse, 4);
+      const Shape fine(2 * coarse.extents());
+      check_row_sub_ranges(
+          ScatterStencilExpr::periodic(ScatterSource{src, phase, fine},
+                                       kRounding),
+          relax_kernel_periodic(force(lazy_scatter(2, src, phase)),
+                                kRounding),
+          "periodic " + where);
     }
   }
 }
@@ -586,6 +609,96 @@ TEST(ScatterStencil, OtherGathersAreForcedFirst) {
       ASSERT_EQ(got.at_linear(x), want.at_linear(x)) << x;
     }
   }
+}
+
+// -- the periodic form (ScatterStencilExpr::periodic) ------------------------
+//
+// relax_kernel_periodic over scatter(2, src, phase) must equal the periodic
+// stencil over the forced scatter under ==, like the battery above, with
+// coefficients that round so that each mode's association order shows.
+
+void check_periodic_scatter_stencil(const Shape& coarse, unsigned seed,
+                                    const Combo& c, bool view,
+                                    extent_t phase) {
+  // The input first: random_array's generator must run sequentially.
+  const Array<double> base = random_array(coarse, seed);
+  const ScopedConfig guard(combo_config(c));
+  const detail::ScopedSimdOverride pin(c.engine.pin);
+  const std::string where =
+      "periodic " +
+      scatter_label(Shape(2 * coarse.extents()), c, view, phase, kRounding);
+
+  const Array<double> src =
+      view ? with_modarray_reading(base, border_parts(coarse)) : base;
+  ASSERT_EQ(src.is_view(), view) << where;
+  const Array<double> got =
+      relax_kernel_periodic(lazy_scatter(2, src, phase), kRounding);
+  const Array<double> want =
+      relax_kernel_periodic(force(lazy_scatter(2, src, phase)), kRounding);
+  ASSERT_EQ(got.shape(), want.shape()) << where;
+  for (extent_t x = 0; x < got.elem_count(); ++x) {
+    ASSERT_EQ(got.at_linear(x), want.at_linear(x))
+        << "element " << x << ", " << where;
+  }
+  EXPECT_EQ(src.is_view(), view) << "the source was forced, " << where;
+}
+
+// Coarse extents 2 (where the wrap entries land on the two elements: -1 on
+// 1, 2 on 0), 3, 8 and 17 on every rank, mixed shapes whose short axis
+// sits on each axis in turn, and one whose rows run the planes path at the
+// default cutover; both phases, and a view source wherever a border fits
+// (extent >= 3).
+TEST(PeriodicScatterStencil, EveryEngineModeAndThreadCount) {
+  std::vector<Shape> shapes;
+  for (std::size_t rank = 1; rank <= 3; ++rank) {
+    for (const extent_t m : {2, 3, 8, 17}) {
+      shapes.push_back(cube_shape(rank, m));
+    }
+  }
+  for (const Shape& mixed : {Shape{17, 2, 8}, Shape{3, 17, 2}, Shape{2, 8, 3},
+                             Shape{9, 17, 10}, Shape{3, 8}, Shape{17, 2}}) {
+    shapes.push_back(mixed);
+  }
+  unsigned seed = 1;
+  for (const Combo& c : scatter_combos()) {
+    for (const Shape& coarse : shapes) {
+      bool border_fits = true;
+      for (std::size_t d = 0; d < coarse.rank(); ++d) {
+        border_fits = border_fits && coarse.extent(d) >= 3;
+      }
+      for (const extent_t phase : {0, 1}) {
+        for (const bool view : {false, true}) {
+          if (view && !border_fits) continue;
+          check_periodic_scatter_stencil(coarse, seed++, c, view, phase);
+        }
+      }
+    }
+  }
+  shutdown_runtime();
+}
+
+// Only a stride-2 scatter over its whole shape is read straight from its
+// source; any other gather is forced and relaxed as an array.
+TEST(PeriodicScatterStencil, OtherGathersAreForcedFirst) {
+  const Array<double> src = random_array(Shape{4, 6, 8}, 22);
+  EXPECT_TRUE(detail::periodic_scatter_source(lazy_scatter(2, src, 1))
+                  .has_value());
+  const auto cond = lazy_condense(2, src);
+  const auto part = lazy_take(IndexVec{8, 12, 14}, lazy_scatter(2, src));
+  const auto stride3 = lazy_scatter(3, src);
+  EXPECT_FALSE(detail::periodic_scatter_source(cond).has_value());
+  EXPECT_FALSE(detail::periodic_scatter_source(part).has_value());
+  EXPECT_FALSE(detail::periodic_scatter_source(stride3).has_value());
+  auto same = [](const Array<double>& got, const Array<double>& want) {
+    ASSERT_EQ(got.shape(), want.shape());
+    for (extent_t x = 0; x < got.elem_count(); ++x) {
+      ASSERT_EQ(got.at_linear(x), want.at_linear(x)) << x;
+    }
+  };
+  same(relax_kernel_periodic(cond, kQ), relax_kernel_periodic(force(cond), kQ));
+  same(relax_kernel_periodic(part, kQ), relax_kernel_periodic(force(part), kQ));
+  same(relax_kernel_periodic(stride3, kQ),
+       relax_kernel_periodic(force(stride3), kQ));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "sacpp/machine/model.hpp"
 #include "sacpp/machine/paper_data.hpp"
 #include "sacpp/mg/driver.hpp"
+#include "sacpp/mg/mg_omp.hpp"
 
 using namespace sacpp;
 using namespace sacpp::mg;
@@ -46,6 +47,9 @@ int main(int argc, char** argv) {
   bench::add_standard_options(cli, "S,W");
   if (!cli.parse(argc, argv)) return 1;
 
+  // One processor: without this the C/OpenMP row runs libgomp's default
+  // team, one thread per core.
+  MgOmp::omp_threads(1);
   SmpModel model;
   Table table({"class", "implementation", "host [s]", "host rel",
                "model E4000 [s]", "model rel", "paper rel"});

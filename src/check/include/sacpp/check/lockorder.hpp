@@ -5,7 +5,7 @@
 // (docs/static_analysis.md).
 //
 // The instrumented locks — the serve dispatch lock, the AdmissionQueue
-// mutex, the buffer pool's lock, the msg mailbox/barrier/stats locks — record
+// mutex, the buffer pool's lock, the msg mailbox/stats/registry locks — record
 // an edge A -> B whenever a thread acquires B while holding A.  A cycle in
 // the recorded graph is a potential deadlock even if no deadlock fired
 // during the run: two threads need only take the participating locks in the

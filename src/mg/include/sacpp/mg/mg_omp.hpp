@@ -3,11 +3,12 @@
 //
 // The paper's third candidate: the RWCP port of the Fortran-77 reference to
 // C, decorated with OpenMP work-sharing directives (about 30 of them in the
-// original; here one `parallel for` per grid sweep).  The code keeps the
-// same hand-tuned stencil optimisation as the reference but uses the C
-// port's structure: per-level heap arrays ("almost static memory layout" —
-// allocated once at setup, none inside the timed loop) and C-style flat
-// indexing.
+// original; here one `parallel for` per grid sweep).  The arithmetic is the
+// reference's own: each sweep runs mg_ref's plane-range kernels one plane
+// per loop iteration, with per-thread line buffers.  What stays the C
+// port's is its structure: per-level heap arrays ("almost static memory
+// layout" — allocated once at setup, none inside the timed loop) and the
+// work-sharing over the outermost grid axis.
 //
 // Compiled without OpenMP the pragmas vanish and the code runs serially;
 // `omp_threads(t)` sets the team size when OpenMP is available (0 = one

@@ -10,7 +10,9 @@
 //
 // Kernels follow the NPB structure: resid (r = v - A u), psinv (u += C r),
 // rprj3 (fine-to-coarse restriction), interp (additive coarse-to-fine
-// prolongation), comm3 (periodic ghost exchange), mg3P (one V-cycle).
+// prolongation), comm3 (periodic ghost exchange), mg3P (one V-cycle).  The
+// four stencil kernels are plane-range functions (below the class) that
+// the OpenMP and message-passing ports run too.
 // Index convention: extended cubes of extent n = 2^k + 2, ghosts at 0 and
 // n-1, row-major with the last axis fastest (NPB's i1).
 
@@ -26,7 +28,6 @@ class MgRef {
   explicit MgRef(const MgSpec& spec);
 
   const MgSpec& spec() const { return spec_; }
-  extent_t top_extent() const { return n_[lt_]; }
 
   // -- state management -------------------------------------------------
 
@@ -46,7 +47,7 @@ class MgRef {
   std::span<const double> v() const;
   std::span<const double> r() const;
 
-  // -- kernels (exposed for unit tests and the OpenMP port) ---------------
+  // -- kernels (tests, bench/abl_stencil) ----------------------------------
 
   // r = v - A u over the interior of an extended cube of extent n, then
   // periodic exchange of r.  v and r may alias.
@@ -67,19 +68,21 @@ class MgRef {
   // then prolongate with residual corrections back to the top (NPB mg3P).
   void mg3p();
 
-  // Direct access to the per-level grids (extent extended_extent(k)); used
-  // by the distributed implementation to run the coarse tail of the
-  // V-cycle serially on one rank, and by tests.
+  // The V-cycle below the top: u_k = M^k r_k for level `k`, from a zero
+  // correction.  Restricts r_k down to the coarsest level, smooths there,
+  // then prolongates, corrects the residual and smooths on each level back
+  // up to k.  mg3p runs it one level below the finest; MgMpi runs it on
+  // rank 0 at its coarsest distributed level.
+  void vcycle(int k);
+
+  // Direct access to the per-level grids (extent extended_extent(k)): the
+  // distributed implementation writes the residual of its coarse tail here
+  // and reads back the correction.
   std::span<double> level_u_span(int k) {
     return {level_u(k), cube(k)};
   }
   std::span<double> level_r_span(int k) {
     return {level_r(k), cube(k)};
-  }
-  int finest_level() const { return lt_; }
-  int coarsest_level() const { return lb_; }
-  extent_t level_extent(int k) const {
-    return n_[static_cast<std::size_t>(k)];
   }
 
  private:
@@ -105,5 +108,38 @@ class MgRef {
   // Pre-allocated line buffers for the plane-sharing stencil optimisation.
   mutable std::vector<double> buf1_, buf2_, buf3_;
 };
+
+// -- plane-range kernels ----------------------------------------------------
+//
+// The reference arithmetic, written once.  MgRef runs each kernel over the
+// whole interior, MgOmp one plane per `omp for` iteration, and MgMpi over
+// the owned planes of its slabs.  A kernel computes the output planes
+// [lo, hi) along the outermost axis of an extended grid whose rows hold n
+// values, reads the input planes lo-1 .. hi, and writes no other plane:
+// borders, halo exchange, spans and scheduling are the caller's.  Each line
+// buffer holds one row of the grid it sums (rprj3: nf values, interp: nc)
+// and aliases no grid, which lets the compiler pack the plane sums.
+
+// r = v - A u on planes [lo, hi).  v may alias r (the in-place residual).
+void resid_planes(const MgSpec& spec, const double* u, const double* v,
+                  double* r, extent_t n, extent_t lo, extent_t hi,
+                  double* __restrict u1, double* __restrict u2);
+// u += C r on planes [lo, hi).
+void psinv_planes(const MgSpec& spec, const double* r, double* u, extent_t n,
+                  extent_t lo, extent_t hi, double* __restrict r1,
+                  double* __restrict r2);
+// Coarse planes [lo, hi) (rows of nc) restricted from fine planes
+// 2 lo - 1 .. 2 hi - 1 (rows of nf = 2 nc - 2).
+void rprj3_planes(const MgSpec& spec, const double* fine, extent_t nf,
+                  double* coarse, extent_t nc, extent_t lo, extent_t hi,
+                  double* __restrict x1, double* __restrict y1);
+// Fine += prolongation of the coarse cells [lo, hi): cell c reads coarse
+// planes c and c + 1 and adds into fine planes 2c and 2c + 1, each only if
+// it lies in the window [flo, fhi).  Every fine plane has one cell, so any
+// split of the cells gives the same values.
+void interp_planes(const MgSpec& spec, const double* coarse, extent_t nc,
+                   double* fine, extent_t nf, extent_t lo, extent_t hi,
+                   extent_t flo, extent_t fhi, double* __restrict z1,
+                   double* __restrict z2, double* __restrict z3);
 
 }  // namespace sacpp::mg

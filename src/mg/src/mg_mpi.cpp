@@ -77,6 +77,7 @@ class RankSolver {
     }
     v_.init(spec_.extended_extent(lt_),
             (extent_t{1} << lt_) / ranks_);
+    lines_.assign(3 * static_cast<std::size_t>(v_.n), 0.0);
     if (kd_ > kLb && comm_.rank() == 0) {
       tail_ = std::make_unique<MgRef>(
           MgSpec::custom(extent_t{1} << kd_, 1, spec_.s[0] == -3.0 / 17.0));
@@ -216,216 +217,72 @@ class RankSolver {
     exchange_planes(s, tag);
   }
 
-  // -- kernels (reference arithmetic on slabs) ------------------------------
+  // -- kernels (the reference's plane-range kernels on slabs) ---------------
 
-  // One output plane of the residual; planes are independent (u and v are
-  // only read), which is what licenses the overlapped sweep below.
-  void resid_plane(const Slab& u, const Slab& v, Slab& r, extent_t l) {
-    const double a0 = spec_.a[0], a2 = spec_.a[2], a3 = spec_.a[3];
-    const extent_t n = u.n;
-    std::vector<double> u1(static_cast<std::size_t>(n)),
-        u2(static_cast<std::size_t>(n));
-    const double* um = u.plane(l - 1);
-    const double* uc = u.plane(l);
-    const double* up = u.plane(l + 1);
-    const double* vc = v.plane(l);
-    double* rc = r.plane(l);
-    for (extent_t j = 1; j < n - 1; ++j) {
-      const double* ucm = uc + (j - 1) * n;
-      const double* ucp = uc + (j + 1) * n;
-      const double* umr = um + j * n;
-      const double* upr = up + j * n;
-      for (extent_t k = 0; k < n; ++k) {
-        u1[static_cast<std::size_t>(k)] = ucm[k] + ucp[k] + umr[k] + upr[k];
-        u2[static_cast<std::size_t>(k)] =
-            um[(j - 1) * n + k] + um[(j + 1) * n + k] +
-            up[(j - 1) * n + k] + up[(j + 1) * n + k];
-      }
-      const double* ur = uc + j * n;
-      const double* vr = vc + j * n;
-      double* rr = rc + j * n;
-      for (extent_t k = 1; k < n - 1; ++k) {
-        rr[k] = vr[k] - a0 * ur[k] -
-                a2 * (u2[static_cast<std::size_t>(k)] +
-                      u1[static_cast<std::size_t>(k - 1)] +
-                      u1[static_cast<std::size_t>(k + 1)]) -
-                a3 * (u2[static_cast<std::size_t>(k - 1)] +
-                      u2[static_cast<std::size_t>(k + 1)]);
-      }
+  // A smoother or residual sweep writing the owned planes of `out`, then its
+  // borders and halo exchange.  `planes(lo, hi)` computes the planes
+  // [lo, hi); each reads its input planes l-1 .. l+1 and writes only plane
+  // l, so the planes of a sweep are independent.  That licenses the
+  // overlapped schedule: boundary planes first, since they are all the
+  // neighbours need, then the interior while the exchange flies.  Identical
+  // arithmetic per plane, only the schedule differs.
+  template <class Planes>
+  void sweep(Slab& out, int tag, const Planes& planes) {
+    if (overlap_ && out.m >= 2) {
+      planes(1, 2);
+      planes(out.m, out.m + 1);
+      apply_jk_borders(out, 1);
+      apply_jk_borders(out, out.m);
+      ExchangeHandles h = begin_exchange(out, tag);
+      planes(2, out.m);
+      for (extent_t l = 2; l < out.m; ++l) apply_jk_borders(out, l);
+      end_exchange(h, out.n);
+      return;
     }
+    planes(1, out.m + 1);
+    comm3_slab(out, tag);
   }
 
   void resid_slab(const Slab& u, const Slab& v, Slab& r) {
     obs::ScopedSpan span(obs::SpanKind::kKernel, "resid", u.n);
-    if (overlap_ && r.m >= 2) {
-      // Boundary planes first: they are all the neighbours need, so the
-      // exchange flies while the interior planes compute.  Identical
-      // arithmetic per plane, only the schedule differs.
-      resid_plane(u, v, r, 1);
-      resid_plane(u, v, r, r.m);
-      apply_jk_borders(r, 1);
-      apply_jk_borders(r, r.m);
-      ExchangeHandles h = begin_exchange(r, 10);
-      for (extent_t l = 2; l < r.m; ++l) resid_plane(u, v, r, l);
-      for (extent_t l = 2; l < r.m; ++l) apply_jk_borders(r, l);
-      end_exchange(h, r.n);
-      return;
-    }
-    for (extent_t l = 1; l <= u.m; ++l) resid_plane(u, v, r, l);
-    comm3_slab(r, 10);
-  }
-
-  // One output plane of the smoother.  Reads r planes l-1..l+1, writes only
-  // u plane l, so the planes of a sweep are mutually independent.
-  void psinv_plane(const Slab& r, Slab& u, extent_t l) {
-    const double c0 = spec_.s[0], c1 = spec_.s[1], c2 = spec_.s[2];
-    const extent_t n = r.n;
-    std::vector<double> r1(static_cast<std::size_t>(n)),
-        r2(static_cast<std::size_t>(n));
-    const double* rm = r.plane(l - 1);
-    const double* rc = r.plane(l);
-    const double* rp = r.plane(l + 1);
-    double* uc = u.plane(l);
-    for (extent_t j = 1; j < n - 1; ++j) {
-      const double* rcm = rc + (j - 1) * n;
-      const double* rcp = rc + (j + 1) * n;
-      const double* rmr = rm + j * n;
-      const double* rpr = rp + j * n;
-      for (extent_t k = 0; k < n; ++k) {
-        r1[static_cast<std::size_t>(k)] = rcm[k] + rcp[k] + rmr[k] + rpr[k];
-        r2[static_cast<std::size_t>(k)] =
-            rm[(j - 1) * n + k] + rm[(j + 1) * n + k] +
-            rp[(j - 1) * n + k] + rp[(j + 1) * n + k];
-      }
-      const double* rr = rc + j * n;
-      double* ur = uc + j * n;
-      for (extent_t k = 1; k < n - 1; ++k) {
-        ur[k] += c0 * rr[k] +
-                 c1 * (rr[k - 1] + rr[k + 1] +
-                       r1[static_cast<std::size_t>(k)]) +
-                 c2 * (r2[static_cast<std::size_t>(k)] +
-                       r1[static_cast<std::size_t>(k - 1)] +
-                       r1[static_cast<std::size_t>(k + 1)]);
-      }
-    }
+    sweep(r, 10, [&](extent_t lo, extent_t hi) {
+      resid_planes(spec_, u.plane(0), v.plane(0), r.plane(0), u.n, lo, hi,
+                   line(0), line(1));
+    });
   }
 
   void psinv_slab(const Slab& r, Slab& u) {
     obs::ScopedSpan span(obs::SpanKind::kKernel, "psinv", r.n);
-    if (overlap_ && u.m >= 2) {
-      psinv_plane(r, u, 1);
-      psinv_plane(r, u, u.m);
-      apply_jk_borders(u, 1);
-      apply_jk_borders(u, u.m);
-      ExchangeHandles h = begin_exchange(u, 20);
-      for (extent_t l = 2; l < u.m; ++l) psinv_plane(r, u, l);
-      for (extent_t l = 2; l < u.m; ++l) apply_jk_borders(u, l);
-      end_exchange(h, u.n);
-      return;
-    }
-    for (extent_t l = 1; l <= r.m; ++l) psinv_plane(r, u, l);
-    comm3_slab(u, 20);
+    sweep(u, 20, [&](extent_t lo, extent_t hi) {
+      psinv_planes(spec_, r.plane(0), u.plane(0), r.n, lo, hi, line(0),
+                   line(1));
+    });
   }
 
+  // Coarse local plane l restricts fine local planes 2l-1 .. 2l+1, aligned
+  // because the fine slab's m is even here.
   void rprj3_slab(const Slab& fine, Slab& coarse) {
     obs::ScopedSpan span(obs::SpanKind::kKernel, "rprj3", fine.n);
-    const double p0 = spec_.p[0], p1 = spec_.p[1], p2 = spec_.p[2],
-                 p3 = spec_.p[3];
-    const extent_t nf = fine.n, nc = coarse.n;
-    std::vector<double> x1(static_cast<std::size_t>(nf)),
-        y1(static_cast<std::size_t>(nf));
-    for (extent_t lc = 1; lc <= coarse.m; ++lc) {
-      const extent_t lf = 2 * lc;  // aligned because m is even here
-      const double* fm = fine.plane(lf - 1);
-      const double* fc = fine.plane(lf);
-      const double* fp = fine.plane(lf + 1);
-      double* cp = coarse.plane(lc);
-      for (extent_t kc = 1; kc < nc - 1; ++kc) {
-        const extent_t j = 2 * kc;
-        for (extent_t k = 1; k < nf; ++k) {
-          x1[static_cast<std::size_t>(k)] =
-              fm[(j - 1) * nf + k] + fm[(j + 1) * nf + k] +
-              fp[(j - 1) * nf + k] + fp[(j + 1) * nf + k];
-          y1[static_cast<std::size_t>(k)] =
-              fc[(j - 1) * nf + k] + fc[(j + 1) * nf + k] +
-              fm[j * nf + k] + fp[j * nf + k];
-        }
-        const double* fr = fc + j * nf;
-        double* cr = cp + kc * nc;
-        for (extent_t mc = 1; mc < nc - 1; ++mc) {
-          const extent_t k = 2 * mc;
-          cr[mc] = p0 * fr[k] + p1 * (fr[k - 1] + fr[k + 1] +
-                                      y1[static_cast<std::size_t>(k)]) +
-                   p2 * (x1[static_cast<std::size_t>(k)] +
-                         y1[static_cast<std::size_t>(k - 1)] +
-                         y1[static_cast<std::size_t>(k + 1)]) +
-                   p3 * (x1[static_cast<std::size_t>(k - 1)] +
-                         x1[static_cast<std::size_t>(k + 1)]);
-        }
-      }
-    }
+    rprj3_planes(spec_, fine.plane(0), fine.n, coarse.plane(0), coarse.n, 1,
+                 coarse.m + 1, line(0), line(1));
     comm3_slab(coarse, 30);
   }
 
-  // Additive prolongation; afterwards the fine halos are refreshed by a
-  // plane exchange (equivalent to the ghost values the serial interp
-  // writes, see the derivation in DESIGN.md).
+  // Additive prolongation of coarse cells 0 .. m into the owned fine planes
+  // (cell 0 adds only to fine plane 1, cell m only to plane 2m); afterwards
+  // the fine halos are refreshed by a plane exchange (equivalent to the
+  // ghost values the serial interp writes, see the derivation in
+  // DESIGN.md).
   void interp_slab(const Slab& coarse, Slab& fine) {
     obs::ScopedSpan span(obs::SpanKind::kKernel, "interp", fine.n);
-    const double q1 = spec_.q[1], q2 = spec_.q[2], q3 = spec_.q[3];
-    const extent_t nf = fine.n, nc = coarse.n;
-    std::vector<double> z1(static_cast<std::size_t>(nc)),
-        z2(static_cast<std::size_t>(nc)), z3(static_cast<std::size_t>(nc));
-    for (extent_t lc = 0; lc <= coarse.m; ++lc) {
-      const extent_t f_even = 2 * lc;      // local fine plane of this cell
-      const extent_t f_odd = 2 * lc + 1;
-      const bool write_even = f_even >= 1 && f_even <= fine.m;
-      const bool write_odd = f_odd >= 1 && f_odd <= fine.m;
-      if (!write_even && !write_odd) continue;
-      const double* zc0 = coarse.plane(lc);
-      const double* zc1 = coarse.plane(lc + 1);
-      for (extent_t cj = 0; cj < nc - 1; ++cj) {
-        const double* zc = zc0 + cj * nc;
-        const double* zcj = zc0 + (cj + 1) * nc;
-        const double* zci = zc1 + cj * nc;
-        const double* zcc = zc1 + (cj + 1) * nc;
-        for (extent_t k = 0; k < nc; ++k) {
-          z1[static_cast<std::size_t>(k)] = zcj[k] + zc[k];
-          z2[static_cast<std::size_t>(k)] = zci[k] + zc[k];
-          z3[static_cast<std::size_t>(k)] =
-              zcc[k] + zci[k] + z1[static_cast<std::size_t>(k)];
-        }
-        double* f0j = write_even ? fine.plane(f_even) + 2 * cj * nf : nullptr;
-        double* f0J = write_even
-                          ? fine.plane(f_even) + (2 * cj + 1) * nf
-                          : nullptr;
-        double* f1j = write_odd ? fine.plane(f_odd) + 2 * cj * nf : nullptr;
-        double* f1J = write_odd ? fine.plane(f_odd) + (2 * cj + 1) * nf
-                                : nullptr;
-        for (extent_t ck = 0; ck < nc - 1; ++ck) {
-          const extent_t k = 2 * ck;
-          const auto c = static_cast<std::size_t>(ck);
-          if (write_even) {
-            f0j[k] += zc[ck];
-            f0j[k + 1] += q1 * (zc[ck + 1] + zc[ck]);
-            f0J[k] += q1 * z1[c];
-            f0J[k + 1] += q2 * (z1[c] + z1[c + 1]);
-          }
-          if (write_odd) {
-            f1j[k] += q1 * z2[c];
-            f1j[k + 1] += q2 * (z2[c] + z2[c + 1]);
-            f1J[k] += q2 * z3[c];
-            f1J[k + 1] += q3 * (z3[c] + z3[c + 1]);
-          }
-        }
-      }
-    }
+    interp_planes(spec_, coarse.plane(0), coarse.n, fine.plane(0), fine.n, 0,
+                  coarse.m + 1, 1, fine.m + 1, line(0), line(1), line(2));
     exchange_planes(fine, 40);
   }
 
-  // Gather the coarsest distributed level to rank 0, run the remaining
-  // V-cycle levels with the serial reference kernels, scatter the
-  // correction back.
+  // Gather the coarsest distributed level to rank 0, run the V-cycle below
+  // it with the serial reference (MgRef::vcycle), scatter the correction
+  // back.
   void coarse_tail() {
     Slab& rk = r_[static_cast<std::size_t>(kd_)];
     Slab& uk = u_[static_cast<std::size_t>(kd_)];
@@ -449,36 +306,19 @@ class RankSolver {
                   pe * sizeof(double));
       std::memcpy(rt.data() + static_cast<std::size_t>(planes + 1) * pe,
                   rt.data() + pe, pe * sizeof(double));
-
-      // The serial tail: exactly what mg3p does for levels <= kd.
-      for (int k = kd_; k > kLb; --k) {
-        tail_->kernel_rprj3(tail_->level_r_span(k).data(),
-                            tail_->level_extent(k),
-                            tail_->level_r_span(k - 1).data(),
-                            tail_->level_extent(k - 1));
-      }
-      auto ub = tail_->level_u_span(kLb);
-      std::fill(ub.begin(), ub.end(), 0.0);
-      tail_->kernel_psinv(tail_->level_r_span(kLb).data(), ub.data(),
-                          tail_->level_extent(kLb));
-      for (int k = kLb + 1; k <= kd_; ++k) {
-        auto ukk = tail_->level_u_span(k);
-        std::fill(ukk.begin(), ukk.end(), 0.0);
-        tail_->kernel_interp(tail_->level_u_span(k - 1).data(),
-                             tail_->level_extent(k - 1), ukk.data(),
-                             tail_->level_extent(k));
-        tail_->kernel_resid(ukk.data(), tail_->level_r_span(k).data(),
-                            tail_->level_r_span(k).data(),
-                            tail_->level_extent(k));
-        tail_->kernel_psinv(tail_->level_r_span(k).data(), ukk.data(),
-                            tail_->level_extent(k));
-      }
+      tail_->vcycle(kd_);
       std::memcpy(full_u.data(), tail_->level_u_span(kd_).data() + pe,
                   full_u.size() * sizeof(double));
     }
     comm_.scatter(0, std::span<const double>(full_u),
                   std::span<double>(uk.plane(1), pe * uk.m));
     exchange_planes(uk, 50);  // periodic halos of the scattered correction
+  }
+
+  // Line buffer `i` of the three the kernels share, each a row of the
+  // finest level.
+  double* line(int i) {
+    return lines_.data() + static_cast<std::size_t>(i) * v_.n;
   }
 
   MgSpec spec_;
@@ -489,6 +329,7 @@ class RankSolver {
   int kd_;  // coarsest distributed level
   std::vector<Slab> u_, r_;
   Slab v_;
+  std::vector<double> lines_;    // the kernels' line buffers
   std::unique_ptr<MgRef> tail_;  // rank 0 only
 };
 

@@ -32,10 +32,10 @@ namespace sacpp::msg {
 
 class World;
 
-// Reserved tags of the transport-backed collectives (World routes its
-// barrier/allreduce over point-to-point traffic when bound to a Transport;
-// the in-process world keeps its shared-memory implementations).  All are
-// <= -1000 so collective_tag() exempts them from mailbox caps, and
+// Reserved tags of barrier and allreduce, which World runs over its own
+// point-to-point traffic on both substrates (mailboxes in-process, the
+// Transport for remote ranks) and keeps out of the traffic counters.  All
+// are <= -1000 so collective_tag() exempts them from mailbox caps, and
 // net::classify_tag (src/net/session.hpp) can label them at the frame layer.
 inline constexpr int kBarrierGatherTag = -1003;   // leaf -> root token
 inline constexpr int kBarrierReleaseTag = -1004;  // root -> leaf release
@@ -144,7 +144,10 @@ struct WorldStats {
 // mailbox blocks until the consumer drains below the cap — classic
 // credit-style backpressure.  Collectives use reserved tags and are exempt
 // from the cap (they are self-limiting: at most one in flight per rank), so
-// bounding point-to-point traffic cannot deadlock a barrier.
+// bounding point-to-point traffic cannot deadlock a barrier.  They are
+// rooted exchanges over these same mailboxes, so a rank whose program ends
+// before a collective makes its peers' collective throw the receive
+// diagnostic instead of hanging.
 class World {
  public:
   explicit World(int ranks, std::size_t max_mailbox_messages = 0);
@@ -153,8 +156,8 @@ class World {
   // (transport.rank()) of transport.size(); peers are other OS processes.
   // run() executes fn exactly once, on the local rank, and every remote
   // send/recv routes through the transport (self-traffic stays in a local
-  // mailbox).  Collectives run over point-to-point traffic with reserved
-  // tags, bit-identical in result to the in-process implementations.  The
+  // mailbox).  Collectives run the same point-to-point algorithm as
+  // in-process, so results are bit-identical across the substrates.  The
   // transport must outlive the world.
   explicit World(Transport& transport);
 
@@ -208,15 +211,16 @@ class World {
     std::list<Message> messages;
   };
 
+  // A counted point-to-point send (Comm::send and the rooted collectives).
   void deliver(int source, int dest, int tag, std::span<const double> data);
-  void barrier_wait();
+  // Route one message to `dest` without counting it: the transport for a
+  // remote rank, else dest's mailbox.  Returns whether it waited on
+  // backpressure.
+  bool post(int source, int dest, int tag, std::span<const double> data);
+  // Gather-to-root barrier and allreduce over post/receive on the reserved
+  // tags; the root folds in rank order.
+  void barrier(int rank);
   double reduce(int rank, double value, bool maximum);
-
-  // Transport-mode collectives (flat gather-to-root over reserved tags; the
-  // root accumulates in rank order so results are bit-identical to the
-  // in-process reduce_slots_ implementation).
-  void barrier_transport();
-  double reduce_transport(double value, bool maximum);
 
   // Wake every mailbox waiter so blocked receives/sends re-check the
   // running/finished state (called when a rank's program returns and when
@@ -233,15 +237,6 @@ class World {
   // so waiters cannot miss the transition.
   std::atomic<bool> running_{false};
   std::unique_ptr<std::atomic<bool>[]> rank_done_;
-
-  // barrier state (central, generation-counted)
-  TrackedMutex barrier_mutex_{"msg.barrier"};
-  std::condition_variable_any barrier_cv_;
-  int barrier_waiting_ = 0;
-  std::uint64_t barrier_generation_ = 0;
-
-  // reduction state (contribute-then-read with two internal barriers)
-  std::vector<double> reduce_slots_;
 
   WorldStats stats_;
   mutable TrackedMutex stats_mutex_{"msg.stats"};

@@ -107,7 +107,6 @@ World::World(int ranks, std::size_t max_mailbox_messages)
   for (int r = 0; r < ranks; ++r) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
   }
-  reduce_slots_.assign(static_cast<std::size_t>(ranks), 0.0);
   rank_done_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
@@ -117,31 +116,16 @@ World::World(int ranks, std::size_t max_mailbox_messages)
   register_world(this);
 }
 
-World::World(Transport& transport)
-    : ranks_(transport.size()),
-      mailbox_cap_(0),
-      transport_(&transport),
-      local_rank_(transport.rank()) {
-  SACPP_REQUIRE(ranks_ >= 1, "message-passing world needs >= 1 rank");
+// Mailboxes exist for every rank so indexing stays uniform, but only the
+// local rank's box ever holds traffic (self-sends; 1-rank worlds exchange
+// halos with themselves).  Remote ranks stay rank_done_ = true: receive()
+// routes remote sources to the transport before consulting that flag.
+World::World(Transport& transport) : World(transport.size()) {
+  transport_ = &transport;
+  local_rank_ = transport.rank();
   SACPP_REQUIRE(local_rank_ >= 0 && local_rank_ < ranks_,
                 "transport rank out of range for its world size");
-  // Mailboxes exist for every rank so indexing stays uniform, but only the
-  // local rank's box ever holds traffic (self-sends; 1-rank worlds exchange
-  // halos with themselves).  Remote ranks stay rank_done_ = true: receive()
-  // routes remote sources to the transport before consulting that flag.
-  mailboxes_.reserve(static_cast<std::size_t>(ranks_));
-  for (int r = 0; r < ranks_; ++r) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
-  }
-  reduce_slots_.assign(static_cast<std::size_t>(ranks_), 0.0);
-  rank_done_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(ranks_));
-  for (int r = 0; r < ranks_; ++r) {
-    rank_done_[static_cast<std::size_t>(r)].store(true,
-                                                  std::memory_order_relaxed);
-  }
   stats_base_ = transport.stats();
-  register_world(this);
 }
 
 World::~World() { unregister_world(this); }
@@ -215,14 +199,27 @@ void World::deliver(int source, int dest, int tag,
   if (obs::enabled()) [[unlikely]] {
     obs::observe(obs::Hist::kMsgBytes, payload_bytes);
   }
+  const bool blocked = post(source, dest, tag, data);
+  std::lock_guard<TrackedMutex> lock(stats_mutex_);
+  stats_.messages += 1;
+  stats_.bytes += payload_bytes;
+  if (blocked) stats_.send_blocked += 1;
+  if (transport_ == nullptr) {
+    // In-process hop: both directions are the same local copy.  (A
+    // transport world's directional counters are the wire's, merged in by
+    // stats(); its self-traffic never touches the wire.)
+    stats_.bytes_sent += payload_bytes;
+    stats_.bytes_received += payload_bytes;
+  }
+}
+
+bool World::post(int source, int dest, int tag,
+                 std::span<const double> data) {
   if (transport_ != nullptr && dest != local_rank_) {
     // Remote rank: hand off to the wire.  The transport owns directional
     // byte accounting (headers included); stats() merges it back in.
     transport_->send(dest, tag, data);
-    std::lock_guard<TrackedMutex> lock(stats_mutex_);
-    stats_.messages += 1;
-    stats_.bytes += payload_bytes;
-    return;
+    return false;
   }
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dest)];
   bool blocked = false;
@@ -254,19 +251,7 @@ void World::deliver(int source, int dest, int tag,
         Message{source, tag, std::vector<double>(data.begin(), data.end())});
   }
   box.arrived.notify_all();
-  {
-    std::lock_guard<TrackedMutex> lock(stats_mutex_);
-    stats_.messages += 1;
-    stats_.bytes += payload_bytes;
-    if (blocked) stats_.send_blocked += 1;
-    if (transport_ == nullptr) {
-      // In-process hop: both directions are the same local copy.  (A
-      // transport world's self-traffic never touches the wire, so its
-      // directional counters stay wire-only.)
-      stats_.bytes_sent += payload_bytes;
-      stats_.bytes_received += payload_bytes;
-    }
-  }
+  return blocked;
 }
 
 void World::receive(int self, int source, int tag, std::span<double> out) {
@@ -341,95 +326,57 @@ std::size_t World::mailbox_depth(int self) const {
   return box.messages.size();
 }
 
-void World::barrier_wait() {
-  if (transport_ != nullptr) {
-    barrier_transport();
-    return;
-  }
+// Flat gather-to-root collectives over the world's own point-to-point, on
+// reserved tags and outside the traffic counters: every leaf posts a token
+// (or its contribution) to rank 0, which answers once all have arrived.
+// Two sequential hops — fine at the rank counts MG uses (2-8); a tree can
+// replace it without touching callers.  Waiting on a rank whose program
+// already finished fails like any receive instead of hanging.
+void World::barrier(int rank) {
   obs::ScopedSpan span(obs::SpanKind::kCollective, "barrier");
-  std::unique_lock<TrackedMutex> lock(barrier_mutex_);
-  const std::uint64_t generation = barrier_generation_;
-  if (++barrier_waiting_ == ranks_) {
-    barrier_waiting_ = 0;
-    ++barrier_generation_;
-    {
-      std::lock_guard<TrackedMutex> slock(stats_mutex_);
-      stats_.barriers += 1;
+  double token = 0.0;
+  if (rank == 0) {
+    for (int r = 1; r < ranks_; ++r) {
+      receive(0, r, kBarrierGatherTag, std::span<double>(&token, 1));
     }
-    barrier_cv_.notify_all();
-    return;
+    for (int r = 1; r < ranks_; ++r) {
+      post(0, r, kBarrierReleaseTag, std::span<const double>(&token, 1));
+    }
+  } else {
+    post(rank, 0, kBarrierGatherTag, std::span<const double>(&token, 1));
+    receive(rank, 0, kBarrierReleaseTag, std::span<double>(&token, 1));
   }
-  barrier_cv_.wait(lock, [&] { return barrier_generation_ != generation; });
+  // One count per barrier in each world: the in-process world hosts every
+  // rank and counts on rank 0, a transport world counts its own rank's.
+  if (rank == local_rank_) {
+    std::lock_guard<TrackedMutex> lock(stats_mutex_);
+    stats_.barriers += 1;
+  }
 }
 
 double World::reduce(int rank, double value, bool maximum) {
-  if (transport_ != nullptr) return reduce_transport(value, maximum);
-  obs::ScopedSpan span(obs::SpanKind::kCollective, "reduce");
-  reduce_slots_[static_cast<std::size_t>(rank)] = value;
-  barrier_wait();  // all contributions visible
-  double acc = maximum ? reduce_slots_[0] : 0.0;
-  for (int r = 0; r < ranks_; ++r) {
-    const double v = reduce_slots_[static_cast<std::size_t>(r)];
-    acc = maximum ? std::max(acc, v) : acc + v;
-  }
-  barrier_wait();  // slots free for the next reduction
-  if (rank == 0) {
-    std::lock_guard<TrackedMutex> slock(stats_mutex_);
-    stats_.reductions += 1;
-  }
-  return acc;
-}
-
-// Flat gather-to-root barrier over reserved tags: every leaf posts a token
-// to rank 0, which releases them once all have arrived.  Two sequential
-// hops on loopback — fine at the rank counts MG uses (2-8); a tree can
-// replace it without touching callers.
-void World::barrier_transport() {
-  obs::ScopedSpan span(obs::SpanKind::kCollective, "barrier");
-  double token = 0.0;
-  if (local_rank_ == 0) {
-    for (int r = 1; r < ranks_; ++r) {
-      transport_->recv(r, kBarrierGatherTag, std::span<double>(&token, 1));
-    }
-    for (int r = 1; r < ranks_; ++r) {
-      transport_->send(r, kBarrierReleaseTag,
-                       std::span<const double>(&token, 1));
-    }
-  } else {
-    transport_->send(0, kBarrierGatherTag, std::span<const double>(&token, 1));
-    transport_->recv(0, kBarrierReleaseTag, std::span<double>(&token, 1));
-  }
-  std::lock_guard<TrackedMutex> slock(stats_mutex_);
-  stats_.barriers += 1;
-}
-
-double World::reduce_transport(double value, bool maximum) {
   obs::ScopedSpan span(obs::SpanKind::kCollective, "reduce");
   double acc = 0.0;
-  if (local_rank_ == 0) {
-    // Fill the slots exactly as the shared-memory reduction does, then
-    // accumulate in rank order with the same formula — floating-point
-    // addition is order-sensitive, and bit-identical norms across the two
-    // substrates are a test invariant (tests/net_world_test.cpp).
-    reduce_slots_[0] = value;
+  if (rank == 0) {
+    // Accumulate in rank order: floating-point addition is order-sensitive,
+    // and bit-identical norms across rank counts and substrates are a test
+    // invariant (tests/net_world_test.cpp).
+    std::vector<double> slots(static_cast<std::size_t>(ranks_));
+    slots[0] = value;
     for (int r = 1; r < ranks_; ++r) {
-      transport_->recv(
-          r, kReduceContribTag,
-          std::span<double>(&reduce_slots_[static_cast<std::size_t>(r)], 1));
+      receive(0, r, kReduceContribTag,
+              std::span<double>(&slots[static_cast<std::size_t>(r)], 1));
     }
-    acc = maximum ? reduce_slots_[0] : 0.0;
-    for (int r = 0; r < ranks_; ++r) {
-      const double v = reduce_slots_[static_cast<std::size_t>(r)];
-      acc = maximum ? std::max(acc, v) : acc + v;
-    }
+    acc = maximum ? slots[0] : 0.0;
+    for (const double v : slots) acc = maximum ? std::max(acc, v) : acc + v;
     for (int r = 1; r < ranks_; ++r) {
-      transport_->send(r, kReduceResultTag, std::span<const double>(&acc, 1));
+      post(0, r, kReduceResultTag, std::span<const double>(&acc, 1));
     }
-    std::lock_guard<TrackedMutex> slock(stats_mutex_);
+    std::lock_guard<TrackedMutex> lock(stats_mutex_);
     stats_.reductions += 1;
   } else {
-    transport_->send(0, kReduceContribTag, std::span<const double>(&value, 1));
-    transport_->recv(0, kReduceResultTag, std::span<double>(&acc, 1));
+    post(rank, 0, kReduceContribTag, std::span<const double>(&value, 1));
+    receive(rank, 0, kReduceResultTag, std::span<double>(&acc, 1));
   }
   return acc;
 }
@@ -492,7 +439,7 @@ bool Comm::Request::test() {
 
 void Comm::reset_world_stats() { world_->reset_stats(); }
 
-void Comm::barrier() { world_->barrier_wait(); }
+void Comm::barrier() { world_->barrier(rank_); }
 
 double Comm::allreduce_sum(double value) {
   return world_->reduce(rank_, value, /*maximum=*/false);

@@ -152,7 +152,9 @@ constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 15;
 struct ThreadRec {
   std::uint32_t tid = 0;
   std::string name;
-  std::unique_ptr<SpanRing> ring;  // created on first record
+  // Created by the owner thread on its first record and published under
+  // the registry mutex, which snapshot readers hold to load it.
+  std::unique_ptr<SpanRing> ring;
 };
 
 // Ring capacity: SACPP_OBS_RING when set to a positive count.
@@ -194,8 +196,11 @@ ThreadRec& thread_rec() {
 
 SpanRing& thread_ring() {
   ThreadRec& rec = thread_rec();
-  if (rec.ring == nullptr) {
-    rec.ring = std::make_unique<SpanRing>(registry().ring_capacity);
+  if (rec.ring == nullptr) [[unlikely]] {  // only the owner writes it
+    Registry& reg = registry();
+    auto ring = std::make_unique<SpanRing>(reg.ring_capacity);
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    rec.ring = std::move(ring);
   }
   return *rec.ring;
 }
@@ -235,8 +240,9 @@ std::uint64_t next_region_id() noexcept {
 
 std::vector<ThreadSpans> snapshot_spans() {
   Registry& reg = registry();
-  // Collect the rec pointers under the lock, then read rings lock-free (the
-  // vector is append-only and recs are never destroyed).
+  // Collect the rec pointers under the lock, then each rec's name and ring
+  // pointer under it again and the ring's spans lock-free (the vector is
+  // append-only, and recs and rings are never destroyed).
   std::vector<ThreadRec*> recs;
   {
     std::lock_guard<std::mutex> lock(reg.mutex);
@@ -248,14 +254,16 @@ std::vector<ThreadSpans> snapshot_spans() {
   for (ThreadRec* rec : recs) {
     ThreadSpans ts;
     ts.tid = rec->tid;
+    const SpanRing* ring = nullptr;
     {
       std::lock_guard<std::mutex> lock(reg.mutex);
       ts.name = rec->name;
+      ring = rec->ring.get();
     }
-    if (rec->ring != nullptr) {
-      ts.recorded = rec->ring->recorded();
-      ts.overwritten = rec->ring->overwritten();
-      ts.spans = rec->ring->snapshot();
+    if (ring != nullptr) {
+      ts.recorded = ring->recorded();
+      ts.overwritten = ring->overwritten();
+      ts.spans = ring->snapshot();
     }
     out.push_back(std::move(ts));
   }

@@ -1,7 +1,8 @@
 #include "sacpp/sac/stencil.hpp"
 
-#include <map>
+#include <array>
 #include <memory>
+#include <mutex>
 
 namespace sacpp::sac {
 
@@ -28,10 +29,13 @@ StencilTable::StencilTable(std::size_t rank) {
 
 const StencilTable& StencilTable::for_rank(std::size_t rank) {
   SACPP_REQUIRE(rank >= 1 && rank <= 8, "stencil rank must be in [1, 8]");
-  static std::map<std::size_t, std::unique_ptr<StencilTable>> cache;
-  auto& slot = cache[rank];
-  if (!slot) slot.reset(new StencilTable(rank));
-  return *slot;
+  // Built on first use, once per rank, by whichever thread gets there
+  // first (concurrent solves construct their first stencils together).
+  static std::array<std::unique_ptr<StencilTable>, 9> tables;
+  static std::array<std::once_flag, 9> built;
+  std::call_once(built[rank],
+                 [rank] { tables[rank].reset(new StencilTable(rank)); });
+  return *tables[rank];
 }
 
 StencilExpr::WrapMaps::WrapMaps(const Shape& shp) : axes_(shp.rank()) {

@@ -70,18 +70,21 @@ TEST(CheckLockOrder, DetectsSeededAbbaInversion) {
   // The canonical deadlock seed: one thread locks A then B, another locks B
   // then A.  Neither run wedges here (the threads are joined sequentially),
   // which is exactly the point — the cycle is found from the recorded
-  // orders, not from an actual deadlock.
-  TrackedMutex a("test.abba.a");
-  TrackedMutex b("test.abba.b");
+  // orders, not from an actual deadlock.  The graph orders lock names, so
+  // each thread takes its own instances: the analyzer still sees A -> B ->
+  // A, while no two instances are ever taken in both orders (which a
+  // sanitizer's deadlock detector would rightly report on its own).
+  TrackedMutex a1("test.abba.a"), a2("test.abba.a");
+  TrackedMutex b1("test.abba.b"), b2("test.abba.b");
   LockOrderSession session;
   std::thread t1([&] {
-    std::lock_guard<TrackedMutex> g1(a);
-    std::lock_guard<TrackedMutex> g2(b);
+    std::lock_guard<TrackedMutex> g1(a1);
+    std::lock_guard<TrackedMutex> g2(b1);
   });
   t1.join();
   std::thread t2([&] {
-    std::lock_guard<TrackedMutex> g1(b);
-    std::lock_guard<TrackedMutex> g2(a);
+    std::lock_guard<TrackedMutex> g1(b2);
+    std::lock_guard<TrackedMutex> g2(a2);
   });
   t2.join();
 
@@ -115,22 +118,24 @@ TEST(CheckLockOrder, SameClassNestingIsReentryNotACycle) {
 }
 
 TEST(CheckLockOrder, SessionResetsEdgesBetweenWindows) {
-  TrackedMutex a("test.window.a");
-  TrackedMutex b("test.window.b");
+  // The inverted order runs on other instances of the same names, as in
+  // DetectsSeededAbbaInversion.
+  TrackedMutex a1("test.window.a"), a2("test.window.a");
+  TrackedMutex b1("test.window.b"), b2("test.window.b");
   {
     LockOrderSession inverted;
-    std::lock_guard<TrackedMutex> g1(a);
-    std::lock_guard<TrackedMutex> g2(b);
+    std::lock_guard<TrackedMutex> g1(a1);
+    std::lock_guard<TrackedMutex> g2(b1);
   }
   {
-    std::lock_guard<TrackedMutex> g1(b);  // would complete the cycle...
-    std::lock_guard<TrackedMutex> g2(a);
+    std::lock_guard<TrackedMutex> g1(b2);  // would complete the cycle...
+    std::lock_guard<TrackedMutex> g2(a2);
     // ...but the first window is over: no session is tracing here.
   }
   LockOrderSession fresh;
   {
-    std::lock_guard<TrackedMutex> g1(b);
-    std::lock_guard<TrackedMutex> g2(a);
+    std::lock_guard<TrackedMutex> g1(b2);
+    std::lock_guard<TrackedMutex> g2(a2);
   }
   // Only the second window's (acyclic) order is on the books.
   DiagnosticEngine& engine = fresh.finish();

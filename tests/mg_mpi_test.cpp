@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "sacpp/mg/mg_mpi.hpp"
 #include "sacpp/mg/mg_ref.hpp"
@@ -72,6 +73,26 @@ TEST_P(MpiRanks, ClassSRhsSlabsEqualPlanesOfTheFullRhs) {
     EXPECT_TRUE(std::equal(slab.begin(), slab.end(), begin))
         << "rank " << rank << " of " << ranks;
   }
+}
+
+// The in-process traffic of a class-S solve's timed section, pinned: halo
+// planes, the coarse tail's gather/scatter, and the collectives (barrier and
+// allreduce tokens stay out of messages and bytes; one barrier per
+// Comm::barrier, one reduction per norm).
+TEST_P(MpiRanks, ClassSTrafficIsPinned) {
+  const int ranks = GetParam();
+  struct Traffic {
+    std::uint64_t messages, bytes;
+  };
+  const Traffic want = ranks == 1   ? Traffic{144, 415'744}
+                       : ranks == 2 ? Traffic{288, 831'488}
+                                    : Traffic{472, 1'643'264};
+  const MgSpec spec = MgSpec::for_class(MgClass::S);
+  const msg::WorldStats got = MgMpi(spec, ranks).run(spec.nit).comm;
+  EXPECT_EQ(got.messages, want.messages) << "ranks=" << ranks;
+  EXPECT_EQ(got.bytes, want.bytes) << "ranks=" << ranks;
+  EXPECT_EQ(got.reductions, 4u) << "ranks=" << ranks;
+  EXPECT_EQ(got.barriers, 5u) << "ranks=" << ranks;
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, MpiRanks, ::testing::Values(1, 2, 4));

@@ -1,12 +1,17 @@
 // The Fortran-77 reference port: each hand-optimised kernel is checked
 // against the independent SAC implementation on random grids (the
-// plane-sharing buffers must not change any value), plus arena/static-layout
+// plane-sharing buffers must not change any value), the shared plane-range
+// kernels against their own full-range call, plus arena/static-layout
 // properties.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sacpp/mg/mg_ref.hpp"
@@ -128,6 +133,181 @@ TEST(RefKernelAliasing, ResidSupportsVAliasingR) {
     ASSERT_DOUBLE_EQ(aliased[i], separate[i]) << i;
   }
 }
+
+// -- plane-range kernels ----------------------------------------------------
+//
+// MgOmp runs each shared kernel one plane at a time and MgMpi's overlapped
+// sweeps run boundary planes before the interior, so any split of a plane
+// range must give the full-range call's bits, and a call must write no plane
+// outside its range (nor, for interp, outside its fine window).  Outputs
+// that are only written start as a NaN sentinel; psinv and interp add into
+// theirs, where NaN + x would hide a stray write, so those planes must keep
+// their random starting bits instead.
+
+constexpr double kSentinel = std::numeric_limits<double>::quiet_NaN();
+using Range = std::pair<extent_t, extent_t>;
+
+// [lo, hi) cut into consecutive blocks of 0..3 planes: single planes, empty
+// ranges and uneven blocks all occur.
+std::vector<Range> random_split(extent_t lo, extent_t hi, std::mt19937_64& rng) {
+  std::uniform_int_distribution<extent_t> len(0, 3);
+  std::vector<Range> blocks;
+  for (extent_t a = lo; a < hi;) {
+    const extent_t b = std::min(hi, a + len(rng));
+    blocks.emplace_back(a, b);
+    a = b;
+  }
+  return blocks;
+}
+
+// A random non-empty sub-range of [lo, hi).
+Range random_subrange(extent_t lo, extent_t hi, std::mt19937_64& rng) {
+  std::uniform_int_distribution<extent_t> pick(lo, hi - 1);
+  const extent_t a = pick(rng), b = pick(rng);
+  return {std::min(a, b), std::max(a, b) + 1};
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Inside [lo, hi) every plane of `got` (an extended cube of extent n) holds
+// `want`'s bits; outside it still holds `before`'s.
+void expect_planes(const std::vector<double>& got,
+                   const std::vector<double>& want,
+                   const std::vector<double>& before, extent_t n, Range in) {
+  const auto pe = static_cast<std::size_t>(n * n);
+  for (extent_t p = 0; p < n; ++p) {
+    const bool inside = p >= in.first && p < in.second;
+    const double* expect = (inside ? want : before).data() +
+                           static_cast<std::size_t>(p) * pe;
+    EXPECT_EQ(std::memcmp(got.data() + static_cast<std::size_t>(p) * pe,
+                          expect, pe * sizeof(double)),
+              0)
+        << "plane " << p << (inside ? " differs from the full-range call"
+                                    : " outside the range was written")
+        << " (range [" << in.first << ", " << in.second << "))";
+  }
+}
+
+class PlaneRangeKernels : public ::testing::TestWithParam<unsigned> {
+ protected:
+  MgSpec spec_ = MgSpec::for_class(MgClass::S);
+  std::mt19937_64 rng_{GetParam()};
+  std::vector<double> b1_ = std::vector<double>(32), b2_ = b1_, b3_ = b1_;
+};
+
+TEST_P(PlaneRangeKernels, ResidAnySplitEqualsFullRange) {
+  const extent_t n = 18;
+  const auto u = random_cube(n, GetParam() + 10);
+  const auto v = random_cube(n, GetParam() + 11);
+  std::vector<double> full(u.size(), kSentinel);
+  resid_planes(spec_, u.data(), v.data(), full.data(), n, 1, n - 1,
+               b1_.data(), b2_.data());
+  std::vector<double> split(u.size(), kSentinel);
+  for (const auto& [lo, hi] : random_split(1, n - 1, rng_)) {
+    resid_planes(spec_, u.data(), v.data(), split.data(), n, lo, hi,
+                 b1_.data(), b2_.data());
+  }
+  EXPECT_TRUE(same_bits(split, full));
+  // In place (v aliasing r), as mg3P's upward leg runs it.
+  std::vector<double> in_place = v;
+  for (const auto& [lo, hi] : random_split(1, n - 1, rng_)) {
+    resid_planes(spec_, u.data(), in_place.data(), in_place.data(), n, lo,
+                 hi, b1_.data(), b2_.data());
+  }
+  std::vector<double> separate = v;
+  resid_planes(spec_, u.data(), v.data(), separate.data(), n, 1, n - 1,
+               b1_.data(), b2_.data());
+  EXPECT_TRUE(same_bits(in_place, separate));
+
+  const Range sub = random_subrange(1, n - 1, rng_);
+  const std::vector<double> before(u.size(), kSentinel);
+  std::vector<double> part = before;
+  resid_planes(spec_, u.data(), v.data(), part.data(), n, sub.first,
+               sub.second, b1_.data(), b2_.data());
+  expect_planes(part, full, before, n, sub);
+}
+
+TEST_P(PlaneRangeKernels, PsinvAnySplitEqualsFullRange) {
+  const extent_t n = 18;
+  const auto r = random_cube(n, GetParam() + 20);
+  const auto u0 = random_cube(n, GetParam() + 21);
+  std::vector<double> full = u0;
+  psinv_planes(spec_, r.data(), full.data(), n, 1, n - 1, b1_.data(),
+               b2_.data());
+  std::vector<double> split = u0;
+  for (const auto& [lo, hi] : random_split(1, n - 1, rng_)) {
+    psinv_planes(spec_, r.data(), split.data(), n, lo, hi, b1_.data(),
+                 b2_.data());
+  }
+  EXPECT_TRUE(same_bits(split, full));
+
+  const Range sub = random_subrange(1, n - 1, rng_);
+  std::vector<double> part = u0;
+  psinv_planes(spec_, r.data(), part.data(), n, sub.first, sub.second,
+               b1_.data(), b2_.data());
+  expect_planes(part, full, u0, n, sub);
+}
+
+TEST_P(PlaneRangeKernels, Rprj3AnySplitEqualsFullRange) {
+  const extent_t nf = 18, nc = 10;
+  const auto fine = random_cube(nf, GetParam() + 30);
+  const auto cube = static_cast<std::size_t>(nc * nc * nc);
+  std::vector<double> full(cube, kSentinel);
+  rprj3_planes(spec_, fine.data(), nf, full.data(), nc, 1, nc - 1,
+               b1_.data(), b2_.data());
+  std::vector<double> split(cube, kSentinel);
+  for (const auto& [lo, hi] : random_split(1, nc - 1, rng_)) {
+    rprj3_planes(spec_, fine.data(), nf, split.data(), nc, lo, hi,
+                 b1_.data(), b2_.data());
+  }
+  EXPECT_TRUE(same_bits(split, full));
+
+  const Range sub = random_subrange(1, nc - 1, rng_);
+  const std::vector<double> before(cube, kSentinel);
+  std::vector<double> part = before;
+  rprj3_planes(spec_, fine.data(), nf, part.data(), nc, sub.first,
+               sub.second, b1_.data(), b2_.data());
+  expect_planes(part, full, before, nc, sub);
+}
+
+TEST_P(PlaneRangeKernels, InterpAnySplitEqualsFullRange) {
+  const extent_t nf = 18, nc = 10;
+  const auto coarse = random_cube(nc, GetParam() + 40);
+  const auto f0 = random_cube(nf, GetParam() + 41);
+  auto interp = [&](std::vector<double>& fine, Range cells, Range window) {
+    interp_planes(spec_, coarse.data(), nc, fine.data(), nf, cells.first,
+                  cells.second, window.first, window.second, b1_.data(),
+                  b2_.data(), b3_.data());
+  };
+  std::vector<double> full = f0;
+  interp(full, {0, nc - 1}, {0, nf});
+  std::vector<double> split = f0;
+  for (const Range& cells : random_split(0, nc - 1, rng_)) {
+    interp(split, cells, {0, nf});
+  }
+  EXPECT_TRUE(same_bits(split, full));
+
+  // Cells [lo, hi) own fine planes [2 lo, 2 hi).
+  const Range cells = random_subrange(0, nc - 1, rng_);
+  std::vector<double> part = f0;
+  interp(part, cells, {0, nf});
+  expect_planes(part, full, f0, nf, {2 * cells.first, 2 * cells.second});
+
+  // A fine window, as a slab passes its owned planes: every cell runs, only
+  // the window's planes change, each to its full-range value.
+  const Range window = random_subrange(0, nf, rng_);
+  std::vector<double> windowed = f0;
+  for (const Range& c : random_split(0, nc - 1, rng_)) {
+    interp(windowed, c, window);
+  }
+  expect_planes(windowed, full, f0, nf, window);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlaneRangeKernels,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 TEST(RefState, StaticLayoutSingleArena) {
   const MgSpec spec = MgSpec::for_class(MgClass::S);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "sacpp/msg/msg.hpp"
@@ -328,6 +330,34 @@ TEST(MsgWorldLoad, RecvFromFinishedRankThrowsInsteadOfHanging) {
     }
   }),
                ContractError);
+}
+
+// A rank whose program ends before a collective: its peers' collective must
+// fail with the finished-rank diagnostic of the receive it runs on, not wait
+// forever for a token that can never arrive.
+void expect_collective_fails_on_early_exit(
+    const std::function<void(Comm&)>& collective) {
+  World w(2);
+  try {
+    w.run([&](Comm& c) {
+      if (c.rank() == 1) throw ContractError("rank 1 exits early");
+      collective(c);
+    });
+    FAIL() << "the collective must throw, not hang or succeed";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1's program already finished"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MsgWorldLoad, BarrierAfterPeerExitedThrowsInsteadOfHanging) {
+  expect_collective_fails_on_early_exit([](Comm& c) { c.barrier(); });
+}
+
+TEST(MsgWorldLoad, AllreduceAfterPeerExitedThrowsInsteadOfHanging) {
+  expect_collective_fails_on_early_exit(
+      [](Comm& c) { (void)c.allreduce_sum(1.0); });
 }
 
 TEST(MsgWorldLoad, MessageSentBeforeFinishIsStillReceivable) {

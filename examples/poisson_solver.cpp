@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   std::printf("  %-10d %-14.6e %s\n", 0, prev, "-");
   for (int it = 1; it <= iters; ++it) {
     Array<double> r = solver.residual(v, u);
-    u = std::move(u) + solver.vcycle(std::move(r));
+    u = solver.add_vcycle(std::move(u), std::move(r));
     const double norm = solver.residual_norm(v, u);
     std::printf("  %-10d %-14.6e %.1fx\n", it, norm, prev / norm);
     prev = norm;

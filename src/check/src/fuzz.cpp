@@ -153,6 +153,45 @@ void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
     }
   }
 
+  // The fused stencil row in a random merge, its output range and ends
+  // drawn at random (read as they are, or remapped as a view's ends are),
+  // its merge operands separate from `out` or `out` itself.
+  if (n >= 3) {
+    sac::StencilRow row;
+    std::vector<std::vector<double>> src;
+    for (int q = 0; q < 9; ++q) {
+      src.push_back(fuzz_row(rng, nz));
+      row.src[q] = src.back().data();
+    }
+    const auto merge = static_cast<sac::RowMerge>(rng.pick(4));
+    const bool remapped = rng.pick(2) == 0;
+    extent_t flo = remapped ? rng.range(0, n - 1) : rng.range(1, n - 2);
+    const extent_t fhi = rng.range(flo + 1, remapped ? n : n - 1);
+    const int alias = static_cast<int>(rng.pick(3));  // a, b or neither
+    const double c[4] = {-0.5, 0.125, 0.0625, 0.03125};
+    row.c = c;
+    row.n = n;
+    row.lo = flo;
+    row.hi = fhi;
+    row.km = remapped ? rng.range(0, n - 1) : flo - 1;
+    row.kp = remapped ? rng.range(0, n - 1) : fhi;
+    row.merge = merge;
+    std::vector<std::vector<double>> out(engines.size());
+    std::vector<double> u1(nz), u2(nz), t(nz);
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      out[e] = b;
+      row.u1 = u1.data();
+      row.u2 = u2.data();
+      row.t = t.data();
+      row.out = out[e].data();
+      row.a = alias == 0 ? out[e].data() : a.data();
+      row.b = alias == 1 ? out[e].data() : a.data();
+      engines[e]->stencil_row(row);
+      stats->rows_checked += 1;
+      if (e > 0 && !rows_equal(out[e], out[0])) stats->mismatches += 1;
+    }
+  }
+
   // The polyphase prolongation rows: sums of 2 and 4 rows, and the
   // interleaved row over a coarse row long enough for its last odd point.
   {
@@ -503,6 +542,37 @@ void fuzz_view_chains(Rng& rng, BackendFuzzReport* stats) {
     }
   };
   using A = const sac::Array<double>&;
+  // The fused row forms: a + S and a - S, and b + (a + S), out of place
+  // and written into a private copy of the left operand.
+  const sac::Array<double> w1 = fuzz_array(rng, shp), w2 = fuzz_array(rng, shp);
+  auto own = [](const sac::Array<double>& x) {
+    sac::Array<double> c = x;
+    (void)c.mutable_data();
+    return c;
+  };
+  auto check_merges = [&](auto stencil) {
+    auto check_array = [&](const auto& form) {
+      for (const FuzzKind& k : fuzz_kinds()) {
+        const UseKind use(k);
+        stats->exprs_checked += 1;
+        stats->view_chains_checked += 1;
+        if (!arrays_equal(form(stencil(view)), form(stencil(forced)))) {
+          stats->mismatches += 1;
+        }
+      }
+    };
+    check_array([&](auto st) {
+      return sac::force(sac::ewise(w1, std::move(st), std::plus<>{}));
+    });
+    check_array([&](auto st) {
+      return sac::force(sac::ewise(own(w1), std::move(st), std::minus<>{}));
+    });
+    check_array([&](auto st) {
+      return sac::force(sac::ewise(
+          own(w2), sac::ewise(w1, std::move(st), std::plus<>{}),
+          std::plus<>{}));
+    });
+  };
   for (const sac::StencilMode mode :
        {sac::StencilMode::kGrouped, sac::StencilMode::kPlanes}) {
     check([&](A x) { return sac::StencilExpr(x, kCoeffs, mode); });
@@ -512,6 +582,7 @@ void fuzz_view_chains(Rng& rng, BackendFuzzReport* stats) {
       const IndexVec coarse = rc.shape().extents() + 1;
       return sac::lazy_embed(coarse, 0 * coarse, std::move(rc));
     });
+    check_merges([&](A x) { return sac::StencilExpr(x, kCoeffs, mode); });
   }
   check([&](A x) {
     return sac::lazy_take(ts, sac::lazy_scatter(2, x, phase));

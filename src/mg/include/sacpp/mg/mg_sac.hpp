@@ -13,8 +13,9 @@
 //    scatter, take as separate with-loops);
 //  * folding on (default) — the compositions are fused into single
 //    traversals (with-loop folding): v - A(u) evaluates in one sweep,
-//    Fine2Coarse evaluates the P-stencil only at the condensed points, and
-//    Coarse2Fine the Q-stencil straight from the coarse grid.
+//    Fine2Coarse evaluates the P-stencil only at the condensed points,
+//    Coarse2Fine the Q-stencil straight from the coarse grid, and MGrid's
+//    u + VCycle(r) takes the cycle's last smoothing into its own sweep.
 // Both paths compute identical values (tests assert this).
 
 #include "sacpp/mg/spec.hpp"
@@ -38,6 +39,13 @@ class MgSac {
   // cycle allocates no grid for it.  An lvalue argument is copied (O(1),
   // shared) and left unchanged.
   sac::Array<double> vcycle(sac::Array<double> r) const;
+
+  // MGrid's update u + VCycle(r), consuming u and r.  With with-loop
+  // folding on, the cycle's last smoothing folds into the update:
+  // u + (z + S r2) in one sweep, written into u's buffer when u holds it
+  // alone, bitwise the two-sweep result.
+  sac::Array<double> add_vcycle(sac::Array<double> u,
+                                sac::Array<double> r) const;
 
   // Paper Fig. 6: Resid — periodic border setup + relaxation with A.
   // (The paper's Resid(u) computes the operator application A u; the
@@ -83,6 +91,13 @@ class MgSac {
   // z + S(r) happens in place in z's buffer (SAC's psinv does the same).
   sac::Array<double> add_smooth_fused(sac::Array<double> z,
                                       const sac::Array<double>& r) const;
+  // u + (z + S(r)) in one sweep, in u's buffer when u holds it alone.
+  sac::Array<double> add_smooth_fused(sac::Array<double> u,
+                                      sac::Array<double> z,
+                                      const sac::Array<double>& r) const;
+  // The V-cycle; given u, the top level's last smoothing is folded into
+  // the update u + VCycle(r) (add_vcycle).
+  sac::Array<double> cycle(sac::Array<double> r, sac::Array<double>* u) const;
   sac::Array<double> fine2coarse_fused(const sac::Array<double>& r) const;
   sac::Array<double> coarse2fine_fused(const sac::Array<double>& rn) const;
 

@@ -38,6 +38,11 @@ class MgSacDirect {
   // writes r - A z into r and then z + S r into z, both in place.
   sac::Array<double> vcycle(sac::Array<double> r) const;
 
+  // u + VCycle(r) like MgSac::add_vcycle: with folding on, the cycle's
+  // last smoothing and the update are one sweep, u + (z + S r2).
+  sac::Array<double> add_vcycle(sac::Array<double> u,
+                                sac::Array<double> r) const;
+
   // Operator application A u with built-in periodicity (no border setup).
   sac::Array<double> resid(const sac::Array<double>& u) const;
   sac::Array<double> smooth(const sac::Array<double>& r) const;
@@ -71,6 +76,10 @@ class MgSacDirect {
   static sac::Array<double> strip_ghosts(const sac::Array<double>& extended);
 
  private:
+  // The V-cycle; given u, the top level's last smoothing is folded into
+  // the update u + VCycle(r) (add_vcycle).
+  sac::Array<double> cycle(sac::Array<double> r, sac::Array<double>* u) const;
+
   MgSpec spec_;
 };
 

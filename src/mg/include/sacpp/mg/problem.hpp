@@ -11,7 +11,8 @@
 // zran3 never stores that field.  One streaming pass steps the integer
 // generator (nasrand::lcg46_step) and keeps the ten largest and ten smallest
 // deviates seen so far, an equal later value never displacing an earlier
-// one (scan-order ties).  Each charge is then written at every periodic
+// one (scan-order ties).  On AVX2 hosts the pass runs 16 interleaved
+// generator chains and tests 16 deviates against both bars at once.  Each charge is then written at every periodic
 // image of its position: the interior point and every ghost cell that NPB's
 // comm3 border exchange would copy it to, so no border pass runs.  Any
 // range of planes along the outermost axis can be filled on its own, which
@@ -40,6 +41,14 @@ struct Charges {
 // constant memory: plus by decreasing, minus by increasing deviate, ties in
 // scan order.  When nx^3 < 20 both lists hold all nx^3 points, and -1 wins.
 Charges zran3_charges(extent_t nx);
+
+namespace detail {
+// zran3_charges on a chosen path: one generator chain stepped position by
+// position, or (`vectorised`, AVX2 hosts only) 16 interleaved chains
+// stepped by a^16 and tested a group at a time.  zran3_charges takes the
+// vectorised path whenever the CPU has AVX2; both give the same charges.
+Charges zran3_charges(extent_t nx, bool vectorised);
+}  // namespace detail
 
 // Planes [first, first + count) of the extended (nx+2)^3 right-hand side,
 // along the outermost axis (planes 0 and nx+1 are ghosts): zero everywhere,

@@ -163,7 +163,7 @@ MgResult run_sac(const MgSpec& spec, const RunOptions& opts) {
   };
   auto step = [&] {
     // In-place update (refcount 1); the V-cycle consumes r.
-    u = std::move(u) + solver.vcycle(std::move(r));
+    u = solver.add_vcycle(std::move(u), std::move(r));
     r = solver.residual(v, u);
   };
   auto norm = [&] {
@@ -204,7 +204,7 @@ MgResult run_sac_direct(const MgSpec& spec, const RunOptions& opts) {
     r = solver.residual(v, u);
   };
   auto step = [&] {
-    u = std::move(u) + solver.vcycle(std::move(r));  // as run_sac's
+    u = solver.add_vcycle(std::move(u), std::move(r));  // as run_sac's
     r = solver.residual(v, u);
   };
   auto norm = [&] {

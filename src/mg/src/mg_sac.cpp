@@ -112,6 +112,18 @@ Array<double> MgSac::add_smooth_fused(Array<double> z,
                           std::plus<>{}));
 }
 
+// u + (z + S r): the V-cycle's last smoothing and MGrid's update in one
+// sweep, written into u's buffer when u holds it alone.
+Array<double> MgSac::add_smooth_fused(Array<double> u, Array<double> z,
+                                      const Array<double>& r) const {
+  obs::ScopedSpan span(obs::SpanKind::kKernel, "psinv");
+  return force(sac::ewise(
+      std::move(u),
+      sac::ewise(std::move(z), StencilExpr(setup_periodic_border(r), spec_.s),
+                 std::plus<>{}),
+      std::plus<>{}));
+}
+
 Array<double> MgSac::fine2coarse_fused(const Array<double>& r) const {
   Array<double> rs = setup_periodic_border(r);
   auto relaxed = StencilExpr(std::move(rs), spec_.p);
@@ -159,6 +171,18 @@ int level_of(const Array<double>& a) {
 }  // namespace
 
 Array<double> MgSac::vcycle(Array<double> r) const {
+  return cycle(std::move(r), nullptr);
+}
+
+Array<double> MgSac::add_vcycle(Array<double> u, Array<double> r) const {
+  if (!sac::active_config().folding) {
+    // u's last reference: the addition reuses its buffer in place.
+    return std::move(u) + vcycle(std::move(r));
+  }
+  return cycle(std::move(r), &u);
+}
+
+Array<double> MgSac::cycle(Array<double> r, Array<double>* u) const {
   const bool folded = sac::active_config().folding;
   const int level = level_of(r);
   if (r.shape().extent(0) > 2 + 2) {
@@ -173,12 +197,16 @@ Array<double> MgSac::vcycle(Array<double> r) const {
     if (folded) {
       // r's last use: r - A z overwrites it in place.
       Array<double> r2 = sub_resid_fused(std::move(r), z);
+      if (u != nullptr) {
+        return add_smooth_fused(std::move(*u), std::move(z), r2);
+      }
       return add_smooth_fused(std::move(z), r2);  // z updated in place
     }
     Array<double> r2 = r - resid(z);
     return std::move(z) + smooth(r2);  // z's last use: updated in place
   }
   LevelScope scope(level);
+  if (u != nullptr) return std::move(*u) + smooth(r);
   return smooth(r);
 }
 
@@ -187,10 +215,10 @@ Array<double> MgSac::mgrid(const Array<double>& v, int iter) const {
   Array<double> u = sac::genarray_const(v.shape(), 0.0);
   for (int i = 0; i < iter; ++i) {
     Array<double> r = residual(v, u);
-    // u's reference count drops to one here, so the addition reuses its
+    // u's reference count drops to one here, so the update reuses its
     // buffer in place — what SAC's reference counting does for
     // `u = u + VCycle(r)` — and VCycle consumes r.
-    u = std::move(u) + vcycle(std::move(r));
+    u = add_vcycle(std::move(u), std::move(r));
   }
   return u;
 }

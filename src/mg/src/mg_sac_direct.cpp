@@ -85,6 +85,17 @@ Array<double> MgSacDirect::residual(const Array<double>& v,
 }
 
 Array<double> MgSacDirect::vcycle(Array<double> r) const {
+  return cycle(std::move(r), nullptr);
+}
+
+Array<double> MgSacDirect::add_vcycle(Array<double> u, Array<double> r) const {
+  if (!sac::active_config().folding) {
+    return std::move(u) + vcycle(std::move(r));
+  }
+  return cycle(std::move(r), &u);
+}
+
+Array<double> MgSacDirect::cycle(Array<double> r, Array<double>* u) const {
   const int level = level_of(r);
   if (r.shape().extent(0) > 2) {
     Array<double> rn;
@@ -96,17 +107,24 @@ Array<double> MgSacDirect::vcycle(Array<double> r) const {
     LevelScope scope(level);
     Array<double> z = coarse2fine(zn);
     if (sac::active_config().folding) {
-      // r's and then z's last use: each update is written in place.
+      // r's and then z's (or u's) last use: each update is written in
+      // place.
       Array<double> r2 = force(sac::ewise(
           std::move(r), StencilExpr::periodic(z, spec_.a), std::minus<>{}));
-      return force(sac::ewise(std::move(z),
-                              StencilExpr::periodic(std::move(r2), spec_.s),
-                              std::plus<>{}));
+      auto smoothed = sac::ewise(std::move(z),
+                                 StencilExpr::periodic(std::move(r2), spec_.s),
+                                 std::plus<>{});
+      if (u != nullptr) {
+        return force(sac::ewise(std::move(*u), std::move(smoothed),
+                                std::plus<>{}));
+      }
+      return force(std::move(smoothed));
     }
     Array<double> r2 = r - resid(z);
     return std::move(z) + smooth(r2);
   }
   LevelScope scope(level);
+  if (u != nullptr) return std::move(*u) + smooth(r);
   return smooth(r);
 }
 
@@ -115,7 +133,7 @@ Array<double> MgSacDirect::mgrid(const Array<double>& v, int iter) const {
   Array<double> u = sac::genarray_const(v.shape(), 0.0);
   for (int i = 0; i < iter; ++i) {
     Array<double> r = residual(v, u);
-    u = std::move(u) + vcycle(std::move(r));
+    u = add_vcycle(std::move(u), std::move(r));
   }
   return u;
 }

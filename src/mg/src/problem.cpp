@@ -5,9 +5,14 @@
 #include <cstdint>
 #include <functional>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "sacpp/common/error.hpp"
 #include "sacpp/nasrand/nasrand.hpp"
 #include "sacpp/sac/array_lib.hpp"
+#include "sacpp/sac/backend.hpp"
 
 namespace sacpp::mg {
 
@@ -27,6 +32,7 @@ class Selector {
   Selector(std::size_t want, std::uint64_t open) : want_(want), bar_(open) {}
 
   bool admits(std::uint64_t x) const { return Better{}(x, bar_); }
+  std::uint64_t bar() const { return bar_; }
 
   // Insert an admitted deviate, dropping the worst one when full.
   void insert(std::uint64_t x, extent_t pos) {
@@ -95,10 +101,74 @@ void place_charges(extent_t nx, Put put) {
   for (const auto& m : ch.minus) place(m, -1.0);
 }
 
+// The vectorised scan: kChains interleaved generator chains, chain l at
+// group g holding the deviate at position kChains * g + l, each advanced
+// by a^kChains.  A group is tested against both bars at once, and only a
+// group holding a candidate runs the Selector inserts, in scan order.
+constexpr int kChains = 16;
+
+#if defined(__x86_64__) || defined(__i386__)
+template <typename Plus, typename Minus>
+[[gnu::target("avx2")]] void scan_chains_avx2(std::uint64_t (&x)[kChains],
+                                              extent_t groups,
+                                              std::uint64_t step, Plus& plus,
+                                              Minus& minus) {
+  constexpr int kVecs = kChains / 4;
+  __m256i v[kVecs];
+  for (int q = 0; q < kVecs; ++q) {
+    v[q] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + 4 * q));
+  }
+  const __m256i al =
+      _mm256_set1_epi64x(static_cast<long long>(step & 0xffffffffu));
+  const __m256i ah = _mm256_set1_epi64x(static_cast<long long>(step >> 32));
+  const __m256i mask =
+      _mm256_set1_epi64x(static_cast<long long>(nasrand::kMask46));
+  // Deviates stay below 2^46, so the signed compares order them.
+  __m256i pbar = _mm256_set1_epi64x(static_cast<long long>(plus.bar()));
+  __m256i mbar = _mm256_set1_epi64x(static_cast<long long>(minus.bar()));
+  for (extent_t g = 0; g < groups; ++g) {
+    __m256i hit = _mm256_setzero_si256();
+    for (int q = 0; q < kVecs; ++q) {
+      hit = _mm256_or_si256(hit, _mm256_cmpgt_epi64(v[q], pbar));
+      hit = _mm256_or_si256(hit, _mm256_cmpgt_epi64(mbar, v[q]));
+    }
+    if (!_mm256_testz_si256(hit, hit)) [[unlikely]] {
+      for (int q = 0; q < kVecs; ++q) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + 4 * q), v[q]);
+      }
+      for (int l = 0; l < kChains; ++l) {
+        const extent_t pos = g * kChains + l;
+        if (plus.admits(x[l])) plus.insert(x[l], pos);
+        if (minus.admits(x[l])) minus.insert(x[l], pos);
+      }
+      pbar = _mm256_set1_epi64x(static_cast<long long>(plus.bar()));
+      mbar = _mm256_set1_epi64x(static_cast<long long>(minus.bar()));
+    }
+    // x * a mod 2^46 from 32-bit halves: xl*al + ((xh*al + xl*ah) << 32),
+    // whose dropped bits all lie above 2^64.
+    for (int q = 0; q < kVecs; ++q) {
+      const __m256i lo = _mm256_mul_epu32(v[q], al);
+      const __m256i cross =
+          _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(v[q], 32), al),
+                           _mm256_mul_epu32(v[q], ah));
+      v[q] = _mm256_and_si256(
+          _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32)), mask);
+    }
+  }
+  for (int q = 0; q < kVecs; ++q) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + 4 * q), v[q]);
+  }
+}
+#endif
+
 }  // namespace
 
-Charges zran3_charges(extent_t nx) {
+namespace detail {
+
+Charges zran3_charges(extent_t nx, bool vectorised) {
   SACPP_REQUIRE(nx >= 1, "zran3 needs nx >= 1");
+  SACPP_REQUIRE(!vectorised || sac::cpu_has_avx2(),
+                "the vectorised charge scan needs AVX2");
   const extent_t total = nx * nx * nx;
   const auto want =
       static_cast<std::size_t>(std::min<extent_t>(kCharges, total));
@@ -106,12 +176,38 @@ Charges zran3_charges(extent_t nx) {
   Selector<std::less<>> minus(want, nasrand::kMask46 + 1);
   const auto a = static_cast<std::uint64_t>(nasrand::kDefaultMultiplier);
   auto x = static_cast<std::uint64_t>(nasrand::kDefaultSeed);
-  for (extent_t pos = 0; pos < total; ++pos) {
-    x = nasrand::lcg46_step(x, a);
-    if (plus.admits(x)) [[unlikely]] plus.insert(x, pos);
-    if (minus.admits(x)) [[unlikely]] minus.insert(x, pos);
+  if (vectorised) {
+    std::uint64_t chains[kChains];
+    std::uint64_t step = 1;
+    for (int l = 0; l < kChains; ++l) {
+      x = nasrand::lcg46_step(x, a);
+      chains[l] = x;
+      step = nasrand::lcg46_step(step, a);
+    }
+    const extent_t groups = total / kChains;
+#if defined(__x86_64__) || defined(__i386__)
+    scan_chains_avx2(chains, groups, step, plus, minus);
+#endif
+    // The chains now hold the group after the last full one: the tail.
+    for (extent_t pos = groups * kChains; pos < total; ++pos) {
+      const std::uint64_t v = chains[pos - groups * kChains];
+      if (plus.admits(v)) plus.insert(v, pos);
+      if (minus.admits(v)) minus.insert(v, pos);
+    }
+  } else {
+    for (extent_t pos = 0; pos < total; ++pos) {
+      x = nasrand::lcg46_step(x, a);
+      if (plus.admits(x)) [[unlikely]] plus.insert(x, pos);
+      if (minus.admits(x)) [[unlikely]] minus.insert(x, pos);
+    }
   }
   return Charges{plus.positions(nx), minus.positions(nx)};
+}
+
+}  // namespace detail
+
+Charges zran3_charges(extent_t nx) {
+  return detail::zran3_charges(nx, sac::cpu_has_avx2());
 }
 
 void fill_rhs_planes(std::span<double> planes, extent_t nx, extent_t first,

@@ -1,6 +1,8 @@
 #include "sacpp/msg/msg.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <exception>
 #include <string>
 #include <thread>
@@ -154,6 +156,10 @@ void World::run(const std::function<void(Comm&)>& fn) {
   }
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(local.size());
+  // The order the ranks failed in: a rank whose peer exited early fails
+  // after that exit, with a diagnostic that names the peer.
+  std::vector<std::uint64_t> failed_at(local.size());
+  std::atomic<std::uint64_t> failures{0};
   threads.reserve(local.size());
   for (int r : local) {
     rank_done_[static_cast<std::size_t>(r)].store(false,
@@ -166,13 +172,15 @@ void World::run(const std::function<void(Comm&)>& fn) {
   const obs::TraceContext trace_ctx = obs::current_trace();
   for (std::size_t i = 0; i < local.size(); ++i) {
     const int r = local[i];
-    threads.emplace_back([this, r, i, &fn, &errors, trace_ctx] {
+    threads.emplace_back([this, r, i, &fn, &errors, &failed_at, &failures,
+                          trace_ctx] {
       obs::set_thread_name("rank-" + std::to_string(r));
       const obs::TraceBinding trace_binding(trace_ctx);
       Comm comm(this, r);
       try {
         fn(comm);
       } catch (...) {
+        failed_at[i] = failures.fetch_add(1);
         errors[i] = std::current_exception();
       }
       // This rank's program is over: peers blocked on a recv from it (or on
@@ -185,9 +193,13 @@ void World::run(const std::function<void(Comm&)>& fn) {
   for (auto& t : threads) t.join();
   running_.store(false, std::memory_order_release);
   wake_all_mailboxes();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+  // Report the failure that started it, not a peer's diagnostic of it.
+  std::size_t first = errors.size();
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (!errors[i]) continue;
+    if (first == errors.size() || failed_at[i] < failed_at[first]) first = i;
   }
+  if (first < errors.size()) std::rethrow_exception(errors[first]);
 }
 
 void World::deliver(int source, int dest, int tag,

@@ -2,8 +2,8 @@
 // Pluggable compute backends for the dense-rank-3 row primitives.
 //
 // Every hot with-loop in the system eventually walks contiguous k-rows of a
-// dense rank-3 array: the kPlanes stencil engine (stencil.hpp), the fused
-// EwiseBinaryExpr combine (expr.hpp), the gather rows of the grid-transfer
+// dense rank-3 array: the kPlanes stencil rows with their ewise merges
+// (stencil.hpp, expr.hpp), the gather rows of the grid-transfer
 // operators, and the L2/max-abs norm folds (with_loop.hpp).  A Backend is
 // one implementation of those row primitives; with_loop/stencil/expr code
 // dispatches through the interface instead of open-coding the loops, so a
@@ -29,18 +29,75 @@
 //    split yields the same bits.  The fold lane of an element depends only
 //    on its distance from `lo`.
 //  * No output row overlaps an input row, except that the ewise merges'
-//    `a` may be `out` itself: the engines compile their loops on that
-//    promise.
+//    `a` (and the fused stencil row's `a` and `b`) may be `out` itself: the
+//    engines compile their loops on that promise.
 //
 // Backends are stateless singletons; a const Backend& is safe to use from
 // any thread concurrently.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "sacpp/common/shape.hpp"
 #include "sacpp/sac/config.hpp"
 
 namespace sacpp::sac {
+
+// How a fused stencil row merges the stencil value s(k) with the row's
+// update operands (StencilRow).
+enum class RowMerge : std::uint8_t {
+  kAssign,  // out[k] = s(k)
+  kAdd,     // out[k] = a[k] + s(k)
+  kSub,     // out[k] = a[k] - s(k)
+  kAddAdd,  // out[k] = b[k] + (a[k] + s(k))
+};
+
+// out[k] = merge(a[k], b[k], s): one point of a fused row.
+template <RowMerge M>
+[[gnu::always_inline]] inline void merge_point(double* out, const double* a,
+                                               const double* b, extent_t k,
+                                               double s) {
+  if constexpr (M == RowMerge::kAssign) {
+    out[k] = s;
+  } else if constexpr (M == RowMerge::kAdd) {
+    out[k] = a[k] + s;
+  } else if constexpr (M == RowMerge::kSub) {
+    out[k] = a[k] - s;
+  } else {
+    out[k] = b[k] + (a[k] + s);
+  }
+}
+
+// The operands of one fused kPlanes output row (Backend::stencil_row).
+// Every source row is readable on [0, n), and [lo, hi) lies in [0, n).
+// The row's operands at position p are read at source position x(p): p
+// itself on [lo, hi), km at p = lo - 1 and kp at p = hi.  A copy-free view
+// or a periodic wrap map that moves only the two ends of its last axis is
+// read through km and kp; an unmapped row passes lo - 1 and hi.  Then
+//   u1(p) = ((im[x] + ip[x]) + jm[x]) + jp[x]
+//   u2(p) = ((imm[x] + imp[x]) + ipm[x]) + ipp[x]
+//   uc(p) = centre[x]
+//   s(k)  = c[0]*uc(k) + c[1]*((u1(k) + uc(k-1)) + uc(k+1))
+//         + c[2]*((u2(k) + u1(k-1)) + u1(k+1)) + c[3]*(u2(k-1) + u2(k+1))
+// for k in [lo, hi), merged into out[k] as `merge` says.
+struct StencilRow {
+  const double* c;       // the four class coefficients
+  const double* src[9];  // centre, im, ip, jm, jp, imm, imp, ipm, ipp
+  extent_t n;
+  extent_t lo, hi;
+  extent_t km, kp;
+  // Scratch rows of n elements each, the engine's to use: the plane sums
+  // (u1, u2) and, for the composing engine's merges over an aliased
+  // output, the stencil value (t; nullptr is fine for kAssign and the
+  // in-place kAdd).
+  double* u1;
+  double* u2;
+  double* t;
+  RowMerge merge;
+  const double* a;  // readable on [lo, hi) unless merge == kAssign
+  const double* b;  // readable on [lo, hi) when merge == kAddAdd
+  double* out;
+};
 
 class Backend {
  public:
@@ -96,25 +153,34 @@ class Backend {
                               const double* u1, const double* u2, double* out,
                               extent_t lo, extent_t hi) const = 0;
 
-  // One fused kPlanes output row: the plane_sums over the eight neighbour
-  // rows of centre row `uc` followed by the per-point combine (or
-  // accumulate) into out[lo, hi) — the exact two-call sequence the planes
-  // stencil engine used to issue, exposed as a single primitive so an
-  // engine can fuse the two passes (the JIT backend generates one-pass row
-  // kernels for it, docs/jit.md).  The default composes this engine's own
-  // plane_sums and combine_row/accumulate_row through the caller's u1/u2
-  // scratch (each readable on [0, n)); overrides must stay bit-identical to
-  // that composition and may leave the scratch untouched.
-  virtual void stencil_row(const double* c, const double* uc,
-                           const double* im, const double* ip,
-                           const double* jm, const double* jp,
-                           const double* imm, const double* imp,
-                           const double* ipm, const double* ipp, double* u1,
-                           double* u2, double* out, extent_t lo, extent_t hi,
-                           extent_t n, bool accumulate) const;
+  // One fused kPlanes output row (StencilRow): plane sums, combine and
+  // merge in one call.  The default composes this engine's own plane_sums,
+  // combine_row/accumulate_row and add/sub_into_row through the scratch
+  // rows, the two points next to the row ends written one by one; it is
+  // the scalar engine's form and the reference every engine is pinned to.
+  // Overrides must stay bit-identical to it and may leave the scratch
+  // untouched.
+  virtual void stencil_row(const StencilRow& row) const;
 
-  // Fused ewise combines (the EwiseBinaryExpr row pass-through, expr.hpp):
-  // for k in [lo, hi), out[k] = a[k] <op> out[k].
+  // The fused row for one merge as a plain function, for callers that
+  // issue many rows: they bind it once and call it per row, be == *this.
+  // The default calls stencil_row above; an engine may hand out its own
+  // per-merge entry instead.
+  using StencilRowFn = void (*)(const Backend& be, const StencilRow& row);
+  virtual StencilRowFn stencil_row_fn(RowMerge merge) const;
+
+  // The unmerged row over unmapped source rows of length n: out[lo, hi)
+  // gets s(k) (or adds it, `accumulate`), the u1/u2 scratch readable on
+  // [0, n).  A thin form of the call above, kept for callers that time one
+  // bare row.
+  void stencil_row(const double* c, const double* uc, const double* im,
+                   const double* ip, const double* jm, const double* jp,
+                   const double* imm, const double* imp, const double* ipm,
+                   const double* ipp, double* u1, double* u2, double* out,
+                   extent_t lo, extent_t hi, extent_t n,
+                   bool accumulate) const;
+
+  // Ewise combines, for k in [lo, hi): out[k] = a[k] <op> out[k].
   virtual void add_into_row(const double* a, double* out, extent_t lo,
                             extent_t hi) const = 0;
   virtual void sub_into_row(const double* a, double* out, extent_t lo,

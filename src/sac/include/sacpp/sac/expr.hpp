@@ -36,6 +36,9 @@ namespace sacpp::sac {
 
 class StencilExpr;  // stencil.hpp
 
+template <typename L, typename R, typename Op>
+struct EwiseBinaryExpr;
+
 namespace detail {
 
 // Signed floor/ceil division (b > 0) for the gather row-range algebra.
@@ -47,20 +50,25 @@ inline extent_t ceil_div(extent_t a, extent_t b) {
   return -floor_div(-a, b);
 }
 
-// out[k] = op(a[k], out[k]) for k in [lo, hi): + - * through the backend
-// row primitives (element-parallel, so bit-identical on every backend),
-// any other op per point.
-template <typename Op>
-void ewise_into_row(const Op& op, const double* a, double* out, extent_t lo,
-                    extent_t hi) {
-  if constexpr (std::is_same_v<Op, std::plus<>>) {
-    active_backend().add_into_row(a, out, lo, hi);
-  } else if constexpr (std::is_same_v<Op, std::minus<>>) {
-    active_backend().sub_into_row(a, out, lo, hi);
-  } else if constexpr (std::is_same_v<Op, std::multiplies<>>) {
-    active_backend().mul_into_row(a, out, lo, hi);
+// The fused stencil row that ewise(lhs, rhs, op) lowers to
+// (StencilExpr::merge_row): a + S and a - S over an array a, and
+// b + (a + S); kAssign for every other node, which runs per point.
+template <typename L, typename R, typename Op>
+constexpr RowMerge stencil_merge() {
+  using Add = EwiseBinaryExpr<Array<double>, StencilExpr, std::plus<>>;
+  if constexpr (!std::is_same_v<L, Array<double>>) {
+    return RowMerge::kAssign;
+  } else if constexpr (std::is_same_v<R, StencilExpr> &&
+                       std::is_same_v<Op, std::plus<>>) {
+    return RowMerge::kAdd;
+  } else if constexpr (std::is_same_v<R, StencilExpr> &&
+                       std::is_same_v<Op, std::minus<>>) {
+    return RowMerge::kSub;
+  } else if constexpr (std::is_same_v<R, Add> &&
+                       std::is_same_v<Op, std::plus<>>) {
+    return RowMerge::kAddAdd;
   } else {
-    for (extent_t k = lo; k < hi; ++k) out[k] = op(a[k], out[k]);
+    return RowMerge::kAssign;
   }
 }
 
@@ -105,40 +113,66 @@ struct EwiseBinaryExpr {
     return op(lhs(i, j, k), rhs(i, j, k));
   }
 
-  // Row-fill pass-through (detail::RowFillBody): when the right side offers
-  // the kPlanes row path (a stencil over a concrete array — the only shape
-  // the folding heuristic allows), the fused with-loop still lands on it.
-  // The rhs row goes into the output row first, then the combine reads it
-  // back per point — safe because this form writes a fresh buffer, so the
-  // output row cannot alias either operand (force's in-place form has rows
-  // of its own, detail::InPlaceEwise).
-  bool row_fill_enabled() const
-    requires(Rank3Expr<L> && detail::RowFillBody<R, double>)
+  // -- row-fill protocol (detail::RowFillBody) --------------------------------
+  //
+  // a + S, a - S and b + (a + S), S a stencil, are each one fused stencil
+  // row per output row (StencilExpr::merge_row); any other node runs per
+  // point.  The arrays are concrete (ewise forces a left-hand view on the
+  // coordinating thread) and of this node's shape, so their buffers are
+  // bound once per chunk and one row offset serves them all.  Each point
+  // reads its a and b elements before writing its own, so `out` may be
+  // a's or b's own row (force's in-place form, detail::InPlaceEwise).
+
+  static constexpr RowMerge kMerge = detail::stencil_merge<L, R, Op>();
+  static constexpr bool kRows = kMerge != RowMerge::kAssign;
+
+  // The stencil whose rows these are.
+  const StencilExpr& stencil() const
+    requires(kRows)
   {
-    return rhs.row_fill_enabled();
+    if constexpr (kMerge == RowMerge::kAddAdd) {
+      return rhs.rhs;
+    } else {
+      return rhs;
+    }
+  }
+
+  bool row_fill_enabled() const
+    requires(kRows)
+  {
+    return stencil().row_fill_enabled();
   }
 
   auto make_row_state() const
-    requires(Rank3Expr<L> && detail::RowFillBody<R, double>)
+    requires(kRows)
   {
-    return rhs.make_row_state();
+    struct State {
+      decltype(stencil().template make_row_state<kMerge>()) st;
+      const double* a;
+      const double* b;  // kAddAdd only
+      extent_t s0, s1;
+    };
+    const Shape& shp = lhs.shape();
+    if constexpr (kMerge == RowMerge::kAddAdd) {
+      return State{stencil().template make_row_state<kMerge>(),
+                   rhs.lhs.base_data(), lhs.base_data(), shp[1] * shp[2],
+                   shp[2]};
+    } else {
+      return State{stencil().template make_row_state<kMerge>(),
+                   lhs.base_data(), nullptr, shp[1] * shp[2], shp[2]};
+    }
   }
 
   template <typename State>
   void fill_row(State& st, extent_t i, extent_t j, double* out,
                 extent_t k_lo, extent_t k_hi) const
-    requires(Rank3Expr<L> && detail::RowFillBody<R, double>)
+    requires(kRows)
   {
-    rhs.fill_row(st, i, j, out, k_lo, k_hi);
-    if constexpr (std::is_same_v<L, Array<double>>) {
-      const Shape& ls = lhs.shape();
-      detail::ewise_into_row(op, lhs.data() + (i * ls[1] + j) * ls[2], out,
-                             k_lo, k_hi);
-    } else {
-      for (extent_t k = k_lo; k < k_hi; ++k) {
-        out[k] = op(lhs(i, j, k), out[k]);
-      }
-    }
+    const extent_t off = i * st.s0 + j * st.s1;
+    const double* b = nullptr;
+    if constexpr (kMerge == RowMerge::kAddAdd) b = st.b + off;
+    stencil().template merge_row<kMerge>(st.st, i, j, st.a + off, b, out, k_lo,
+                                         k_hi);
   }
 };
 
@@ -413,12 +447,9 @@ template <ArrayExpr L, ArrayExpr R, typename Op>
 auto ewise(L lhs, R rhs, Op op) {
   SACPP_REQUIRE(lhs.shape() == rhs.shape(),
                 "element-wise expression needs equal shapes");
-  // The row pass-through hands the left array's raw rows to the workers, so
-  // a view there is forced now, on the coordinating thread.
-  if constexpr (std::is_same_v<L, Array<double>> &&
-                detail::RowFillBody<R, double>) {
-    lhs.materialise();
-  }
+  // The fused rows hand the left array's raw rows to the workers, so a view
+  // there is forced now, on the coordinating thread.
+  if constexpr (EwiseBinaryExpr<L, R, Op>::kRows) lhs.materialise();
   return EwiseBinaryExpr<L, R, Op>{std::move(lhs), std::move(rhs),
                                    std::move(op)};
 }
@@ -500,20 +531,16 @@ namespace detail {
 
 // Loop body of force's in-place form: `e` written over `self`, its left
 // array's buffer.  Per point op(self, rhs), each point reading its own
-// element (and an array rhs's, raw) before the write.  The output row is
-// self's, so a rhs row goes to per-chunk scratch, is combined with it and
-// copied back, except that `self + stencil` accumulates into it in one
-// pass — where a fixed-boundary stencil is 0 that keeps self, which is
-// self + 0 up to the sign of a zero.
+// element (and an array rhs's, raw) before the write.  A node with fused
+// stencil rows runs them over self's rows: they read each left element
+// before writing it.  Where a fixed-boundary stencil is 0, self + S keeps
+// self, which is self + 0 up to the sign of a zero.
 template <typename T, typename R, typename Op>
 struct InPlaceEwise {
+  using Expr = EwiseBinaryExpr<Array<T>, R, Op>;
   static constexpr bool kArray = std::is_same_v<R, Array<T>>;
-  static constexpr bool kRows =
-      std::is_same_v<T, double> && RowFillBody<R, double>;
-  static constexpr bool kAccumulate =
-      std::is_same_v<R, StencilExpr> && std::is_same_v<Op, std::plus<>>;
 
-  const EwiseBinaryExpr<Array<T>, R, Op>& e;
+  const Expr& e;
   T* self;
   const T* other;   // an array right operand's elements, else nullptr
   extent_t e1, e2;  // extents of axes 1 and 2 at rank 3
@@ -539,39 +566,23 @@ struct InPlaceEwise {
   }
 
   bool row_fill_enabled() const
-    requires kRows
+    requires(Expr::kRows)
   {
-    return e.rhs.row_fill_enabled();
+    return e.row_fill_enabled();
   }
 
   auto make_row_state() const
-    requires kRows
+    requires(Expr::kRows)
   {
-    if constexpr (kAccumulate) {
-      return e.rhs.make_row_state();
-    } else {
-      struct State {
-        decltype(e.rhs.make_row_state()) st;
-        ScratchBlock row;
-      };
-      return State{e.rhs.make_row_state(),
-                   scratch_block(static_cast<std::size_t>(e2))};
-    }
+    return e.make_row_state();
   }
 
   template <typename State>
   void fill_row(State& st, extent_t i, extent_t j, double* out,
                 extent_t k_lo, extent_t k_hi) const
-    requires kRows
+    requires(Expr::kRows)
   {
-    if constexpr (kAccumulate) {
-      e.rhs.accumulate_row(st, i, j, out, k_lo, k_hi);
-    } else {
-      double* row = st.row.get();
-      e.rhs.fill_row(st.st, i, j, row, k_lo, k_hi);
-      ewise_into_row(e.op, out, row, k_lo, k_hi);
-      active_backend().copy_row(out, row + k_lo, k_lo, k_hi);
-    }
+    e.fill_row(st, i, j, out, k_lo, k_hi);
   }
 };
 

@@ -62,15 +62,15 @@ struct StencilCoeffs {
   double operator[](std::size_t cls) const { return c[cls]; }
 };
 
-// Per-chunk scratch of the kPlanes row path: one pooled block holding the
-// u1 (class-1) and u2 (class-2) partial-sum rows (ScratchBlock,
-// buffer.hpp), plus the tally flushed into stats().stencil_rows_reused on
-// destruction (once per chunk, so the hot loop never touches the shared
-// counter).
+// Per-chunk scratch of the kPlanes row paths: one pooled block of three
+// rows (ScratchBlock, buffer.hpp) — the u1 (class-1) and u2 (class-2)
+// partial sums and the composing engine's stencil row t (StencilRow) —
+// plus the tally flushed into stats().stencil_rows_reused on destruction
+// (once per chunk, so the hot loop never touches the shared counter).
 class PlaneScratch {
  public:
   explicit PlaneScratch(extent_t row_len)
-      : block_(scratch_block(2 * static_cast<std::size_t>(row_len))),
+      : block_(scratch_block(3 * static_cast<std::size_t>(row_len))),
         row_len_(row_len) {}
   PlaneScratch(PlaneScratch&&) noexcept = default;
   ~PlaneScratch() {
@@ -79,6 +79,7 @@ class PlaneScratch {
 
   double* u1() noexcept { return block_.get(); }
   double* u2() noexcept { return block_.get() + row_len_; }
+  double* t() noexcept { return block_.get() + 2 * row_len_; }
 
   std::uint64_t rows = 0;  // output rows filled with this scratch
 
@@ -165,50 +166,71 @@ class StencilExpr {
 
   // -- kPlanes row-fill protocol (detail::RowFillBody) ------------------------
   //
-  // fill_row writes the whole output row (i, j) in one pass: the u1/u2
-  // partial sums are computed once over the full row length, then every
-  // output point combines three entries of each.  The u1 association tree
-  // matches the grouped faces sum left-to-right, but the per-point combine
-  // reassociates the class-2/3 sums — kPlanes results are therefore equal to
-  // kGrouped only up to rounding (tests use 1e-12 relative), while staying
-  // bit-identical across thread counts (rows are computed independently).
+  // Every output row (i, j) is one fused engine call (Backend::stencil_row,
+  // StencilRow): the u1/u2 partial sums over the row, the per-point
+  // combine of three entries of each, and the merge with the row's update
+  // operands, in one pass over the output.  The u1 association tree matches
+  // the grouped faces sum left-to-right, but the per-point combine
+  // reassociates the class-2/3 sums — kPlanes results are therefore equal
+  // to kGrouped only up to rounding (tests use 1e-12 relative), while
+  // staying bit-identical across thread counts (rows are computed
+  // independently).  Over a view or the wrap maps the rows are taken
+  // through the axis-0/1 maps and the two row ends through the last one,
+  // inside the call; a view whose last-axis map moves other positions
+  // (only the fuzzers build one) is combined point by point instead, with
+  // the same arithmetic.
+
+  // Per-chunk state, bound once: the scratch, the engine's fused row for
+  // the chunk's merge, and the argument's buffer and index maps (a view's,
+  // the wrap maps, or none).
+  struct RowState {
+    PlaneScratch scratch;
+    Backend::StencilRowFn row;
+    const double* base;
+    const extent_t* map[3];
+  };
 
   bool row_fill_enabled() const { return planes_rows_; }
 
-  PlaneScratch make_row_state() const {
-    return PlaneScratch(a_.shape().extent(2) + 2 * pad());
+  template <RowMerge M = RowMerge::kAssign>
+  RowState make_row_state() const {
+    RowState st{PlaneScratch(n2_), be_->stencil_row_fn(M), a_.base_data(),
+                {nullptr, nullptr, nullptr}};
+    if (mapped()) {
+      for (std::size_t d = 0; d < 3; ++d) st.map[d] = axis(d);
+    }
+    return st;
   }
 
   // Assign-form row fill: boundary rows and boundary k positions get the
   // fixed-boundary 0, interior points the plane-sum combination.
-  void fill_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
+  void fill_row(RowState& st, extent_t i, extent_t j, double* out,
                 extent_t k_lo, extent_t k_hi) const {
-    const Shape& shp = a_.shape();
-    const extent_t m = margin_;
-    if (i < m || i >= shp[0] - m || j < m || j >= shp[1] - m) {
-      be_->fill_row(out, k_lo, k_hi, 0.0);
-      return;
-    }
-    const extent_t n2 = shp[2];
-    if (k_lo < m) out[0] = 0.0;
-    if (k_hi > n2 - m) out[n2 - 1] = 0.0;
-    fused_row(st, i, j, out, std::max(k_lo, m), std::min(k_hi, n2 - m),
-              /*accumulate=*/false);
-    st.rows += 1;
+    merge_row<RowMerge::kAssign>(st, i, j, nullptr, nullptr, out, k_lo, k_hi);
   }
 
-  // Accumulate-form row fill (out[k] += stencil) for in-place updates like
-  // psinv's u += C r; boundary positions add the stencil's 0, i.e. nothing.
-  // `out` must not alias the stencil argument (it is the array being
-  // updated, the stencil reads another).
-  void accumulate_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
-                      extent_t k_lo, extent_t k_hi) const {
-    const Shape& shp = a_.shape();
+  // out[k] = merge(a[k], b[k], s(k)) for k in [k_lo, k_hi), s the stencil at
+  // (i, j, k): the row forms of ewise(a, stencil, +/-) and of
+  // ewise(b, ewise(a, stencil, +), +) (expr.hpp).  a and b are rows of
+  // other arrays, or `out` itself.  Where the fixed-boundary stencil is 0
+  // the merge takes 0.0, except that an in-place a + s or a - s (a == out)
+  // leaves a as it is there: a - 0 is a, and a + 0 is a up to the sign of
+  // a zero.
+  template <RowMerge M>
+  [[gnu::always_inline]] void merge_row(RowState& st, extent_t i, extent_t j,
+                                        const double* a, const double* b,
+                                        double* out, extent_t k_lo,
+                                        extent_t k_hi) const {
     const extent_t m = margin_;
-    if (i < m || i >= shp[0] - m || j < m || j >= shp[1] - m) return;
-    fused_row(st, i, j, out, std::max(k_lo, m), std::min(k_hi, shp[2] - m),
-              /*accumulate=*/true);
-    st.rows += 1;
+    if (i < m || i >= n0_ - m || j < m || j >= n1_ - m) [[unlikely]] {
+      merge_zero<M>(a, b, out, k_lo, k_hi);
+      return;
+    }
+    if (k_lo < m && k_hi > 0) merge_zero<M>(a, b, out, 0, 1);
+    if (k_hi > n2_ - m && k_lo < n2_) merge_zero<M>(a, b, out, n2_ - 1, n2_);
+    const extent_t lo = std::max(k_lo, m), hi = std::min(k_hi, n2_ - m);
+    if (lo < hi) interior_row<M>(st, i, j, a, b, out, lo, hi);
+    st.scratch.rows += 1;
   }
 
  private:
@@ -265,23 +287,22 @@ class StencilExpr {
     if (shp.rank() == 3) {
       s0_ = strides[0];
       s1_ = strides[1];
+      n0_ = shp[0];
+      n1_ = shp[1];
+      n2_ = shp[2];
       // Small-grid cutover: below it the scratch setup costs more than the
       // shared additions save, so kPlanes degrades to kGrouped per point.
       planes_rows_ = mode_ == StencilMode::kPlanes &&
                      min_extent >= active_config().stencil_planes_cutover;
     }
-    // Over maps, the output positions whose centre-row reads include a
-    // moved last-axis position: the row path combines them one by one.
+    // Over maps, whether the last axis's moved positions are only the two
+    // ends its rows read past the evaluated points: margin_ - 1 and
+    // n - margin_ (the wrap maps' -1 and n, a periodic border's 0 and n-1).
     if (mapped()) {
       const extent_t n = shp.extent(shp.rank() - 1);
-      for (const extent_t m : moved_last()) {
-        for (extent_t k = std::max(m - 1, margin_);
-             k <= std::min(m + 1, n - 1 - margin_); ++k) {
-          if (view_points_.empty() || view_points_.back() < k) {
-            view_points_.push_back(k);
-          }
-        }
-      }
+      ends_only_ = std::all_of(
+          moved_last().begin(), moved_last().end(),
+          [&](extent_t p) { return p == margin_ - 1 || p == n - margin_; });
     }
   }
 
@@ -294,13 +315,6 @@ class StencilExpr {
   const std::vector<extent_t>& moved_last() const noexcept {
     return wrap_ != nullptr ? wrap_->moved_last()
                             : a_.view_map()->moved_last();
-  }
-  // The periodic form's scratch rows start one cache line in, which leaves
-  // room for the sums at -1 and n and keeps the rows' alignment.
-  extent_t pad() const noexcept {
-    return wrap_ != nullptr
-               ? static_cast<extent_t>(kBufferAlignment / sizeof(double))
-               : 0;
   }
 
   // Unrolled grouped evaluation for rank 3 (the dominant path): nine row
@@ -344,58 +358,113 @@ class StencilExpr {
     return acc;
   }
 
-  // One fused output row (i, j): the NPB u1/u2 plane sums — u1[k] the four
-  // class-1 neighbours in the i/j directions, u2[k] the four class-2
-  // diagonal rows — feeding the per-point combine, issued as the Backend's
-  // single stencil_row primitive so a fusing engine (the JIT) runs both
-  // passes in one kernel.  The nine source rows are pairwise disjoint
-  // segments of the argument and the scratch is a separate block
-  // (docs/backends.md, docs/jit.md).
-  void fused_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
-                 extent_t k_lo, extent_t k_hi, bool accumulate) const {
-    if (mapped()) [[unlikely]] {
-      view_row(st, i, j, out, k_lo, k_hi, accumulate);
-      return;
-    }
-    const double* c = a_.base_data() + i * s0_ + j * s1_;
-    const double* im = c - s0_;
-    const double* ip = c + s0_;
-    const double* jm = c - s1_;
-    const double* jp = c + s1_;
-    be_->stencil_row(c_.c.data(), c, im, ip, jm, jp, im - s1_, im + s1_,
-                     ip - s1_, ip + s1_, st.u1(), st.u2(), out, k_lo, k_hi,
-                     a_.shape().extent(2), accumulate);
+  // The merge of the fixed boundary's 0 over [lo, hi) (merge_row).
+  template <RowMerge M>
+  static void merge_zero(const double* a, const double* b, double* out,
+                         extent_t lo, extent_t hi) {
+    if (M != RowMerge::kAddAdd && M != RowMerge::kAssign && a == out) return;
+    for (extent_t k = lo; k < hi; ++k) merge_point<M>(out, a, b, k, 0.0);
   }
 
-  // -- map readers ------------------------------------------------------------
+  // The nine source rows of output row (i, j) into r: the centre row, then
+  // im, ip, jm, jp and the diagonals imm, imp, ipm, ipp (StencilRow's
+  // order), through the axis-0/1 maps when m0 is given.
+  void rows_at(const double* b, const extent_t* m0, const extent_t* m1,
+               extent_t i, extent_t j, const double* (&r)[9]) const {
+    if (m0 == nullptr) {
+      const double* c = b + i * s0_ + j * s1_;
+      r[0] = c;
+      r[1] = c - s0_;
+      r[2] = c + s0_;
+      r[3] = c - s1_;
+      r[4] = c + s1_;
+      r[5] = c - s0_ - s1_;
+      r[6] = c - s0_ + s1_;
+      r[7] = c + s0_ - s1_;
+      r[8] = c + s0_ + s1_;
+      return;
+    }
+    const extent_t xm = m0[i - 1], x0 = m0[i], xp = m0[i + 1];
+    const extent_t ym = m1[j - 1], y0 = m1[j], yp = m1[j + 1];
+    r[0] = b + x0 + y0;
+    r[1] = b + xm + y0;
+    r[2] = b + xp + y0;
+    r[3] = b + x0 + ym;
+    r[4] = b + x0 + yp;
+    r[5] = b + xm + ym;
+    r[6] = b + xm + yp;
+    r[7] = b + xp + ym;
+    r[8] = b + xp + yp;
+  }
+
+  // merge_row over the evaluated points [lo, hi) of an interior row: one
+  // engine call, its row ends read through the last axis's map.
+  template <RowMerge M>
+  [[gnu::always_inline]] void interior_row(RowState& st, extent_t i,
+                                           extent_t j, const double* a,
+                                           const double* b, double* out,
+                                           extent_t lo, extent_t hi) const {
+    const extent_t* m2 = st.map[2];
+    // Field by field: an initializer list would zero the whole struct
+    // first, a block store that costs more than the rest of the set-up.
+    StencilRow r;
+    rows_at(st.base, st.map[0], st.map[1], i, j, r.src);
+    r.c = c_.c.data();
+    r.n = n2_;
+    r.lo = lo;
+    r.hi = hi;
+    r.km = m2 != nullptr ? m2[lo - 1] : lo - 1;
+    r.kp = m2 != nullptr ? m2[hi] : hi;
+    r.u1 = st.scratch.u1();
+    r.u2 = st.scratch.u2();
+    r.t = st.scratch.t();
+    r.merge = M;
+    r.a = a;
+    r.b = b;
+    r.out = out;
+    if (m2 != nullptr && !ends_only_) [[unlikely]] {
+      mapped_points<M>(r.src, m2, a, b, out, lo, hi);
+      return;
+    }
+    st.row(*be_, r);
+  }
+
+  // The engine's arithmetic point by point, every operand read through the
+  // last axis's map: the rows of a view that moves more than its ends.
+  template <RowMerge M>
+  [[gnu::noinline]] void mapped_points(const double* const* r,
+                                       const extent_t* m2, const double* a,
+                                       const double* b, double* out,
+                                       extent_t lo, extent_t hi) const {
+    auto uc = [&](extent_t p) { return r[0][m2[p]]; };
+    auto u1 = [&](extent_t p) {
+      const extent_t x = m2[p];
+      return ((r[1][x] + r[2][x]) + r[3][x]) + r[4][x];
+    };
+    auto u2 = [&](extent_t p) {
+      const extent_t x = m2[p];
+      return ((r[5][x] + r[6][x]) + r[7][x]) + r[8][x];
+    };
+    for (extent_t k = lo; k < hi; ++k) {
+      const double s = c_[0] * uc(k) + c_[1] * ((u1(k) + uc(k - 1)) + uc(k + 1)) +
+                       c_[2] * ((u2(k) + u1(k - 1)) + u1(k + 1)) +
+                       c_[3] * (u2(k - 1) + u2(k + 1));
+      merge_point<M>(out, a, b, k, s);
+    }
+  }
+
+  // -- per-point map readers ---------------------------------------------------
   //
   // A view argument's maps cover its own extent; the wrap maps also cover
   // -1 and n, so the periodic form reads every point's neighbours.
 
-  // The nine source rows of output row (i, j) through the maps: the centre
-  // row, then im, ip, jm, jp and the diagonals imm, imp, ipm, ipp (the order
-  // of Backend::stencil_row), each remapped through the axis-0/1 maps.
-  struct ViewRows {
-    const double* r[9];
-  };
-  ViewRows view_rows(extent_t i, extent_t j) const {
-    const extent_t* m0 = axis(0);
-    const extent_t* m1 = axis(1);
-    const double* b = a_.base_data();
-    return ViewRows{{b + m0[i] + m1[j], b + m0[i - 1] + m1[j],
-                     b + m0[i + 1] + m1[j], b + m0[i] + m1[j - 1],
-                     b + m0[i] + m1[j + 1], b + m0[i - 1] + m1[j - 1],
-                     b + m0[i - 1] + m1[j + 1], b + m0[i + 1] + m1[j - 1],
-                     b + m0[i + 1] + m1[j + 1]}};
-  }
-
   // at_linear3 through the maps: the same operands in the same order, each
   // k position taken through the last axis's map.
   double view_at3(extent_t i, extent_t j, extent_t k) const {
-    const ViewRows rows = view_rows(i, j);
-    const double *c = rows.r[0], *im = rows.r[1], *ip = rows.r[2],
-                 *jm = rows.r[3], *jp = rows.r[4], *imm = rows.r[5],
-                 *imp = rows.r[6], *ipm = rows.r[7], *ipp = rows.r[8];
+    const double* r[9];
+    rows_at(a_.base_data(), axis(0), axis(1), i, j, r);
+    const double *c = r[0], *im = r[1], *ip = r[2], *jm = r[3], *jp = r[4],
+                 *imm = r[5], *imp = r[6], *ipm = r[7], *ipp = r[8];
     const extent_t* m2 = axis(2);
     const extent_t km = m2[k - 1], k0 = m2[k], kp = m2[k + 1];
     const double faces = im[k0] + ip[k0] + jm[k0] + jp[k0] + c[km] + c[kp];
@@ -437,55 +506,6 @@ class StencilExpr {
     return acc;
   }
 
-  // fused_row through the maps, as the backend's plane_sums + combine_row
-  // pair that stencil_row stands for.  The plane sums run over the remapped
-  // rows, then the sums at the moved k positions are redone from remapped
-  // operands, so the scratch holds the forced view's sums exactly (for the
-  // periodic form: the wrapped sums at -1 and n).  The combine runs on the
-  // backend between the output points that read a moved position of the
-  // centre row; those repeat its arithmetic on the remapped centre values.
-  void view_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
-                extent_t k_lo, extent_t k_hi, bool accumulate) const {
-    const ViewRows rows = view_rows(i, j);
-    const double* const* r = rows.r;
-    const extent_t* m2 = axis(2);
-    double* u1 = st.u1() + pad();
-    double* u2 = st.u2() + pad();
-    be_->plane_sums(r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8], u1, u2,
-                    a_.shape().extent(2));
-    for (const extent_t p : moved_last()) {
-      const extent_t x = m2[p];
-      u1[p] = ((r[1][x] + r[2][x]) + r[3][x]) + r[4][x];
-      u2[p] = ((r[5][x] + r[6][x]) + r[7][x]) + r[8][x];
-    }
-    const double* uc = r[0];
-    auto run = [&](extent_t lo, extent_t hi) {
-      if (lo >= hi) return;
-      if (accumulate) {
-        be_->accumulate_row(c_.c.data(), uc, u1, u2, out, lo, hi);
-      } else {
-        be_->combine_row(c_.c.data(), uc, u1, u2, out, lo, hi);
-      }
-    };
-    extent_t k = k_lo;
-    auto it = std::lower_bound(view_points_.begin(), view_points_.end(), k_lo);
-    for (; it != view_points_.end() && *it < k_hi; ++it) {
-      const extent_t q = *it;
-      run(k, q);
-      const double ucm = uc[m2[q - 1]], uc0 = uc[m2[q]], ucp = uc[m2[q + 1]];
-      const double val = c_[0] * uc0 + c_[1] * ((u1[q] + ucm) + ucp) +
-                         c_[2] * ((u2[q] + u1[q - 1]) + u1[q + 1]) +
-                         c_[3] * (u2[q - 1] + u2[q + 1]);
-      if (accumulate) {
-        out[q] += val;
-      } else {
-        out[q] = val;
-      }
-      k = q + 1;
-    }
-    run(k, k_hi);
-  }
-
   Array<double> a_;
   StencilCoeffs c_;
   StencilMode mode_;
@@ -493,10 +513,11 @@ class StencilExpr {
   extent_t margin_;    // evaluated points: [margin_, n - margin_) per axis
   std::shared_ptr<const WrapMaps> wrap_;  // the periodic form's; shared
   std::array<std::vector<extent_t>, 4> by_class_;
-  extent_t s0_ = 0;  // rank-3 row strides for the unrolled evaluator
+  extent_t s0_ = 0;  // rank-3 row strides and extents
   extent_t s1_ = 0;
+  extent_t n0_ = 0, n1_ = 0, n2_ = 0;
   bool planes_rows_ = false;  // kPlanes row path active (rank 3, >= cutover)
-  std::vector<extent_t> view_points_;  // sorted; empty unless mapped()
+  bool ends_only_ = false;    // mapped(): the last axis moves only its ends
 };
 
 // Eager RelaxKernel: one with-loop over the interior, zero boundary ring —

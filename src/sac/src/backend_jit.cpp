@@ -167,31 +167,38 @@ class JitBackend final : public Backend {
     combine_impl(c, uc, u1, u2, out, lo, hi, true);
   }
 
-  void stencil_row(const double* c, const double* uc, const double* im,
-                   const double* ip, const double* jm, const double* jp,
-                   const double* imm, const double* imp, const double* ipm,
-                   const double* ipp, double* u1, double* u2, double* out,
-                   extent_t lo, extent_t hi, extent_t n,
-                   bool accumulate) const override {
-    if (n >= kMinRow && n <= kMaxStencilRow && hi > lo) {
+  // Compiled: the unmerged row and the in-place add (out += s) over rows
+  // read as they are.  Every other merge, and any row whose ends are read
+  // elsewhere, is the simd instance's, uncounted like the interp rows.
+  using Backend::stencil_row;
+  void stencil_row(const StencilRow& r) const override {
+    const bool accumulate = r.merge == RowMerge::kAdd && r.a == r.out;
+    if ((r.merge != RowMerge::kAssign && !accumulate) || r.km != r.lo - 1 ||
+        r.kp != r.hi) {
+      fb_.stencil_row(r);
+      return;
+    }
+    const extent_t n = r.n;
+    if (n >= kMinRow && n <= kMaxStencilRow && r.hi > r.lo) {
       KernelKey k;
       k.prim = kPrimStencil;
       k.accumulate = accumulate ? 1 : 0;
       k.length = n;
-      k.lo = lo;
-      k.hi = hi;
-      std::memcpy(k.c, c, sizeof k.c);
+      k.lo = r.lo;
+      k.hi = r.hi;
+      std::memcpy(k.c, r.c, sizeof k.c);
       if (KernelFn f = memo_request(k, make_stencil_prog)) {
-        const double* in[9] = {im, ip, jm, jp, imm, imp, ipm, ipp, uc};
-        double* o[1] = {out};
+        const double* const* s = r.src;
+        const double* in[9] = {s[1], s[2], s[3], s[4], s[5],
+                               s[6], s[7], s[8], s[0]};
+        double* o[1] = {r.out};
         f(in, o, nullptr, nullptr);
         stats().jit_kernel_calls.bump();
         return;
       }
     }
     stats().jit_fallback_calls.bump();
-    fb_.stencil_row(c, uc, im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, out,
-                    lo, hi, n, accumulate);
+    fb_.stencil_row(r);
   }
 
   void add_into_row(const double* a, double* out, extent_t lo,

@@ -77,6 +77,90 @@ template <bool kAccumulate>
   }
 }
 
+// The fused stencil row (StencilRow): the plane sums into the scratch, then
+// one loop that combines and merges.  A row read as it is sums [lo-1, hi+1)
+// and runs that loop over all of [lo, hi); a row whose ends are read
+// elsewhere sums [lo, hi), takes the two end sums apart and peels its first
+// and last points off the loop.  Every point runs the same expression, so
+// the peeled points keep the vector lanes' bits.  The scratch is indexed
+// from the first sum, which keeps its stores aligned with the block.  `a`
+// and `b` may be `out` itself, so they are not __restrict; each point
+// reads their element at its own index before writing it.
+template <RowMerge M>
+[[gnu::always_inline]] inline void stencil_row_body(const StencilRow* row) {
+  const StencilRow& r = *row;
+  const extent_t lo = r.lo, hi = r.hi;
+  if (hi <= lo) return;
+  const double* __restrict uc = r.src[0];
+  const double* __restrict im = r.src[1];
+  const double* __restrict ip = r.src[2];
+  const double* __restrict jm = r.src[3];
+  const double* __restrict jp = r.src[4];
+  const double* __restrict imm = r.src[5];
+  const double* __restrict imp = r.src[6];
+  const double* __restrict ipm = r.src[7];
+  const double* __restrict ipp = r.src[8];
+  double* __restrict u1 = r.u1;
+  double* __restrict u2 = r.u2;
+  const double c0 = r.c[0], c1 = r.c[1], c2 = r.c[2], c3 = r.c[3];
+  auto point = [=](double cm, double c, double cp, double s1m, double s1,
+                   double s1p, double s2m, double s2, double s2p) {
+    return c0 * c + c1 * ((s1 + cm) + cp) + c2 * ((s2 + s1m) + s1p) +
+           c3 * (s2m + s2p);
+  };
+  const double* a = r.a;
+  const double* b = r.b;
+  double* out = r.out;
+  const extent_t km = r.km, kp = r.kp;
+  if (km == lo - 1 && kp == hi) {
+    // u1[t], u2[t]: the sums at position lo - 1 + t.
+    plane_sums_body(im + km, ip + km, jm + km, jp + km, imm + km, imp + km,
+                    ipm + km, ipp + km, u1, u2, hi - lo + 2);
+#pragma GCC ivdep
+    for (extent_t k = lo; k < hi; ++k) {
+      const extent_t t = k - km;
+      merge_point<M>(out, a, b, k,
+                     point(uc[k - 1], uc[k], uc[k + 1], u1[t - 1], u1[t],
+                           u1[t + 1], u2[t - 1], u2[t], u2[t + 1]));
+    }
+    return;
+  }
+  // u1[t], u2[t]: the sums at position lo + t.
+  plane_sums_body(im + lo, ip + lo, jm + lo, jp + lo, imm + lo, imp + lo,
+                  ipm + lo, ipp + lo, u1, u2, hi - lo);
+  // The end sums: summed already when km and kp lie in [lo, hi), as they
+  // do for a periodic border and for the wrap maps.
+  auto sum1 = [&](extent_t x) {
+    return x >= lo && x < hi ? u1[x - lo] : ((im[x] + ip[x]) + jm[x]) + jp[x];
+  };
+  auto sum2 = [&](extent_t x) {
+    return x >= lo && x < hi ? u2[x - lo]
+                             : ((imm[x] + imp[x]) + ipm[x]) + ipp[x];
+  };
+  const double ucm = uc[km], ucp = uc[kp];
+  const double u1m = sum1(km), u1p = sum1(kp);
+  const double u2m = sum2(km), u2p = sum2(kp);
+  const extent_t last = hi - lo - 1;  // the last point's t
+  if (last == 0) {
+    merge_point<M>(out, a, b, lo,
+                   point(ucm, uc[lo], ucp, u1m, u1[0], u1p, u2m, u2[0], u2p));
+    return;
+  }
+  merge_point<M>(out, a, b, lo,
+                 point(ucm, uc[lo], uc[lo + 1], u1m, u1[0], u1[1], u2m, u2[0],
+                       u2[1]));
+#pragma GCC ivdep
+  for (extent_t t = 1; t < last; ++t) {
+    const extent_t k = lo + t;
+    merge_point<M>(out, a, b, k,
+                   point(uc[k - 1], uc[k], uc[k + 1], u1[t - 1], u1[t],
+                         u1[t + 1], u2[t - 1], u2[t], u2[t + 1]));
+  }
+  merge_point<M>(out, a, b, hi - 1,
+                 point(uc[hi - 2], uc[hi - 1], ucp, u1[last - 1], u1[last],
+                       u1p, u2[last - 1], u2[last], u2p));
+}
+
 // out[k] = a[k] <op> out[k].  `a` may be `out` itself, so no __restrict;
 // each element still reads only its own index.
 template <typename Op>
@@ -179,11 +263,17 @@ inline double lane_max(double a, double b) { return a > b ? a : b; }
 
 // -- one engine, one thin entry point per instruction set --------------------
 
+// `row` is the fused stencil row's entry (Backend::StencilRowFn), the
+// same thin wrapper over one merge's body.
 struct Baseline {
   static constexpr const char* kName = "portable";
   template <auto Body, typename... Args>
   static auto run(Args... args) {
     return Body(args...);
+  }
+  template <auto Body>
+  static void row(const Backend&, const StencilRow& r) {
+    Body(&r);
   }
 };
 
@@ -193,6 +283,11 @@ struct Avx2 {
   template <auto Body, typename... Args>
   [[gnu::target("avx2")]] static auto run(Args... args) {
     return Body(args...);
+  }
+  template <auto Body>
+  [[gnu::target("avx2")]] static void row(const Backend&,
+                                          const StencilRow& r) {
+    Body(&r);
   }
 };
 #endif
@@ -228,6 +323,24 @@ class SimdBackend final : public Backend {
                       const double* u2, double* out, extent_t lo,
                       extent_t hi) const override {
     Isa::template run<combine_body<true>>(c, uc, u1, u2, out, lo, hi);
+  }
+  // One entry point per merge, so each keeps its own registers.
+  using Backend::stencil_row;
+  void stencil_row(const StencilRow& row) const override {
+    stencil_row_fn(row.merge)(*this, row);
+  }
+  StencilRowFn stencil_row_fn(RowMerge merge) const override {
+    switch (merge) {
+      case RowMerge::kAssign:
+        return &Isa::template row<stencil_row_body<RowMerge::kAssign>>;
+      case RowMerge::kAdd:
+        return &Isa::template row<stencil_row_body<RowMerge::kAdd>>;
+      case RowMerge::kSub:
+        return &Isa::template row<stencil_row_body<RowMerge::kSub>>;
+      case RowMerge::kAddAdd:
+        return &Isa::template row<stencil_row_body<RowMerge::kAddAdd>>;
+    }
+    return nullptr;
   }
   void add_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {

@@ -19,6 +19,7 @@
 #include "sacpp/mg/problem.hpp"
 #include "sacpp/nasrand/nasrand.hpp"
 #include "sacpp/sac/array_lib.hpp"
+#include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/config.hpp"
 #include "sacpp/sac/pool.hpp"
 
@@ -277,7 +278,20 @@ TEST_P(StreamedCharges, EqualSortedField) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, StreamedCharges,
-                         ::testing::Values<extent_t>(1, 2, 4, 8, 32, 64));
+                         ::testing::Values<extent_t>(1, 2, 3, 4, 5, 7, 8, 32,
+                                                     64));
+
+// The 16-chain scan against the one-chain scan, over sizes whose nx^3 is
+// and is not a multiple of the 16 chains, up to the class-A field.
+TEST(Zran3Charges, VectorisedScanEqualsOneChain) {
+  if (!sac::cpu_has_avx2()) GTEST_SKIP() << "the vectorised scan needs AVX2";
+  for (const extent_t nx : {1, 2, 3, 5, 7, 32, 64, 256}) {
+    const Charges one = detail::zran3_charges(nx, false);
+    const Charges vec = detail::zran3_charges(nx, true);
+    EXPECT_EQ(triples(vec.plus), triples(one.plus)) << "nx " << nx;
+    EXPECT_EQ(triples(vec.minus), triples(one.minus)) << "nx " << nx;
+  }
+}
 
 // Classes A and B share the 256^3 field; its charges, computed once with
 // an independent integer implementation of the generator.

@@ -335,20 +335,31 @@ TEST(MsgWorldLoad, RecvFromFinishedRankThrowsInsteadOfHanging) {
 // A rank whose program ends before a collective: its peers' collective must
 // fail with the finished-rank diagnostic of the receive it runs on, not wait
 // forever for a token that can never arrive.
+// Rank 0's collective must throw, naming the finished peer, and run()
+// must report the failure that started it: rank 1's own.
 void expect_collective_fails_on_early_exit(
     const std::function<void(Comm&)>& collective) {
   World w(2);
+  std::string rank0_error;
   try {
     w.run([&](Comm& c) {
       if (c.rank() == 1) throw ContractError("rank 1 exits early");
-      collective(c);
+      try {
+        collective(c);
+      } catch (const ContractError& e) {
+        rank0_error = e.what();
+        throw;
+      }
     });
     FAIL() << "the collective must throw, not hang or succeed";
   } catch (const ContractError& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 1's program already finished"),
+    EXPECT_NE(std::string(e.what()).find("rank 1 exits early"),
               std::string::npos)
         << e.what();
   }
+  EXPECT_NE(rank0_error.find("rank 1's program already finished"),
+            std::string::npos)
+      << rank0_error;
 }
 
 TEST(MsgWorldLoad, BarrierAfterPeerExitedThrowsInsteadOfHanging) {

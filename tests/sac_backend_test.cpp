@@ -256,6 +256,147 @@ TEST(BackendRows, EwiseMergesBitIdenticalAcrossEngines) {
   });
 }
 
+// -- the fused stencil row (StencilRow) --------------------------------------
+
+// One fused-row call: nine random source rows of length n, a random output
+// row, and the merge operands separate from `out` or `out` itself.
+struct FusedRowCase {
+  extent_t n, lo, hi, km, kp;
+  RowMerge merge;
+  bool a_is_out, b_is_out;
+  std::vector<std::vector<double>> src;  // centre, im, ip, jm, jp, ...
+  std::vector<double> a, b, base;
+};
+
+const char* merge_name(RowMerge m) {
+  switch (m) {
+    case RowMerge::kAssign: return "assign";
+    case RowMerge::kAdd: return "add";
+    case RowMerge::kSub: return "sub";
+    case RowMerge::kAddAdd: return "add-add";
+  }
+  return "?";
+}
+
+std::string where(const Backend& be, const FusedRowCase& c) {
+  return std::string(be.name()) + " " + merge_name(c.merge) +
+         " n=" + std::to_string(c.n) + " [" + std::to_string(c.lo) + "," +
+         std::to_string(c.hi) + ") km=" + std::to_string(c.km) +
+         " kp=" + std::to_string(c.kp) + (c.a_is_out ? " a=out" : "") +
+         (c.b_is_out ? " b=out" : "");
+}
+
+// The output row `e` writes for case `c`.
+std::vector<double> run_fused(const Backend& e, const FusedRowCase& c) {
+  const auto len = static_cast<std::size_t>(c.n);
+  std::vector<double> out = c.base, u1(len), u2(len), t(len);
+  StencilRow r;
+  for (int q = 0; q < 9; ++q) r.src[q] = c.src[static_cast<std::size_t>(q)].data();
+  r.c = kTestCoeffs.c.data();
+  r.n = c.n;
+  r.lo = c.lo;
+  r.hi = c.hi;
+  r.km = c.km;
+  r.kp = c.kp;
+  r.u1 = u1.data();
+  r.u2 = u2.data();
+  r.t = t.data();
+  r.merge = c.merge;
+  r.a = c.a_is_out ? out.data() : c.a.data();
+  r.b = c.b_is_out ? out.data() : c.b.data();
+  r.out = out.data();
+  e.stencil_row(r);
+  return out;
+}
+
+// StencilRow's definition evaluated point by point.
+std::vector<double> fused_reference(const FusedRowCase& c) {
+  const auto& s = c.src;
+  auto x = [&](extent_t p) {
+    return static_cast<std::size_t>(p < c.lo ? c.km : p >= c.hi ? c.kp : p);
+  };
+  auto uc = [&](extent_t p) { return s[0][x(p)]; };
+  auto u1 = [&](extent_t p) {
+    return ((s[1][x(p)] + s[2][x(p)]) + s[3][x(p)]) + s[4][x(p)];
+  };
+  auto u2 = [&](extent_t p) {
+    return ((s[5][x(p)] + s[6][x(p)]) + s[7][x(p)]) + s[8][x(p)];
+  };
+  const auto& k4 = kTestCoeffs.c;
+  std::vector<double> out = c.base;
+  for (extent_t k = c.lo; k < c.hi; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    const double v = k4[0] * uc(k) + k4[1] * ((u1(k) + uc(k - 1)) + uc(k + 1)) +
+                     k4[2] * ((u2(k) + u1(k - 1)) + u1(k + 1)) +
+                     k4[3] * (u2(k - 1) + u2(k + 1));
+    const double a = c.a_is_out ? c.base[i] : c.a[i];
+    const double b = c.b_is_out ? c.base[i] : c.b[i];
+    switch (c.merge) {
+      case RowMerge::kAssign: out[i] = v; break;
+      case RowMerge::kAdd: out[i] = a + v; break;
+      case RowMerge::kSub: out[i] = a - v; break;
+      case RowMerge::kAddAdd: out[i] = b + (a + v); break;
+    }
+  }
+  return out;
+}
+
+// Every merge and aliasing over a row of length n: the output range
+// [lo, hi) and end positions km and kp drawn at random, read as they are
+// (km = lo - 1, kp = hi) or remapped, as a view's or a wrap map's ends are.
+void for_each_fused_case(std::mt19937_64& rng, extent_t n,
+                         const std::function<void(const FusedRowCase&)>& f) {
+  const auto len = static_cast<std::size_t>(n);
+  FusedRowCase c;
+  c.n = n;
+  for (int q = 0; q < 9; ++q) c.src.push_back(random_row(rng, len));
+  c.a = random_row(rng, len);
+  c.b = random_row(rng, len);
+  c.base = random_row(rng, len);
+  std::uniform_int_distribution<extent_t> pos(0, n - 1);
+  for (const bool remapped : {false, true}) {
+    extent_t lo = remapped ? pos(rng) : std::uniform_int_distribution<extent_t>(1, n - 2)(rng);
+    extent_t hi = std::uniform_int_distribution<extent_t>(lo + 1, remapped ? n : n - 1)(rng);
+    if (rng() % 3 == 0) {  // the whole row a stencil evaluates
+      lo = remapped ? 0 : 1;
+      hi = remapped ? n : n - 1;
+    }
+    c.lo = lo;
+    c.hi = hi;
+    c.km = remapped ? pos(rng) : lo - 1;
+    c.kp = remapped ? pos(rng) : hi;
+    for (const RowMerge m : {RowMerge::kAssign, RowMerge::kAdd, RowMerge::kSub,
+                             RowMerge::kAddAdd}) {
+      c.merge = m;
+      for (int alias = 0; alias < 3; ++alias) {
+        if (m == RowMerge::kAssign && alias > 0) break;
+        if (m != RowMerge::kAddAdd && alias > 1) break;
+        c.a_is_out = alias == 1;
+        c.b_is_out = alias == 2;
+        f(c);
+      }
+    }
+  }
+}
+
+TEST(BackendRows, FusedStencilRowEveryMergeBitIdenticalAcrossEngines) {
+  // Row lengths 3..70 cover the V-cycle's rows with every vector split; the
+  // scalar engine's composition is pinned to the definition point by point,
+  // and every kSimd instance to the scalar engine.
+  const Backend& sc = detail::scalar_backend();
+  for_each_instance(111, [&](const Backend& be, std::mt19937_64& rng) {
+    for (extent_t n = 3; n <= 70; ++n) {
+      for (int round = 0; round < 4; ++round) {
+        for_each_fused_case(rng, n, [&](const FusedRowCase& c) {
+          const std::vector<double> want = run_fused(sc, c);
+          ASSERT_EQ(want, fused_reference(c)) << where(sc, c);
+          ASSERT_EQ(run_fused(be, c), want) << where(be, c);
+        });
+      }
+    }
+  });
+}
+
 TEST(BackendRows, GatherScatterBitIdenticalAcrossEngines) {
   // Strides 1..5: the grid transfers' stride 2 has its own vector loop.
   const Backend& sc = detail::scalar_backend();
@@ -630,6 +771,25 @@ TEST_F(BackendJit, ElementParallelRowsBitIdenticalToScalar) {
   // The battery must have exercised generated code, not just the fallback.
   // (Some combine calls DO fall back: their sub-range n-2 sits below the
   // dispatch cutoff for the two shortest pool lengths — by design.)
+  EXPECT_GT(stats().jit_kernel_calls, 0u);
+}
+
+TEST_F(BackendJit, FusedStencilRowEveryMergeBitIdenticalToScalar) {
+  // The JIT compiles the unmerged row and the in-place add over rows read
+  // as they are, and hands every other form to its simd instance: each is
+  // bitwise the scalar engine's.  Lengths come from a small pool, so the
+  // battery compiles a bounded kernel set.
+  std::mt19937_64 rng(311);
+  const Backend& sc = detail::scalar_backend();
+  const Backend& be = backend_for(BackendKind::kJit);
+  reset_stats();
+  for (const extent_t n : {extent_t{18}, extent_t{34}, extent_t{66}}) {
+    for (int round = 0; round < 4; ++round) {
+      for_each_fused_case(rng, n, [&](const FusedRowCase& c) {
+        ASSERT_EQ(run_fused(be, c), run_fused(sc, c)) << where(be, c);
+      });
+    }
+  }
   EXPECT_GT(stats().jit_kernel_calls, 0u);
 }
 

@@ -249,8 +249,10 @@ void check_views(const Shape& shp, unsigned seed, const Combo& c) {
         for (extent_t lo = 0; lo < n2; lo += 3) {
           std::vector<double> a(static_cast<std::size_t>(n2), 0.25);
           std::vector<double> b = a;
-          sv.accumulate_row(s1, 1, 1, a.data(), lo, n2 - lo / 2);
-          sf.accumulate_row(s2, 1, 1, b.data(), lo, n2 - lo / 2);
+          sv.merge_row<RowMerge::kAdd>(s1, 1, 1, a.data(), nullptr, a.data(),
+                                       lo, n2 - lo / 2);
+          sf.merge_row<RowMerge::kAdd>(s2, 1, 1, b.data(), nullptr, b.data(),
+                                       lo, n2 - lo / 2);
           EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
                     0)
               << "accumulate_row from " << lo << ", " << where;
@@ -294,6 +296,236 @@ TEST(ViewBattery, CubicExtents3To66) {
                       n % 2 == 0 ? 4u : 1u, 18});
   }
   shutdown_runtime();
+}
+
+// -- the fused stencil row forms ---------------------------------------------
+
+// The interior of an extended grid: its ghost-free form.
+Array<double> interior(const Array<double>& ext) {
+  IndexVec pure(ext.shape().extents().begin(), ext.shape().extents().end());
+  for (extent_t& e : pure) e -= 2;
+  return with_genarray<double>(Shape(pure), [&](const IndexVec& iv) {
+    return ext[iv + 1];
+  });
+}
+
+// A private copy: its holder alone owns the buffer, so force's in-place
+// form writes into it.
+Array<double> own(const Array<double>& a) {
+  Array<double> c = a;
+  c.materialise();
+  (void)c.mutable_data();
+  return c;
+}
+
+// Every row form the planes engine fuses — S, a + S, a - S and
+// b + (a + S), out of place and in place — read through a periodic border
+// view, through the same border materialised, and through the periodic
+// form's wrap maps over the ghost-free grid: the view and the materialised
+// border agree bit for bit on the whole grid, and the wrap maps give their
+// interior.
+void check_merge_forms(const Shape& ext, unsigned seed, const Combo& c) {
+  const Array<double> x = random_array(ext, seed);
+  const Array<double> a = random_array(ext, seed + 1);
+  const Array<double> b = random_array(ext, seed + 2);
+  const Array<double> xp = interior(x), ap = interior(a), bp = interior(b);
+  SacConfig cfg = config();
+  cfg.stencil_mode = c.mode;
+  cfg.backend = c.engine.kind;
+  cfg.mt_enabled = c.threads > 1;
+  cfg.mt_threads = c.threads;
+  cfg.mt_threshold = 1;
+  cfg.stencil_planes_cutover = c.cutover;
+  ScopedConfig guard(cfg);
+  const detail::ScopedSimdOverride pin(c.engine.pin);
+  const std::string where = label(ext, c);
+  const Array<double> view = with_modarray_reading(x, periodic_parts(ext));
+  ASSERT_TRUE(view.is_view()) << where;
+  Array<double> forced = view;
+  forced.materialise();
+
+  // Each form over an extended argument (`periodic` false) or over the
+  // ghost-free one, with its operands.
+  using A = const Array<double>&;
+  auto forms = [&](auto check) {
+    check("S", [](auto st, A, A) { return force(st); });
+    check("a + S", [](auto st, A a1, A) {
+      return force(ewise(a1, std::move(st), std::plus<>{}));
+    });
+    check("a - S", [](auto st, A a1, A) {
+      return force(ewise(a1, std::move(st), std::minus<>{}));
+    });
+    check("a + S in place", [](auto st, A a1, A) {
+      return force(ewise(own(a1), std::move(st), std::plus<>{}));
+    });
+    check("a - S in place", [](auto st, A a1, A) {
+      return force(ewise(own(a1), std::move(st), std::minus<>{}));
+    });
+    check("b + (a + S)", [](auto st, A a1, A b1) {
+      return force(ewise(b1, ewise(a1, std::move(st), std::plus<>{}),
+                         std::plus<>{}));
+    });
+    check("b + (a + S) in place", [](auto st, A a1, A b1) {
+      return force(ewise(own(b1), ewise(a1, std::move(st), std::plus<>{}),
+                         std::plus<>{}));
+    });
+  };
+  forms([&](const char* what, auto form) {
+    const Array<double> over_view = form(StencilExpr(view, kCoeffs), a, b);
+    const Array<double> over_grid = form(StencilExpr(forced, kCoeffs), a, b);
+    const Array<double> wrapped =
+        form(StencilExpr::periodic(xp, kCoeffs), ap, bp);
+    EXPECT_TRUE(same_bits(over_view, over_grid)) << what << ", " << where;
+    EXPECT_TRUE(same_bits(interior(over_view), wrapped))
+        << what << " over the wrap maps, " << where;
+  });
+  EXPECT_TRUE(view.is_view()) << "a form forced the caller's view, " << where;
+}
+
+TEST(ViewBattery, StencilRowFormsAgreeOverViewsWrapMapsAndGrids) {
+  const std::vector<Shape> shapes{cube_shape(3, 18), Shape{6, 10, 34},
+                                  cube_shape(3, 34)};
+  unsigned seed = 700;
+  for (const Engine& be : engines()) {
+    for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+      for (const Shape& shp : shapes) {
+        check_merge_forms(shp, seed,
+                          Combo{StencilMode::kPlanes, be, threads, 0});
+        seed += 3;
+      }
+    }
+  }
+  // The per-point forms below the cutover and in grouped mode, once.
+  check_merge_forms(cube_shape(3, 18), seed,
+                    Combo{StencilMode::kPlanes, {BackendKind::kSimd}, 1, 64});
+  check_merge_forms(cube_shape(3, 18), seed + 3,
+                    Combo{StencilMode::kGrouped, {BackendKind::kScalar}, 4, 18});
+  shutdown_runtime();
+}
+
+// A kSimd engine that counts its calls and runs them on this host's own
+// instance.
+class CountingEngine final : public Backend {
+ public:
+  const char* name() const noexcept override { return "counting"; }
+  unsigned lanes() const noexcept override { return be_.lanes(); }
+  bool vectorized() const noexcept override { return true; }
+  void fill_row(double* o, extent_t lo, extent_t hi, double v) const override {
+    other += 1;
+    be_.fill_row(o, lo, hi, v);
+  }
+  void copy_row(double* o, const double* s, extent_t lo,
+                extent_t hi) const override {
+    other += 1;
+    be_.copy_row(o, s, lo, hi);
+  }
+  void plane_sums(const double* im, const double* ip, const double* jm,
+                  const double* jp, const double* imm, const double* imp,
+                  const double* ipm, const double* ipp, double* u1, double* u2,
+                  extent_t n) const override {
+    other += 1;
+    be_.plane_sums(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
+  }
+  void combine_row(const double* c, const double* uc, const double* u1,
+                   const double* u2, double* o, extent_t lo,
+                   extent_t hi) const override {
+    other += 1;
+    be_.combine_row(c, uc, u1, u2, o, lo, hi);
+  }
+  void accumulate_row(const double* c, const double* uc, const double* u1,
+                      const double* u2, double* o, extent_t lo,
+                      extent_t hi) const override {
+    other += 1;
+    be_.accumulate_row(c, uc, u1, u2, o, lo, hi);
+  }
+  using Backend::stencil_row;
+  void stencil_row(const StencilRow& row) const override {
+    rows += 1;
+    be_.stencil_row(row);
+  }
+  void add_into_row(const double* a, double* o, extent_t lo,
+                    extent_t hi) const override {
+    other += 1;
+    be_.add_into_row(a, o, lo, hi);
+  }
+  void sub_into_row(const double* a, double* o, extent_t lo,
+                    extent_t hi) const override {
+    other += 1;
+    be_.sub_into_row(a, o, lo, hi);
+  }
+  void mul_into_row(const double* a, double* o, extent_t lo,
+                    extent_t hi) const override {
+    other += 1;
+    be_.mul_into_row(a, o, lo, hi);
+  }
+  void gather_row(double* o, const double* s, extent_t st,
+                  extent_t n) const override {
+    other += 1;
+    be_.gather_row(o, s, st, n);
+  }
+  void scatter_row(double* o, extent_t st, const double* s,
+                   extent_t n) const override {
+    other += 1;
+    be_.scatter_row(o, st, s, n);
+  }
+  void sum_rows(const double* a, const double* b, const double* c,
+                const double* d, double* w, extent_t n) const override {
+    other += 1;
+    be_.sum_rows(a, b, c, d, w, n);
+  }
+  void interp_row(double ca, double cb, const double* w, double* o,
+                  extent_t lo, extent_t hi) const override {
+    other += 1;
+    be_.interp_row(ca, cb, w, o, lo, hi);
+  }
+  double sum_sq_row(double acc, const double* p, extent_t lo,
+                    extent_t hi) const override {
+    other += 1;
+    return be_.sum_sq_row(acc, p, lo, hi);
+  }
+  double max_abs_row(double acc, const double* p, extent_t lo,
+                     extent_t hi) const override {
+    other += 1;
+    return be_.max_abs_row(acc, p, lo, hi);
+  }
+
+  mutable std::uint64_t rows = 0;   // fused stencil rows
+  mutable std::uint64_t other = 0;  // every other primitive
+
+ private:
+  const Backend& be_ = detail::simd_backend();
+};
+
+// resid (v - A u, fresh) and psinv (z + S r, in place) through a periodic
+// border view make one engine call per interior row and no other.
+TEST(ViewBattery, ResidAndPsinvMakeOneEngineCallPerInteriorRow) {
+  for (const extent_t n : {extent_t{18}, extent_t{34}, extent_t{66}}) {
+    const Shape shp = cube_shape(3, n);
+    const Array<double> u = random_array(shp, 800 + static_cast<unsigned>(n));
+    const Array<double> v = random_array(shp, 900 + static_cast<unsigned>(n));
+    SacConfig cfg = config();
+    cfg.stencil_mode = StencilMode::kPlanes;
+    cfg.backend = BackendKind::kSimd;
+    cfg.mt_enabled = false;
+    ScopedConfig guard(cfg);
+    CountingEngine counting;
+    const detail::ScopedSimdOverride pin(&counting);
+    const auto interior_rows = static_cast<std::uint64_t>((n - 2) * (n - 2));
+
+    const Array<double> r = force(ewise(
+        v, StencilExpr(with_modarray_reading(u, periodic_parts(shp)), kCoeffs),
+        std::minus<>{}));
+    EXPECT_EQ(counting.rows, interior_rows) << "resid, n=" << n;
+    EXPECT_EQ(counting.other, 0u) << "resid, n=" << n;
+
+    counting.rows = 0;
+    const Array<double> z = force(ewise(
+        own(u),
+        StencilExpr(with_modarray_reading(r, periodic_parts(shp)), kSmoother),
+        std::plus<>{}));
+    EXPECT_EQ(counting.rows, interior_rows) << "psinv, n=" << n;
+    EXPECT_EQ(counting.other, 0u) << "psinv, n=" << n;
+  }
 }
 
 // -- force's in-place ewise --------------------------------------------------
